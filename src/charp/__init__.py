@@ -18,7 +18,7 @@ __all__ = [
     "DistinctLambdaExhausted", "ExponentOverflow", "GroebnerBudgetExceeded",
     "IdentityFailure", "InputError", "NonMonomial", "NotContainingQuotient",
     "NotPPower", "PrimeField", "MonomialOrder", "GREVLEX", "LEX", "elim",
-    "Polynomial", "Ring", "Ideal", "GroebnerBudget",
+    "Polynomial", "Ring", "Ideal", "GroebnerBudget", "using_budget",
 ]
 
-from .ideals import GroebnerBudget, Ideal  # noqa: E402  (cycle-free, kept last)
+from .ideals import GroebnerBudget, Ideal, using_budget  # noqa: E402  (cycle-free, kept last)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 import time
@@ -43,7 +44,7 @@ from .errors import (CertificateFailure, CharpError, DepthExceeded,
                      GroebnerBudgetExceeded, IdentityFailure, InputError,
                      NonMonomial, NotContainingQuotient, NotPPower)
 from .frobenius import f_closure, frob_power, frob_root
-from .ideals import GroebnerBudget, Ideal
+from .ideals import GroebnerBudget, Ideal, using_budget
 from .orders import parse_order
 from .perfection import FSequence, PerfectionElement, PerfectionIdeal
 from .poly import Polynomial, Ring
@@ -86,7 +87,7 @@ def _split_list(value: str) -> list:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
-def parse_spec(path: str, budget: GroebnerBudget) -> SpecFile:
+def parse_spec(path: str) -> SpecFile:
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     try:
         with open(path) as fh:
@@ -159,16 +160,14 @@ def parse_spec(path: str, budget: GroebnerBudget) -> SpecFile:
             return ideals[iname]
 
         if kind == "frobenius-powers":
-            seq = FSequence.frobenius_powers(named_ideal(), budget)
+            seq = FSequence.frobenius_powers(named_ideal())
         elif kind == "canonical":
             seq = FSequence.canonical(named_ideal(),
-                                      int(sec.get("max_e", 10)), int(sec.get("confirm", 2)),
-                                      budget)
+                                      int(sec.get("max_e", 10)), int(sec.get("confirm", 2)))
         elif kind == "constant-prime":
             seq = FSequence.constant_prime(named_ideal())
         elif kind == "fg-perfection":
-            seq = FSequence.finitely_generated(named_ideal(), int(sec.get("k", 0)),
-                                               budget=budget)
+            seq = FSequence.finitely_generated(named_ideal(), int(sec.get("k", 0)))
         elif kind == "table":
             names = _split_list(sec.get("terms", ""))
             if not names:
@@ -181,7 +180,7 @@ def parse_spec(path: str, budget: GroebnerBudget) -> SpecFile:
             names = _split_list(sec.get("of", ""))
             if not names:
                 raise InputError("intersection fseq needs 'of'", where)
-            seq = FSequence.intersection([build_fseq(t) for t in names], budget)
+            seq = FSequence.intersection([build_fseq(t) for t in names])
         elif kind == "localize-contract":
             inner = build_fseq(sec.get("inner", "").strip())
             prime = named_ideal("prime")
@@ -190,7 +189,7 @@ def parse_spec(path: str, budget: GroebnerBudget) -> SpecFile:
                 s_hint = _parse_in(ring, sec["shint"], where)
             from .decomposition import localize_contract
             seq = FSequence.mapped(
-                inner, lambda t: localize_contract(t, prime, s_hint, budget),
+                inner, lambda t: localize_contract(t, prime, s_hint),
                 "localize-contract", f"localize-contract of {inner.describe}")
         else:
             raise InputError(f"unknown fseq kind {kind!r}", where)
@@ -271,14 +270,9 @@ class Report:
         self.lines.append(line)
 
 
-def _emit(report: Report, args, budget: GroebnerBudget, started: float, code: int) -> int:
+def _emit(report: Report, args, started: float, code: int) -> int:
     report.data["exit_status"] = code
-    report.data["budget"] = {
-        "max_pairs": budget.max_pairs,
-        "max_poly_terms": budget.max_poly_terms,
-        "max_degree": budget.max_degree,
-        "pairs_used": ideals_mod.pair_count,
-    }
+    report.data["budget"]["pairs_used"] = ideals_mod.pair_count
     if getattr(args, "timing", False):
         report.data["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     if getattr(args, "json", False):
@@ -294,9 +288,9 @@ def _emit(report: Report, args, budget: GroebnerBudget, started: float, code: in
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gb(args, report: Report, spec: SpecFile, budget) -> int:
+def _cmd_gb(args, report: Report, spec: SpecFile) -> int:
     I = spec.ideal(args.ideal)
-    basis = I.groebner(budget=budget)
+    basis = I.groebner()
     report.data["result"] = {"ideal": args.ideal, "groebner": [str(g) for g in basis]}
     report.say(f"reduced groebner basis of {args.ideal} "
                f"({len(basis)} generators):")
@@ -305,25 +299,25 @@ def _cmd_gb(args, report: Report, spec: SpecFile, budget) -> int:
     return EXIT_OK
 
 
-def _cmd_frob_power(args, report: Report, spec: SpecFile, budget) -> int:
+def _cmd_frob_power(args, report: Report, spec: SpecFile) -> int:
     I = spec.ideal(args.ideal)
-    res = frob_power(I, args.e, budget)
+    res = frob_power(I, args.e)
     report.data["result"] = {"ideal": args.ideal, "e": args.e, **_ideal_json(res)}
     report.say(f"{args.ideal}^[p^{args.e}] = ({', '.join(str(g) for g in res.groebner())})")
     return EXIT_OK
 
 
-def _cmd_frob_root(args, report: Report, spec: SpecFile, budget) -> int:
+def _cmd_frob_root(args, report: Report, spec: SpecFile) -> int:
     I = spec.ideal(args.ideal)
-    res = frob_root(I, budget)
+    res = frob_root(I)
     report.data["result"] = {"ideal": args.ideal, **_ideal_json(res)}
     report.say(f"frobenius root of {args.ideal} = ({', '.join(str(g) for g in res.groebner())})")
     return EXIT_OK
 
 
-def _cmd_frob_closure(args, report: Report, spec: SpecFile, budget) -> int:
+def _cmd_frob_closure(args, report: Report, spec: SpecFile) -> int:
     I = spec.ideal(args.ideal)
-    res = f_closure(I, args.max_e, args.confirm, budget)
+    res = f_closure(I, args.max_e, args.confirm)
     closed = res.closure == I
     report.data["result"] = {
         "ideal": args.ideal,
@@ -345,9 +339,9 @@ def _cmd_frob_closure(args, report: Report, spec: SpecFile, budget) -> int:
     return EXIT_OK
 
 
-def _cmd_decompose(args, report: Report, spec: SpecFile, budget) -> int:
+def _cmd_decompose(args, report: Report, spec: SpecFile) -> int:
     I = spec.ideal(args.ideal)
-    deco = decompose_monomial(I, budget=budget)
+    deco = decompose_monomial(I)
     report.data["result"] = {"ideal": args.ideal, **_decomposition_json(deco)}
     report.say(f"minimal primary decomposition of {args.ideal}:")
     for c in deco.components:
@@ -356,9 +350,9 @@ def _cmd_decompose(args, report: Report, spec: SpecFile, budget) -> int:
     return EXIT_OK
 
 
-def _cmd_fseq_verify(args, report: Report, spec: SpecFile, budget) -> int:
+def _cmd_fseq_verify(args, report: Report, spec: SpecFile) -> int:
     seq = spec.fseq(args.fseq)
-    res = seq.verify(args.depth, budget)
+    res = seq.verify(args.depth)
     report.data["result"] = {
         "fseq": args.fseq, "depth": args.depth, "ok": res.ok,
         "failed_at": res.failed_at, "reason": res.reason,
@@ -378,17 +372,17 @@ def _cmd_fseq_verify(args, report: Report, spec: SpecFile, budget) -> int:
     return EXIT_FAILED
 
 
-def _cmd_fseq_growth(args, report: Report, spec: SpecFile, budget) -> int:
+def _cmd_fseq_growth(args, report: Report, spec: SpecFile) -> int:
     seq = spec.fseq(args.fseq)
 
     def decomposer(n):
-        return decompose_monomial(seq.term(n), budget=budget)
+        return decompose_monomial(seq.term(n))
 
     if args.find_h:
-        h = find_linear_growth_h(decomposer(0), budget)
+        h = find_linear_growth_h(decomposer(0))
     else:
         h = args.h
-    cert = certify_growth(seq, decomposer, h, args.depth, budget)
+    cert = certify_growth(seq, decomposer, h, args.depth)
     report.data["result"] = {
         "fseq": args.fseq, "found_h": args.find_h,
         "certificate": _certificate_json(cert),
@@ -398,19 +392,19 @@ def _cmd_fseq_growth(args, report: Report, spec: SpecFile, budget) -> int:
     return EXIT_OK
 
 
-def _perfection_ideal(args, spec: SpecFile, budget) -> PerfectionIdeal:
+def _perfection_ideal(args, spec: SpecFile) -> PerfectionIdeal:
     if args.fseq:
         return PerfectionIdeal(spec.fseq(args.fseq))
     if args.ideal:
-        return PerfectionIdeal.finitely_generated(spec.ideal(args.ideal), args.k, budget)
+        return PerfectionIdeal.finitely_generated(spec.ideal(args.ideal), args.k)
     raise InputError("give --fseq NAME or --ideal NAME")
 
 
-def _cmd_perfection_member(args, report: Report, spec: SpecFile, budget) -> int:
-    A = _perfection_ideal(args, spec, budget)
+def _cmd_perfection_member(args, report: Report, spec: SpecFile) -> int:
+    A = _perfection_ideal(args, spec)
     body = _parse_in(spec.ring, args.elem, "--elem")
     e = PerfectionElement(args.root, body)
-    ok = A.member(e, budget)
+    ok = A.member(e)
     report.data["result"] = {
         "element": str(e), "normalized_depth": e.depth,
         "normalized_body": str(e.body), "member": ok,
@@ -419,9 +413,9 @@ def _cmd_perfection_member(args, report: Report, spec: SpecFile, budget) -> int:
     return EXIT_OK
 
 
-def _cmd_perfection_decompose(args, report: Report, spec: SpecFile, budget) -> int:
-    A = _perfection_ideal(args, spec, budget)
-    seqs = decompose_perfection_ideal(A, args.depth, budget)
+def _cmd_perfection_decompose(args, report: Report, spec: SpecFile) -> int:
+    A = _perfection_ideal(args, spec)
+    seqs = decompose_perfection_ideal(A, args.depth)
     report.data["result"] = {
         "components": [
             {
@@ -441,10 +435,10 @@ def _cmd_perfection_decompose(args, report: Report, spec: SpecFile, budget) -> i
     return EXIT_OK
 
 
-def _cmd_lg2(args, report: Report, spec: SpecFile, budget) -> int:
+def _cmd_lg2(args, report: Report, spec: SpecFile) -> int:
     a = spec.ideal(args.ideal)
     primes = [spec.ideal(n) for n in _split_list(args.primes)]
-    deco = lg2_decompose(a, primes, args.h, args.n, args.mode, budget)
+    deco = lg2_decompose(a, primes, args.h, args.n, args.mode)
     report.data["result"] = {
         "ideal": args.ideal, "h": args.h, "n": args.n, "mode": args.mode,
         **_decomposition_json(deco),
@@ -457,9 +451,9 @@ def _cmd_lg2(args, report: Report, spec: SpecFile, budget) -> int:
     return EXIT_OK
 
 
-def _cmd_ex8(args, report: Report, budget) -> int:
+def _cmd_ex8(args, report: Report) -> int:
     t_list = tuple(int(x) for x in _split_list(args.t))
-    rep = ex8_build(args.p, args.l, t_list, args.depth, budget)
+    rep = ex8_build(args.p, args.l, t_list, args.depth)
     report.data["ring"] = _ring_json(rep.seq.ring)
     report.data["result"] = {
         "p": rep.p, "l": rep.l, "t": list(rep.t), "depth": rep.depth,
@@ -601,63 +595,67 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     command_echo = " ".join(["charp"] + argv)
     report = Report(command_echo)
-    try:
-        if args.command == "ex8":
-            code = _cmd_ex8(args, report, budget)
-        else:
-            spec = parse_spec(args.spec, budget)
-            report.data["ring"] = _ring_json(spec.ring)
-            if args.command == "gb":
-                code = _cmd_gb(args, report, spec, budget)
-            elif args.command == "frob":
-                code = {"power": _cmd_frob_power, "root": _cmd_frob_root,
-                        "closure": _cmd_frob_closure}[args.frob_command](args, report, spec, budget)
-            elif args.command == "decompose":
-                code = _cmd_decompose(args, report, spec, budget)
-            elif args.command == "fseq":
-                code = {"verify": _cmd_fseq_verify,
-                        "growth": _cmd_fseq_growth}[args.fseq_command](args, report, spec, budget)
-            elif args.command == "perfection":
-                code = {"member": _cmd_perfection_member,
-                        "decompose": _cmd_perfection_decompose}[args.perfection_command](
-                            args, report, spec, budget)
-            elif args.command == "lg2":
-                code = _cmd_lg2(args, report, spec, budget)
-            else:  # pragma: no cover
-                raise InputError(f"unknown command {args.command!r}")
-    except (InputError, NotPPower, NonMonomial, NotContainingQuotient) as e:
-        report.data["result"] = {"error": str(e), "error_kind": type(e).__name__}
-        report.say(f"input error: {e}")
-        return _emit(report, args, budget, started, EXIT_INPUT)
-    except (GroebnerBudgetExceeded, ExponentOverflow) as e:
-        report.data["result"] = {"error": str(e), "error_kind": type(e).__name__}
-        report.say(f"budget exceeded: {e}")
-        return _emit(report, args, budget, started, EXIT_BUDGET)
-    except DepthExceeded as e:
-        report.data["result"] = {"error": str(e), "error_kind": "DepthExceeded",
-                                 "partial_steps": [[str(g) for g in s.groebner()]
-                                                   for s in e.partial]}
-        report.say(f"depth exceeded: {e}")
-        return _emit(report, args, budget, started, EXIT_BUDGET)
-    except CertificateFailure as e:
-        report.data["result"] = {"error": str(e), "error_kind": "CertificateFailure"}
-        report.data["witnesses"] = [{"n": e.n, "i": e.i}]
-        report.say(f"certification failed: {e}")
-        return _emit(report, args, budget, started, EXIT_FAILED)
-    except IdentityFailure as e:
-        report.data["result"] = {"error": str(e), "error_kind": "IdentityFailure"}
-        report.data["witnesses"] = [{"witness": str(e.witness)}]
-        report.say(f"verification failed: {e}")
-        return _emit(report, args, budget, started, EXIT_FAILED)
-    except DistinctLambdaExhausted as e:
-        report.data["result"] = {"error": str(e), "error_kind": "DistinctLambdaExhausted"}
-        report.say(f"input error: {e}")
-        return _emit(report, args, budget, started, EXIT_INPUT)
-    except CharpError as e:
-        report.data["result"] = {"error": str(e), "error_kind": type(e).__name__}
-        report.say(f"error: {e}")
-        return _emit(report, args, budget, started, EXIT_FAILED)
-    return _emit(report, args, budget, started, code)
+    report.data["budget"] = dataclasses.asdict(budget)
+    with using_budget(budget):
+        try:
+            code = _dispatch(args, report)
+        except (InputError, NotPPower, NonMonomial, NotContainingQuotient) as e:
+            report.data["result"] = {"error": str(e), "error_kind": type(e).__name__}
+            report.say(f"input error: {e}")
+            return _emit(report, args, started, EXIT_INPUT)
+        except (GroebnerBudgetExceeded, ExponentOverflow) as e:
+            report.data["result"] = {"error": str(e), "error_kind": type(e).__name__}
+            report.say(f"budget exceeded: {e}")
+            return _emit(report, args, started, EXIT_BUDGET)
+        except DepthExceeded as e:
+            report.data["result"] = {"error": str(e), "error_kind": "DepthExceeded",
+                                     "partial_steps": [[str(g) for g in s.groebner()]
+                                                       for s in e.partial]}
+            report.say(f"depth exceeded: {e}")
+            return _emit(report, args, started, EXIT_BUDGET)
+        except CertificateFailure as e:
+            report.data["result"] = {"error": str(e), "error_kind": "CertificateFailure"}
+            report.data["witnesses"] = [{"n": e.n, "i": e.i}]
+            report.say(f"certification failed: {e}")
+            return _emit(report, args, started, EXIT_FAILED)
+        except IdentityFailure as e:
+            report.data["result"] = {"error": str(e), "error_kind": "IdentityFailure"}
+            report.data["witnesses"] = [{"witness": str(e.witness)}]
+            report.say(f"verification failed: {e}")
+            return _emit(report, args, started, EXIT_FAILED)
+        except DistinctLambdaExhausted as e:
+            report.data["result"] = {"error": str(e), "error_kind": "DistinctLambdaExhausted"}
+            report.say(f"input error: {e}")
+            return _emit(report, args, started, EXIT_INPUT)
+        except CharpError as e:
+            report.data["result"] = {"error": str(e), "error_kind": type(e).__name__}
+            report.say(f"error: {e}")
+            return _emit(report, args, started, EXIT_FAILED)
+    return _emit(report, args, started, code)
+
+
+def _dispatch(args, report: Report) -> int:
+    if args.command == "ex8":
+        return _cmd_ex8(args, report)
+    spec = parse_spec(args.spec)
+    report.data["ring"] = _ring_json(spec.ring)
+    if args.command == "gb":
+        return _cmd_gb(args, report, spec)
+    if args.command == "frob":
+        return {"power": _cmd_frob_power, "root": _cmd_frob_root,
+                "closure": _cmd_frob_closure}[args.frob_command](args, report, spec)
+    if args.command == "decompose":
+        return _cmd_decompose(args, report, spec)
+    if args.command == "fseq":
+        return {"verify": _cmd_fseq_verify,
+                "growth": _cmd_fseq_growth}[args.fseq_command](args, report, spec)
+    if args.command == "perfection":
+        return {"member": _cmd_perfection_member,
+                "decompose": _cmd_perfection_decompose}[args.perfection_command](
+                    args, report, spec)
+    if args.command == "lg2":
+        return _cmd_lg2(args, report, spec)
+    raise InputError(f"unknown command {args.command!r}")  # pragma: no cover
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ certificate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import (CertificateFailure, DistinctLambdaExhausted,
                      IdentityFailure, InputError, NonMonomial)
 from .frobenius import f_closure, frob_power, frob_root
-from .ideals import DEFAULT_BUDGET, GroebnerBudget, Ideal
+from .ideals import Ideal, _power_products
 from .perfection import FSequence, PerfectionIdeal
 from .poly import Polynomial, Ring
 
@@ -53,10 +52,6 @@ class PrimaryComponent:
     def shift_map(self) -> dict:
         return dict(self.shift) if self.shift else {}
 
-    def monomial_view(self) -> Ideal:
-        """The component moved into its monomial frame."""
-        return apply_shift(self.ideal, self.shift_map())
-
     def radical_key(self):
         rad = apply_shift(self.radical, self.shift_map())
         vars_ = tuple(sorted(v for g in rad.minimal_monomial_exps()
@@ -69,14 +64,11 @@ class Decomposition:
     components: tuple
     minimal: bool
 
-    def radicals(self) -> tuple:
-        return tuple(c.radical for c in self.components)
-
-    def intersection(self, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+    def intersection(self) -> Ideal:
         comps = [c.ideal for c in self.components]
         acc = comps[0]
         for c in comps[1:]:
-            acc = acc.intersect(c, budget)
+            acc = acc.intersect(c)
         return acc
 
 
@@ -106,7 +98,7 @@ def is_primary_monomial(I: Ideal) -> bool:
     return all(int(v) in pure for v in occurring)
 
 
-def _split_irreducible(rows: list, ring: Ring) -> list:
+def _split_irreducible(rows: list) -> list:
     """Splitting step: a generator with mixed support u*v gives
     (I+u) cap (I+v); recurse until every generator is a pure power."""
     rows = _minimalize_rows(rows)
@@ -117,8 +109,8 @@ def _split_irreducible(rows: list, ring: Ring) -> list:
             u[supp[0]] = row[supp[0]]
             v = row - u
             rest = rows[:idx] + rows[idx + 1:]
-            return (_split_irreducible(rest + [u], ring)
-                    + _split_irreducible(rest + [v], ring))
+            return (_split_irreducible(rest + [u])
+                    + _split_irreducible(rest + [v]))
     return [rows]
 
 
@@ -137,8 +129,7 @@ def _minimalize_rows(rows: list) -> list:
     return keep
 
 
-def decompose_monomial(I: Ideal, shift: Optional[dict] = None,
-                       budget: GroebnerBudget = DEFAULT_BUDGET) -> Decomposition:
+def decompose_monomial(I: Ideal, shift: Optional[dict] = None) -> Decomposition:
     """Minimal primary decomposition of a proper monomial ideal.
 
     With a shift given, the ideal is decomposed in the shifted (monomial)
@@ -154,7 +145,7 @@ def decompose_monomial(I: Ideal, shift: Optional[dict] = None,
     if not np.all(mins.sum(axis=1) > 0):
         raise InputError("cannot decompose an improper ideal")
     ring = I.ring
-    irreducibles = _split_irreducible([r for r in mins], ring)
+    irreducibles = _split_irreducible([r for r in mins])
     seen = []
     for rows in irreducibles:
         arr = np.stack(sorted(rows, key=tuple))
@@ -169,9 +160,9 @@ def decompose_monomial(I: Ideal, shift: Optional[dict] = None,
         group = by_radical[supp]
         acc = Ideal(ring, [ring.monomial(r) for r in group[0]])
         for arr in group[1:]:
-            acc = acc.intersect(Ideal(ring, [ring.monomial(r) for r in arr]), budget)
+            acc = acc.intersect(Ideal(ring, [ring.monomial(r) for r in arr]))
         comps.append((supp, acc))
-    comps = _prune_redundant(comps, budget)
+    comps = _prune_redundant(comps)
     out = []
     shift_t = tuple(sorted(shift.items())) if shift else None
     for supp, comp in comps:
@@ -183,12 +174,12 @@ def decompose_monomial(I: Ideal, shift: Optional[dict] = None,
             shift=shift_t,
         ))
     deco = Decomposition(tuple(out), minimal=True)
-    if deco.intersection(budget) != I:
+    if deco.intersection() != I:
         raise IdentityFailure(I, "monomial decomposition does not intersect back")
     return deco
 
 
-def _prune_redundant(comps: list, budget: GroebnerBudget) -> list:
+def _prune_redundant(comps: list) -> list:
     comps = list(comps)
     changed = True
     while changed and len(comps) > 1:
@@ -197,17 +188,17 @@ def _prune_redundant(comps: list, budget: GroebnerBudget) -> list:
             others = [c for j, (_, c) in enumerate(comps) if j != i]
             acc = others[0]
             for c in others[1:]:
-                acc = acc.intersect(c, budget)
-            if comps[i][1].contains_ideal(acc, budget):
+                acc = acc.intersect(c)
+            if comps[i][1].contains_ideal(acc):
                 del comps[i]
                 changed = True
                 break
     return comps
 
 
-def ass_monomial(I: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> tuple:
+def ass_monomial(I: Ideal) -> tuple:
     """Associated primes of a proper monomial ideal, canonically sorted."""
-    deco = decompose_monomial(I, budget=budget)
+    deco = decompose_monomial(I)
     rads = sorted(deco.components, key=PrimaryComponent.radical_key)
     return tuple(c.radical for c in rads)
 
@@ -224,8 +215,7 @@ def _monomial_prime_vars(p: Ideal) -> tuple:
     return tuple(int(np.nonzero(r)[0][0]) for r in mins)
 
 
-def localize_contract(I: Ideal, prime: Ideal, s_hint: Optional[Polynomial] = None,
-                      budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+def localize_contract(I: Ideal, prime: Ideal, s_hint: Optional[Polynomial] = None) -> Ideal:
     """Contraction of I localised at a prime.
 
     Monomial fast path: substituting 1 for every variable outside a monomial
@@ -241,9 +231,9 @@ def localize_contract(I: Ideal, prime: Ideal, s_hint: Optional[Polynomial] = Non
         return Ideal(ring, gens)
     if s_hint is None:
         raise NonMonomial("general localisation needs a multiplier hint")
-    result = I.saturate(s_hint, budget)
+    result = I.saturate(s_hint)
     if result.is_monomial():
-        deco = decompose_monomial(result, budget=budget)
+        deco = decompose_monomial(result)
         if len(deco.components) != 1 or deco.components[0].radical != prime:
             raise IdentityFailure(result, "saturation hint did not isolate the prime")
     return result
@@ -256,23 +246,14 @@ def localize_contract(I: Ideal, prime: Ideal, s_hint: Optional[Polynomial] = Non
 _H_CAP = 10_000
 
 
-def _power_products(gens: Sequence[Polynomial], h: int):
-    for combo in itertools.combinations_with_replacement(gens, h):
-        out = combo[0]
-        for g in combo[1:]:
-            out = out * g
-        yield out
-
-
-def find_linear_growth_h(deco: Decomposition,
-                         budget: GroebnerBudget = DEFAULT_BUDGET) -> int:
+def find_linear_growth_h(deco: Decomposition) -> int:
     """Least h with radical^h inside the matching component, over all components."""
     best = 1
     for comp in deco.components:
         gens = comp.radical.generators
         h = 1
         while True:
-            if all(comp.ideal.contains(g, budget) for g in _power_products(gens, h)):
+            if all(comp.ideal.contains(g) for g in _power_products(gens, h)):
                 break
             h += 1
             if h > _H_CAP:
@@ -297,8 +278,7 @@ class GrowthCertificate:
 
 
 def certify_growth(seq: FSequence, decomposer: Callable[[int], Decomposition],
-                   h: int, depth: int,
-                   budget: GroebnerBudget = DEFAULT_BUDGET) -> GrowthCertificate:
+                   h: int, depth: int) -> GrowthCertificate:
     """Verify (radical^h)^[p^n] <= component for every term and component.
 
     The two readings of the growth exponentiation agree because a power of a
@@ -313,12 +293,12 @@ def certify_growth(seq: FSequence, decomposer: Callable[[int], Decomposition],
     for n in range(depth + 1):
         deco = decomposer(n)
         target = seq.term(n)
-        inter = deco.intersection(budget)
+        inter = deco.intersection()
         if inter != target:
             raise IdentityFailure(target, f"decomposition at n={n} misses the term")
         decos.append(deco)
         for i, comp in enumerate(deco.components):
-            ok = all(comp.ideal.contains(g.frobenius(n), budget)
+            ok = all(comp.ideal.contains(g.frobenius(n))
                      for g in _power_products(comp.radical.generators, h))
             checks.append(GrowthCheck(n, i, ok))
             if not ok:
@@ -331,8 +311,7 @@ def certify_growth(seq: FSequence, decomposer: Callable[[int], Decomposition],
 # ---------------------------------------------------------------------------
 
 
-def frobenius_decompositions(deco: Decomposition,
-                             budget: GroebnerBudget = DEFAULT_BUDGET) -> Callable[[int], Decomposition]:
+def frobenius_decompositions(deco: Decomposition) -> Callable[[int], Decomposition]:
     """n -> the component-wise Frobenius power of a minimal decomposition
     (primary with the same radicals; the Frobenius is flat here)."""
     def decomposer(n: int) -> Decomposition:
@@ -340,7 +319,7 @@ def frobenius_decompositions(deco: Decomposition,
             return deco
         comps = []
         for c in deco.components:
-            shifted = frob_power(c.ideal, n, budget)
+            shifted = frob_power(c.ideal, n)
             view = apply_shift(shifted, c.shift_map())
             comps.append(PrimaryComponent(
                 ideal=shifted, radical=c.radical,
@@ -351,8 +330,7 @@ def frobenius_decompositions(deco: Decomposition,
 
 
 def lg2_decompose(a: Ideal, primes: Sequence[Ideal], h: int, n: int,
-                  mode: str = "plain",
-                  budget: GroebnerBudget = DEFAULT_BUDGET) -> Decomposition:
+                  mode: str = "plain") -> Decomposition:
     """Decompose a Frobenius power (or its closure) through its primes.
 
     For each prime p_i the component is the p_i-contraction of
@@ -369,32 +347,32 @@ def lg2_decompose(a: Ideal, primes: Sequence[Ideal], h: int, n: int,
         raise InputError(f"unknown mode {mode!r}")
     ring = a.ring
     if mode == "plain":
-        target = frob_power(a, n, budget)
+        target = frob_power(a, n)
     else:
-        target = f_closure(frob_power(a, n, budget), budget=budget).closure
+        target = f_closure(frob_power(a, n)).closure
     comps = []
     for p_i in primes:
         if mode == "seqterm":
-            base = Ideal(ring, target.generators + frob_power(p_i.power(h), n, budget).generators)
-            comp_src = f_closure(base, budget=budget).closure
+            base = Ideal(ring, target.generators + frob_power(p_i.power(h), n).generators)
+            comp_src = f_closure(base).closure
         else:
-            base = frob_power(Ideal(ring, a.generators + p_i.power(h).generators), n, budget)
-            comp_src = base if mode == "plain" else f_closure(base, budget=budget).closure
-        comp = localize_contract(comp_src, p_i, budget=budget)
+            base = frob_power(Ideal(ring, a.generators + p_i.power(h).generators), n)
+            comp_src = base if mode == "plain" else f_closure(base).closure
+        comp = localize_contract(comp_src, p_i)
         primary = comp.is_monomial() and is_primary_monomial(comp)
         if primary and comp.monomial_radical() != p_i:
             raise IdentityFailure(comp, f"component radical is not {p_i!r}")
         comps.append(PrimaryComponent(ideal=comp, radical=p_i,
                                       verified_primary=primary, shift=None))
-    deco = Decomposition(tuple(comps), minimal=_is_minimal(comps, budget))
-    inter = deco.intersection(budget)
+    deco = Decomposition(tuple(comps), minimal=_is_minimal(comps))
+    inter = deco.intersection()
     if inter != target:
-        witness = _containment_witness(inter, target, budget)
+        witness = _containment_witness(inter, target)
         raise IdentityFailure(witness, f"components do not intersect to the target at n={n}")
     return deco
 
 
-def _is_minimal(comps: Sequence[PrimaryComponent], budget: GroebnerBudget) -> bool:
+def _is_minimal(comps: Sequence[PrimaryComponent]) -> bool:
     rads = [c.radical for c in comps]
     for i in range(len(rads)):
         for j in range(i + 1, len(rads)):
@@ -406,18 +384,18 @@ def _is_minimal(comps: Sequence[PrimaryComponent], budget: GroebnerBudget) -> bo
         others = [c.ideal for j, c in enumerate(comps) if j != i]
         acc = others[0]
         for c in others[1:]:
-            acc = acc.intersect(c, budget)
-        if comps[i].ideal.contains_ideal(acc, budget):
+            acc = acc.intersect(c)
+        if comps[i].ideal.contains_ideal(acc):
             return False
     return True
 
 
-def _containment_witness(left: Ideal, right: Ideal, budget: GroebnerBudget):
-    for g in left.groebner(budget=budget):
-        if not right.contains(g, budget):
+def _containment_witness(left: Ideal, right: Ideal):
+    for g in left.groebner():
+        if not right.contains(g):
             return g
-    for g in right.groebner(budget=budget):
-        if not left.contains(g, budget):
+    for g in right.groebner():
+        if not left.contains(g):
             return g
     return None
 
@@ -427,8 +405,7 @@ def _containment_witness(left: Ideal, right: Ideal, budget: GroebnerBudget):
 # ---------------------------------------------------------------------------
 
 
-def decompose_perfection_ideal(A: PerfectionIdeal, check_depth: int = 3,
-                               budget: GroebnerBudget = DEFAULT_BUDGET) -> list:
+def decompose_perfection_ideal(A: PerfectionIdeal, check_depth: int = 3) -> list:
     """Split a finitely generated perfect-closure ideal into primary sequences.
 
     Decomposes the anchor term, pushes each component upward by Frobenius
@@ -444,27 +421,27 @@ def decompose_perfection_ideal(A: PerfectionIdeal, check_depth: int = 3,
         raise InputError("perfection decomposition needs a polynomial ambient ring")
     k = meta["k"]
     anchor = seq.term(k)
-    deco = decompose_monomial(anchor, budget=budget)
+    deco = decompose_monomial(anchor)
     out = []
     for comp in deco.components:
-        out.append(_primary_sequence(comp, k, budget))
+        out.append(_primary_sequence(comp, k))
     for n in range(check_depth + 1):
         acc = out[0].term(n)
         for s in out[1:]:
-            acc = acc.intersect(s.term(n), budget)
+            acc = acc.intersect(s.term(n))
         if acc != seq.term(n):
-            witness = _containment_witness(acc, seq.term(n), budget)
+            witness = _containment_witness(acc, seq.term(n))
             raise IdentityFailure(witness, f"component intersection misses term {n}")
     return out
 
 
-def _primary_sequence(comp: PrimaryComponent, k: int, budget: GroebnerBudget) -> FSequence:
+def _primary_sequence(comp: PrimaryComponent, k: int) -> FSequence:
     def fn(n):
         if n >= k:
-            return frob_power(comp.ideal, n - k, budget)
+            return frob_power(comp.ideal, n - k)
         down = comp.ideal
         for _ in range(k - n):
-            down = frob_root(down, budget)
+            down = frob_root(down)
         return down
 
     seq = FSequence(comp.ideal.ring, "primary-frobenius", fn,
@@ -495,8 +472,7 @@ class Ex8Report:
     notes: list = field(default_factory=list)
 
 
-def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int,
-              budget: GroebnerBudget = DEFAULT_BUDGET) -> Ex8Report:
+def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
     """Build the two-variable family whose associated primes grow without bound.
 
     Level m is the intersection of the fixed height-one prime (X) with m
@@ -534,13 +510,13 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int,
             return Ideal(ring, [xgen, ygen])
         down = Ideal(ring, [ring.monomial({"X": l}), ring.monomial({"Y": t_j * p ** j})])
         for _ in range(j - n):
-            down = frob_root(down, budget)
+            down = frob_root(down)
         return unapply_shift(down, {"Y": lam})
 
     def a_term(m: int) -> Ideal:
         acc = q_term(0, m)
         for j in range(1, m + 1):
-            acc = acc.intersect(q_term(j, m), budget)
+            acc = acc.intersect(q_term(j, m))
         return acc
 
     seq = FSequence(ring, "intersection", a_term, "escalating-primes family")
@@ -564,10 +540,10 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int,
                 verified_primary=view.is_monomial() and is_primary_monomial(view),
                 shift=shift))
         for j in range(m + 1, depth + 1):  # deeper components vanish into (X) here
-            if not q_term(j, m).contains_ideal(Ideal(ring, [X]), budget):
+            if not q_term(j, m).contains_ideal(Ideal(ring, [X])):
                 raise IdentityFailure(q_term(j, m), f"component {j} fails to absorb (X) at level {m}")
-        deco = Decomposition(tuple(comps), minimal=_is_minimal(comps, budget))
-        if deco.intersection(budget) != seq.term(m):
+        deco = Decomposition(tuple(comps), minimal=_is_minimal(comps))
+        if deco.intersection() != seq.term(m):
             raise IdentityFailure(seq.term(m), f"level {m} decomposition mismatch")
         if not deco.minimal:
             raise IdentityFailure(seq.term(m), f"level {m} decomposition is not minimal")
@@ -580,16 +556,16 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int,
         for kk in range(1, m):
             lam = kk % p
             w = w * (Y - lam).power(t_list[kk - 1]).frobenius(m)
-        in_first = all(q_term(j, m).contains(w, budget) for j in range(m))
-        in_last = q_term(m, m).contains(w, budget)
+        in_first = all(q_term(j, m).contains(w) for j in range(m))
+        in_last = q_term(m, m).contains(w)
         if not in_first or in_last:
             raise IdentityFailure(w, f"level-{m} separating witness failed")
         witnesses.append({"m": m, "element": w, "in_first_m": in_first,
                           "in_last": in_last})
 
-    verify = seq.verify(depth, budget) if depth >= 1 else None
+    verify = seq.verify(depth) if depth >= 1 else None
     h = max(t_list[:depth]) if depth else 1
-    certificate = certify_growth(seq, lambda m: decos[m], h, depth, budget)
+    certificate = certify_growth(seq, lambda m: decos[m], h, depth)
     sizes = [len(a) for a in ass]
     escalates = all(b == a + 1 for a, b in zip(sizes, sizes[1:]))
     report = Ex8Report(

@@ -18,14 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-
 from .errors import DepthExceeded, InputError, NotContainingQuotient
-from .ideals import DEFAULT_BUDGET, GroebnerBudget, Ideal, _fresh_names, _map_poly, _project_poly
+from .ideals import (Ideal, _check_method, _fresh_names, _map_poly, _project_poly,
+                     groebner_basis)
 from .orders import elim
 from .poly import Ring
 
 
-def frob_power(I: Ideal, e: int, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+def frob_power(I: Ideal, e: int) -> Ideal:
     """I^[p^e]: generator-wise Frobenius (quotient generators re-enter implicitly)."""
     if e < 0:
         raise ValueError("Frobenius power wants e >= 0")
@@ -34,17 +34,17 @@ def frob_power(I: Ideal, e: int, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ide
     return Ideal(I.ring, [g.frobenius(e) for g in I.generators])
 
 
-def frob_root(I: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET,
-              method: str = "auto") -> Ideal:
+def frob_root(I: Ideal, method: str = "auto") -> Ideal:
     """f^{-1}(I) = {r : r^p in I}, by p-power elimination.
 
     Monomial ideals use the exponent-ceiling shortcut instead; ``method``
     ("monomial" / "elimination") pins a route for cross-checking.
     """
+    _check_method(method, ("auto", "monomial", "elimination"))
     ring = I.ring
     if ring.is_quotient():
         for g in ring.quotient:
-            if not I.contains(g, budget):
+            if not I.contains(g):
                 raise NotContainingQuotient(
                     "ideal does not contain the quotient generators")
     if method == "monomial" or (method == "auto" and I.is_monomial()):
@@ -58,8 +58,7 @@ def frob_root(I: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET,
     gens = [_map_poly(g, ext, list(range(d))) for g in I.effective_generators()]
     for i in range(d):
         gens.append(ext.var(fresh[i]) - ext.var(ring.vars[i]).frobenius(1))
-    from .ideals import groebner_basis
-    basis = groebner_basis(gens, ext, budget)
+    basis = groebner_basis(gens, ext)
     keep = [g for g in basis if not g.exps[:, :d].any()]
     mapped = [_project_poly(g, ring, range(d, 2 * d)) for g in keep]
     return Ideal(ring, mapped)
@@ -81,13 +80,8 @@ class FClosureResult:
     steps: list
     witnesses: list = field(default_factory=list)
 
-    def __post_init__(self):
-        for a, b in zip(self.steps, self.steps[1:]):
-            assert b.contains_ideal(a), "F-closure chain must ascend"
 
-
-def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2,
-              budget: GroebnerBudget = DEFAULT_BUDGET) -> FClosureResult:
+def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2) -> FClosureResult:
     """Union over n of the n-fold Frobenius root of b^[p^n].
 
     Iterates I_n = root^n(b^[p^n]), an ascending chain, and stops once
@@ -102,10 +96,10 @@ def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2,
     equal_run = 0
     stabilized_at: Optional[int] = None
     for n in range(1, max_e + 1):
-        nxt = frob_power(b, n, budget)
+        nxt = frob_power(b, n)
         for _ in range(n):
-            nxt = frob_root(nxt, budget)
-        if not nxt.contains_ideal(current, budget):
+            nxt = frob_root(nxt)
+        if not nxt.contains_ideal(current):
             raise AssertionError("F-closure chain failed to ascend")
         steps.append(nxt)
         if nxt == current:
@@ -114,7 +108,7 @@ def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2,
             equal_run += 1
             if equal_run >= confirm:
                 return FClosureResult(current, stabilized_at, False, steps,
-                                      _closure_witnesses(b, current, stabilized_at, budget))
+                                      _closure_witnesses(b, current, stabilized_at))
         else:
             equal_run = 0
             stabilized_at = None
@@ -123,21 +117,19 @@ def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2,
         f"F-closure chain still moving after {max_e} steps", partial=steps)
 
 
-def _closure_witnesses(b: Ideal, closure: Ideal, depth: int,
-                       budget: GroebnerBudget) -> list:
+def _closure_witnesses(b: Ideal, closure: Ideal, depth: int) -> list:
     """For each closure generator outside b, the least n with g^{p^n} in b^[p^n]."""
     out = []
-    for g in closure.groebner(budget=budget):
-        if b.contains(g, budget):
+    for g in closure.groebner():
+        if b.contains(g):
             continue
         for n in range(1, max(depth, 1) + 1):
-            if frob_power(b, n, budget).contains(g.frobenius(n), budget):
+            if frob_power(b, n).contains(g.frobenius(n)):
                 out.append({"element": g, "exponent": n})
                 break
     return out
 
 
-def is_f_closed(I: Ideal, max_e: int = 10, confirm: int = 2,
-                budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
+def is_f_closed(I: Ideal, max_e: int = 10, confirm: int = 2) -> bool:
     """Whether f_closure(I) = I under the same heuristic stopping rule."""
-    return f_closure(I, max_e, confirm, budget).closure == I
+    return f_closure(I, max_e, confirm).closure == I

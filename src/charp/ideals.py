@@ -9,11 +9,20 @@ across plain and quotient rings.
 Monomial ideals get dedicated fast paths (membership by divisibility,
 intersection by lcm, quotient by exponent subtraction); the test suite
 cross-checks them against the Buchberger route.
+
+The Groebner budget lives here and nowhere else.  Callers enter a scope
+with ``using_budget(budget)``; each basis computation reads the active
+budget when it starts (pair and degree limits) and each normal form reads
+it for its term and degree limits.  Outside any scope the active budget is
+DEFAULT_BUDGET.
 """
 
 from __future__ import annotations
 
+import contextvars
 import heapq
+import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,6 +48,26 @@ class GroebnerBudget:
 
 
 DEFAULT_BUDGET = GroebnerBudget()
+_budget = contextvars.ContextVar("charp_groebner_budget", default=DEFAULT_BUDGET)
+
+
+@contextmanager
+def using_budget(budget: GroebnerBudget):
+    """Run every Groebner computation in the enclosed block under ``budget``.
+
+    The scope belongs to the current context: a thread started inside it
+    sees DEFAULT_BUDGET unless it runs through contextvars.copy_context().run.
+    """
+    token = _budget.set(budget)
+    try:
+        yield
+    finally:
+        _budget.reset(token)
+
+
+def _check_method(method: str, routes: tuple):
+    if method not in routes:
+        raise InputError(f"unknown method {method!r}; expected one of {', '.join(routes)}")
 
 
 def reset_pair_count():
@@ -73,9 +102,10 @@ def _pack(polys: Sequence[Polynomial]):
     return bkeys, bexps, bcoeffs, starts, bmaxdeg
 
 
-def _nf_packed(f: Polynomial, packed, budget: GroebnerBudget) -> Polynomial:
+def _nf_packed(f: Polynomial, packed) -> Polynomial:
     if f.is_zero() or packed[3].shape[0] == 1:
         return f
+    budget = _budget.get()
     ke, ee, ce, status = K.normal_form(
         f.keys, f.exps, f.coeffs, *packed,
         f.ring.p, budget.max_poly_terms, budget.max_degree)
@@ -86,11 +116,10 @@ def _nf_packed(f: Polynomial, packed, budget: GroebnerBudget) -> Polynomial:
     return Polynomial(f.ring, ee, ce, ke)
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial],
-                budget: GroebnerBudget = DEFAULT_BUDGET) -> Polynomial:
+def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Complete remainder of f under division by (monic-normalised) basis."""
     reducers = [_monic(g) for g in basis if not g.is_zero()]
-    return _nf_packed(f, _pack(reducers), budget)
+    return _nf_packed(f, _pack(reducers))
 
 
 def _shifted(f: Polynomial, shift: np.ndarray) -> Polynomial:
@@ -117,9 +146,9 @@ class _Buchberger:
     """One basis computation; deterministic normal strategy with
     Gebauer-Moeller pair pruning and first-match-in-sorted-basis reducers."""
 
-    def __init__(self, ring: Ring, budget: GroebnerBudget):
+    def __init__(self, ring: Ring):
         self.ring = ring
-        self.budget = budget
+        self.budget = _budget.get()
         self.G: list[Polynomial] = []
         self.leads: list[np.ndarray] = []
         self.pairs: list[tuple] = []  # heap of (lcm degree, lcm key, i, j)
@@ -189,7 +218,7 @@ class _Buchberger:
         for g in gens:
             if g.is_zero():
                 continue
-            h = _nf_packed(g, self._packed, self.budget) if self._packed else g
+            h = _nf_packed(g, self._packed) if self._packed else g
             if not h.is_zero():
                 self.add(_monic(h))
         processed = 0
@@ -202,7 +231,7 @@ class _Buchberger:
             if deg > self.budget.max_degree:
                 raise GroebnerBudgetExceeded("max_degree", self.budget.max_degree)
             s = _spoly(self.G[i], self.G[j])
-            h = _nf_packed(s, self._packed, self.budget)
+            h = _nf_packed(s, self._packed)
             if not h.is_zero():
                 self.add(_monic(h))
         return self._reduce_final()
@@ -221,15 +250,14 @@ class _Buchberger:
         reduced = []
         for k, g in enumerate(chosen):
             others = chosen[:k] + chosen[k + 1:]
-            reduced.append(_monic(_nf_packed(g, _pack(others), self.budget)))
+            reduced.append(_monic(_nf_packed(g, _pack(others))))
         reduced.sort(key=lambda f: self._key_tuple(f.exps[0]))
         return reduced
 
 
-def groebner_basis(gens: Sequence[Polynomial], ring: Ring,
-                   budget: GroebnerBudget = DEFAULT_BUDGET) -> tuple:
+def groebner_basis(gens: Sequence[Polynomial], ring: Ring) -> tuple:
     """The unique reduced Groebner basis, sorted ascending by lead monomial."""
-    engine = _Buchberger(ring, budget)
+    engine = _Buchberger(ring)
     return tuple(engine.run(list(gens)))
 
 
@@ -272,21 +300,14 @@ def _project_poly(f: Polynomial, target: Ring, keep_cols: Sequence[int]) -> Poly
 class Ideal:
     """Immutable ideal with a per-order cache of reduced Groebner bases."""
 
-    __slots__ = ("ring", "generators", "_gb_cache", "_packed_cache")
+    __slots__ = ("ring", "generators", "_gb_cache", "_packed")
 
     def __init__(self, ring: Ring, gens: Sequence):
         self.ring = ring
-        out = []
-        for g in gens:
-            g = ring.coerce(g)
-            if g.is_zero():
-                continue
-            if any(g == h for h in out):
-                continue
-            out.append(g)
-        self.generators = tuple(out)
+        coerced = (ring.coerce(g) for g in gens)
+        self.generators = tuple(dict.fromkeys(g for g in coerced if not g.is_zero()))
         self._gb_cache = {}
-        self._packed_cache = {}
+        self._packed = None  # packed basis under ring.order, for membership
 
     # -- basics ---------------------------------------------------------------
 
@@ -294,8 +315,7 @@ class Ideal:
         """User generators plus the ring's quotient generators (preimage view)."""
         return self.generators + self.ring.quotient
 
-    def groebner(self, order: Optional[MonomialOrder] = None,
-                 budget: GroebnerBudget = DEFAULT_BUDGET) -> tuple:
+    def groebner(self, order: Optional[MonomialOrder] = None) -> tuple:
         order = order or self.ring.order
         cached = self._gb_cache.get(order)
         if cached is None:
@@ -305,22 +325,17 @@ class Ideal:
             else:
                 work = Ring(self.ring.p, self.ring.vars, order)
                 gens = tuple(g._rebind(work) for g in self.effective_generators())
-            basis = groebner_basis(gens, work, budget)
+            basis = groebner_basis(gens, work)
             if order != self.ring.order:
                 basis = tuple(g._rebind(self.ring) for g in basis)
             cached = basis
             self._gb_cache[order] = cached  # write-once; idempotent on races
         return cached
 
-    def _packed_gb(self, budget: GroebnerBudget):
-        order = self.ring.order
-        packed = self._packed_cache.get(order)
-        if packed is None:
-            basis = self.groebner(budget=budget)
-            work_basis = basis
-            packed = _pack(work_basis)
-            self._packed_cache[order] = packed
-        return packed
+    def _packed_gb(self):
+        if self._packed is None:
+            self._packed = _pack(self.groebner())
+        return self._packed
 
     def is_zero(self) -> bool:
         return len(self.groebner()) == 0
@@ -373,13 +388,13 @@ class Ideal:
         order = np.lexsort(arr.T[::-1])
         return arr[order]
 
-    def contains(self, g, budget: GroebnerBudget = DEFAULT_BUDGET,
-                 method: str = "auto") -> bool:
+    def contains(self, g, method: str = "auto") -> bool:
         """Membership by normal form; monomial ideals use divisibility.
 
         ``method`` forces a route ("monomial" or "groebner"); the default
         picks the fast path when the generators allow it.
         """
+        _check_method(method, ("auto", "monomial", "groebner"))
         g = self.ring.coerce(g)
         if g.is_zero():
             return True
@@ -387,7 +402,7 @@ class Ideal:
             if not self.is_monomial():
                 raise InputError("monomial membership on a non-monomial ideal")
             return self._contains_monomial(g)
-        return _nf_packed(g, self._packed_gb(budget), budget).is_zero()
+        return _nf_packed(g, self._packed_gb()).is_zero()
 
     def _contains_monomial(self, g: Polynomial) -> bool:
         mins = self.minimal_monomial_exps()
@@ -398,16 +413,16 @@ class Ideal:
                 return False
         return True
 
-    def contains_ideal(self, other: "Ideal", budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
+    def contains_ideal(self, other: "Ideal") -> bool:
         """self contains other, i.e. other is a subset of self."""
-        return all(self.contains(g, budget) for g in other.effective_generators())
+        return all(self.contains(g) for g in other.effective_generators())
 
     # -- ideal operations --------------------------------------------------------
 
-    def intersect(self, other: "Ideal", budget: GroebnerBudget = DEFAULT_BUDGET,
-                  method: str = "auto") -> "Ideal":
+    def intersect(self, other: "Ideal", method: str = "auto") -> "Ideal":
         """self cap other; pairwise lcms when both are monomial, otherwise the
         one-auxiliary-variable elimination construction."""
+        _check_method(method, ("auto", "monomial", "elimination"))
         if other.ring != self.ring:
             raise InputError("intersection across rings")
         if method == "monomial" or (method == "auto" and self.is_monomial() and other.is_monomial()):
@@ -428,13 +443,12 @@ class Ideal:
         gens = [t * _map_poly(g, ext, col) for g in self.effective_generators()]
         one_minus_t = ext.one() - t
         gens += [one_minus_t * _map_poly(g, ext, col) for g in other.effective_generators()]
-        basis = groebner_basis(gens, ext, budget)
+        basis = groebner_basis(gens, ext)
         keep = [g for g in basis if not g.exps[:, 0].any()]
         mapped = [_project_poly(g, ring, range(1, ext.nvars)) for g in keep]
         return Ideal(ring, mapped)
 
-    def quotient(self, g, budget: GroebnerBudget = DEFAULT_BUDGET,
-                 method: str = "auto") -> "Ideal":
+    def quotient(self, g, method: str = "auto") -> "Ideal":
         """(self : g) for a nonzero polynomial g.
 
         Monomial route: exponent subtraction.  General route: (I cap (g)) / g
@@ -442,6 +456,7 @@ class Ideal:
         divisibility; in a quotient ring the preimage convention makes the
         cover-level colon the right answer.
         """
+        _check_method(method, ("auto", "monomial", "colon"))
         g = self.ring.coerce(g)
         if g.is_zero():
             raise InputError("quotient by the zero polynomial")
@@ -459,9 +474,9 @@ class Ideal:
         else:
             cov_ideal = Ideal(cover, [h._rebind(cover) for h in self.effective_generators()])
             g_cov = g._rebind(cover)
-        inter = cov_ideal.intersect(Ideal(cover, [g_cov]), budget)
+        inter = cov_ideal.intersect(Ideal(cover, [g_cov]))
         gens = []
-        for h in inter.groebner(budget=budget):
+        for h in inter.groebner():
             q, r = h.divmod_by(g_cov)
             if not r.is_zero():
                 raise InputError("internal error: colon generator not divisible")
@@ -470,17 +485,17 @@ class Ideal:
             return Ideal(self.ring, gens)
         return Ideal(self.ring, [q._rebind(self.ring) for q in gens])
 
-    def saturate(self, g, budget: GroebnerBudget = DEFAULT_BUDGET) -> "Ideal":
+    def saturate(self, g) -> "Ideal":
         """(self : g^inf) by iterating quotients until the chain stabilises."""
         g = self.ring.coerce(g)
         current = self
         while True:
-            nxt = current.quotient(g, budget)
+            nxt = current.quotient(g)
             if nxt == current:
                 return current
             current = nxt
 
-    def eliminate(self, first_k: int, budget: GroebnerBudget = DEFAULT_BUDGET) -> "Ideal":
+    def eliminate(self, first_k: int) -> "Ideal":
         """Intersection with the subring dropping the first k variables."""
         ring = self.ring
         if ring.is_quotient():
@@ -491,12 +506,12 @@ class Ideal:
             return self
         if first_k == ring.nvars:
             raise InputError("eliminating every variable leaves no ring")
-        basis = self.groebner(order=elim(first_k), budget=budget)
+        basis = self.groebner(order=elim(first_k))
         small = Ring(ring.p, ring.vars[first_k:], ring.order)
         keep = [g for g in basis if not g.exps[:, :first_k].any()]
         return Ideal(small, [_project_poly(g, small, range(first_k, ring.nvars)) for g in keep])
 
-    def in_radical(self, g, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
+    def in_radical(self, g) -> bool:
         """Rabinowitsch test: g in sqrt(I) iff 1 in I + (1 - T*g)."""
         g = self.ring.coerce(g)
         if g.is_zero():
@@ -508,7 +523,7 @@ class Ideal:
         col = list(range(1, ext.nvars))
         gens = [_map_poly(h, ext, col) for h in self.effective_generators()]
         gens.append(ext.one() - ext.var(aux) * _map_poly(g, ext, col))
-        basis = groebner_basis(gens, ext, budget)
+        basis = groebner_basis(gens, ext)
         return len(basis) == 1 and basis[0].is_one()
 
     # -- monomial-only helpers -----------------------------------------------
@@ -521,12 +536,17 @@ class Ideal:
         mins = squarefree.minimal_monomial_exps()
         return Ideal(self.ring, [self.ring.monomial(r) for r in mins])
 
-    def power(self, h: int, budget: GroebnerBudget = DEFAULT_BUDGET) -> "Ideal":
+    def power(self, h: int) -> "Ideal":
         """Ordinary h-th power (products of h generators); h >= 1."""
         if h < 1:
             raise InputError("ideal power wants h >= 1")
-        gens = list(self.generators)
-        current = list(gens)
-        for _ in range(h - 1):
-            current = [a * b for a in current for b in gens]
-        return Ideal(self.ring, current)
+        return Ideal(self.ring, _power_products(self.generators, h))
+
+
+def _power_products(gens: Sequence[Polynomial], h: int):
+    """Products of every multiset of h generators, in combinations order."""
+    for combo in itertools.combinations_with_replacement(gens, h):
+        out = combo[0]
+        for g in combo[1:]:
+            out = out * g
+        yield out

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import CharpError, InputError, NonMonomial
 from .frobenius import f_closure, frob_power, frob_root
-from .ideals import DEFAULT_BUDGET, GroebnerBudget, Ideal
+from .ideals import Ideal
 from .poly import Polynomial, Ring
 
 
@@ -159,18 +159,17 @@ class FSequence:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def frobenius_powers(cls, a: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> "FSequence":
+    def frobenius_powers(cls, a: Ideal) -> "FSequence":
         """n -> a^[p^n]; an f-sequence whenever those powers are F-closed
         (always in polynomial rings, where the Frobenius is flat)."""
-        return cls(a.ring, "frobenius-powers", lambda n: frob_power(a, n, budget),
+        return cls(a.ring, "frobenius-powers", lambda n: frob_power(a, n),
                    f"frobenius-powers of {a!r}")
 
     @classmethod
-    def canonical(cls, b: Ideal, max_e: int = 10, confirm: int = 2,
-                  budget: GroebnerBudget = DEFAULT_BUDGET) -> "FSequence":
+    def canonical(cls, b: Ideal, max_e: int = 10, confirm: int = 2) -> "FSequence":
         """n -> F-closure of b^[p^n] (the canonical sequence attached to b)."""
         def fn(n):
-            return f_closure(frob_power(b, n, budget), max_e, confirm, budget).closure
+            return f_closure(frob_power(b, n), max_e, confirm).closure
         return cls(b.ring, "canonical", fn, f"canonical sequence of {b!r}")
 
     @classmethod
@@ -181,8 +180,7 @@ class FSequence:
 
     @classmethod
     def finitely_generated(cls, gens: Ideal, k: int = 0, max_e: int = 10,
-                           confirm: int = 2,
-                           budget: GroebnerBudget = DEFAULT_BUDGET) -> "FSequence":
+                           confirm: int = 2) -> "FSequence":
         """The sequence of the ideal generated by the depth-k roots of gens:
         term(k+n) is the F-closure of gens^[p^n], and terms below k are the
         unique downward extension by iterated Frobenius roots."""
@@ -194,10 +192,10 @@ class FSequence:
 
         def fn(n):
             if n >= k:
-                return f_closure(frob_power(gens, n - k, budget), max_e, confirm, budget).closure
+                return f_closure(frob_power(gens, n - k), max_e, confirm).closure
             down = seq.term(k)
             for _ in range(k - n):
-                down = frob_root(down, budget)
+                down = frob_root(down)
             return down
 
         seq._term_fn = fn
@@ -222,8 +220,7 @@ class FSequence:
         return cls(ring, "table", fn, f"table of {len(table)} terms")
 
     @classmethod
-    def intersection(cls, seqs: Sequence["FSequence"],
-                     budget: GroebnerBudget = DEFAULT_BUDGET) -> "FSequence":
+    def intersection(cls, seqs: Sequence["FSequence"]) -> "FSequence":
         seqs = list(seqs)
         if not seqs:
             raise InputError("intersection of no sequences")
@@ -232,7 +229,7 @@ class FSequence:
         def fn(n):
             acc = seqs[0].term(n)
             for s in seqs[1:]:
-                acc = acc.intersect(s.term(n), budget)
+                acc = acc.intersect(s.term(n))
             return acc
 
         return cls(ring, "intersection", fn,
@@ -269,7 +266,7 @@ class FSequence:
 
     # -- verification -----------------------------------------------------------
 
-    def verify(self, depth: int, budget: GroebnerBudget = DEFAULT_BUDGET) -> VerifyResult:
+    def verify(self, depth: int) -> VerifyResult:
         """Check the f-sequence law to the given depth.
 
         For n = 0..depth-1: frob_root(term(n+1)) must equal term(n), the
@@ -281,16 +278,16 @@ class FSequence:
         for n in range(depth):
             t0 = self.term(n)
             t1 = self.term(n + 1)
-            root = frob_root(t1, budget)
+            root = frob_root(t1)
             if root != t0:
                 return VerifyResult(False, n, "frobenius root mismatch",
                                     expected=t0, got=root)
-            if not t0.contains_ideal(t1, budget):
+            if not t0.contains_ideal(t1):
                 return VerifyResult(False, n, "sequence not descending",
                                     expected=t0, got=t1)
-            if not t1.contains_ideal(frob_power(t0, 1, budget), budget):
+            if not t1.contains_ideal(frob_power(t0, 1)):
                 return VerifyResult(False, n, "term^[p] escapes the next term",
-                                    expected=t1, got=frob_power(t0, 1, budget))
+                                    expected=t1, got=frob_power(t0, 1))
         return VerifyResult(True)
 
 
@@ -303,10 +300,9 @@ class PerfectionIdeal:
         self.seq = seq
 
     @classmethod
-    def finitely_generated(cls, gens: Ideal, k: int = 0,
-                           budget: GroebnerBudget = DEFAULT_BUDGET) -> "PerfectionIdeal":
+    def finitely_generated(cls, gens: Ideal, k: int = 0) -> "PerfectionIdeal":
         """The ideal generated by the p^k-th roots of the given generators."""
-        return cls(FSequence.finitely_generated(gens, k, budget=budget))
+        return cls(FSequence.finitely_generated(gens, k))
 
     @property
     def ring(self) -> Ring:
@@ -316,7 +312,7 @@ class PerfectionIdeal:
         """The ideal of depth-n member bodies."""
         return self.seq.term(n)
 
-    def member(self, e: PerfectionElement, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
+    def member(self, e: PerfectionElement) -> bool:
         """Membership of body^(1/p^depth): body must lie in term(depth).
 
         Element bodies always live in a polynomial ring; over a quotient
@@ -325,7 +321,7 @@ class PerfectionIdeal:
         if e.ring != self.ring.cover() and e.ring != self.ring:
             raise InputError("element from a different ring")
         body = e.body if e.ring == self.ring else e.body._rebind(self.ring)
-        return self.term(e.depth).contains(body, budget)
+        return self.term(e.depth).contains(body)
 
     def __repr__(self):
         return f"PerfectionIdeal[{self.seq.describe}]"

@@ -257,13 +257,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no lead term")
         return int(self.coeffs[0])
 
-    def support_vars(self) -> tuple:
-        """Names of variables that occur with positive exponent."""
-        if self.is_zero():
-            return ()
-        used = self.exps.max(axis=0) > 0
-        return tuple(v for v, u in zip(self.ring.vars, used) if u)
-
     def terms(self):
         """Iterate (exponent-vector, coefficient) pairs, descending."""
         for i in range(self.coeffs.shape[0]):

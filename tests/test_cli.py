@@ -1,12 +1,16 @@
 """Spec-file parsing, subcommand behaviour, exit codes, and report stability."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
-from charp import InputError
+from charp import InputError, ideals
 from charp.cli import main, parse_spec
 from charp.ideals import GroebnerBudget
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 DEMO = """
@@ -106,7 +110,7 @@ def run_json(capsys, *argv):
 
 
 def test_parse_spec_resolves_everything(demo):
-    spec = parse_spec(demo, GroebnerBudget())
+    spec = parse_spec(demo)
     assert set(spec.ideals) == {"a", "xp", "xyp"}
     assert set(spec.fseqs) == {"s", "fg", "both", "cp"}
     assert spec.fseqs["both"].term(1) == spec.fseqs["s"].term(1).intersect(
@@ -117,28 +121,28 @@ def test_parse_spec_rejects_unknown_variable(tmp_path):
     f = tmp_path / "bad.ini"
     f.write_text("[ring]\np = 2\nvars = X\n\n[ideal a]\ngens = Z\n")
     with pytest.raises(InputError):
-        parse_spec(str(f), GroebnerBudget())
+        parse_spec(str(f))
 
 
 def test_parse_spec_rejects_composite_characteristic(tmp_path):
     f = tmp_path / "bad.ini"
     f.write_text("[ring]\np = 4\nvars = X\n")
     with pytest.raises(InputError):
-        parse_spec(str(f), GroebnerBudget())
+        parse_spec(str(f))
 
 
 def test_parse_spec_rejects_unknown_section(tmp_path):
     f = tmp_path / "bad.ini"
     f.write_text("[ring]\np = 2\nvars = X\n\n[mystery]\nfoo = 1\n")
     with pytest.raises(InputError):
-        parse_spec(str(f), GroebnerBudget())
+        parse_spec(str(f))
 
 
 def test_parse_spec_rejects_fseq_cycle(tmp_path):
     f = tmp_path / "bad.ini"
     f.write_text("[ring]\np = 2\nvars = X\n\n[fseq a]\nkind = intersection\nof = a\n")
     with pytest.raises(InputError):
-        parse_spec(str(f), GroebnerBudget())
+        parse_spec(str(f))
 
 
 # -- exit code matrix --------------------------------------------------------------
@@ -157,6 +161,42 @@ def test_exit_codes(demo, cusp, table, tmp_path, capsys):
     assert input_err == 2
     budget = main(["gb", demo, "--ideal", "a", "--budget-degree", "2"])
     assert budget == 3
+    capsys.readouterr()
+
+
+# -- budgets ---------------------------------------------------------------------
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text()
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("charp ")]
+
+
+def test_every_basis_runs_under_the_user_budget(monkeypatch, capsys):
+    seen = []
+    run = ideals._Buchberger.run
+
+    def spy(self, gens):
+        seen.append(self.budget)
+        return run(self, gens)
+
+    monkeypatch.setattr(ideals._Buchberger, "run", spy)
+    monkeypatch.chdir(ROOT)
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        seen.clear()
+        assert main(argv + ["--budget-pairs", "150000"]) == 0, argv
+        assert seen, argv
+        assert set(seen) == {GroebnerBudget(max_pairs=150000)}, argv
+    capsys.readouterr()
+
+
+def test_budget_pairs_bounds_every_basis_of_a_command(capsys):
+    spec = str(ROOT / "specs" / "demo.ini")
+    code = main(["lg2", spec, "--ideal", "a", "--primes", "px,pxy", "--h", "2",
+                 "--n", "1", "--mode", "fclosure", "--budget-pairs", "1"])
+    assert code == 3
     capsys.readouterr()
 
 
@@ -274,7 +314,7 @@ def test_json_reports_byte_identical(demo, capsys):
 
 
 def test_print_parse_round_trip_via_reports(demo, capsys):
-    spec = parse_spec(demo, GroebnerBudget())
+    spec = parse_spec(demo)
     code, data = run_json(capsys, "gb", demo, "--ideal", "a")
     ring = spec.ring
     for s in data["result"]["groebner"]:

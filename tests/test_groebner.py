@@ -7,7 +7,8 @@ import itertools
 import pytest
 
 from charp import (GroebnerBudget, GroebnerBudgetExceeded, Ideal, InputError,
-                   Ring)
+                   Ring, using_budget)
+from charp.frobenius import frob_root
 from charp.ideals import normal_form
 from charp.orders import LEX, elim
 
@@ -236,19 +237,73 @@ def test_in_radical_on_powers(rng):
 def test_budget_pairs_raises():
     R = Ring(3, ["X", "Y", "Z"])
     I = Ideal(R, ["X^2+Y*Z", "Y^2-X*Z", "Z^2+2*X*Y-1"])
-    with pytest.raises(GroebnerBudgetExceeded):
-        I.groebner(budget=GroebnerBudget(max_pairs=2))
+    with using_budget(GroebnerBudget(max_pairs=2)):
+        with pytest.raises(GroebnerBudgetExceeded):
+            I.groebner()
 
 
 def test_budget_degree_raises(R2):
     I = Ideal(R2, ["X^2", "X*Y + Y^2"])
-    with pytest.raises(GroebnerBudgetExceeded):
-        I.groebner(budget=GroebnerBudget(max_degree=2))
+    with using_budget(GroebnerBudget(max_degree=2)):
+        with pytest.raises(GroebnerBudgetExceeded):
+            I.groebner()
+
+
+def test_budget_scope_covers_ideal_equality():
+    R = Ring(3, ["X", "Y", "Z"])
+    gens = ["X^2+Y*Z", "Y^2-X*Z", "Z^2+2*X*Y-1"]
+    I, J = Ideal(R, gens), Ideal(R, gens[::-1])
+    with using_budget(GroebnerBudget(max_pairs=2)):
+        with pytest.raises(GroebnerBudgetExceeded):
+            I == J  # equality compares reduced bases, so it computes them
+    assert I == J  # outside the scope the default budget applies again
 
 
 def test_budget_fields_positive():
     with pytest.raises(InputError):
         GroebnerBudget(max_pairs=0)
+
+
+# -- routes and powers ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda I, J: I.contains("X", method="monomail"),
+    lambda I, J: I.contains("X", method="elimination"),
+    lambda I, J: I.intersect(J, method="bogus"),
+    lambda I, J: I.intersect(J, method="colon"),
+    lambda I, J: I.quotient("X", method="x"),
+    lambda I, J: I.quotient("X", method="groebner"),
+    lambda I, J: frob_root(I, method="typo"),
+    lambda I, J: frob_root(I, method="groebner"),
+], ids=["contains-typo", "contains-foreign", "intersect-typo", "intersect-foreign",
+        "quotient-typo", "quotient-foreign", "frob_root-typo", "frob_root-foreign"])
+def test_unknown_method_is_rejected(R2, call):
+    I = Ideal(R2, ["X^2", "X*Y + Y^2"])
+    J = Ideal(R2, ["Y^3"])
+    with pytest.raises(InputError):
+        call(I, J)
+
+
+def _power_oracle(gens, h):
+    """Nested products of h generators, first occurrences kept in order."""
+    current = list(gens)
+    for _ in range(h - 1):
+        current = [a * b for a in current for b in gens]
+    out = []
+    for g in current:
+        if not g.is_zero() and not any(g == o for o in out):
+            out.append(g)
+    return tuple(out)
+
+
+def test_power_matches_nested_product_oracle(rng):
+    R = Ring(3, ["X", "Y", "Z"])
+    for _ in range(12):
+        for I in (rand_monomial_ideal(R, rng, max_gens=4, max_exp=3),
+                  rand_ideal(R, rng, max_gens=3, max_total_deg=2)):
+            for h in (1, 2, 3):
+                assert I.power(h).generators == _power_oracle(I.generators, h)
 
 
 # -- quotient rings ------------------------------------------------------------------
