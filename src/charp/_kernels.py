@@ -1,4 +1,4 @@
-"""Hot term-array kernels, with a numba path and a pure-numpy fallback.
+"""Hot term-array kernels, written once in numpy.
 
 A polynomial's terms live in three parallel arrays: an (nterms, nvars) int64
 exponent matrix, an (nterms,) int64 coefficient vector with entries in
@@ -14,78 +14,23 @@ The kernels below do the work that dominates Groebner-basis runtime:
 * ``axpy``         -- merge A + scale*B for two sorted term lists;
 * ``mul``          -- full product of two term lists;
 * ``normal_form``  -- complete division of a term list by a packed basis.
-
-Each has a numba ``@njit`` implementation and a numpy implementation with
-identical outputs.  The environment variable CHARP_JIT picks the path:
-unset or truthy selects numba when it imports, ``CHARP_JIT=0`` forces the
-numpy fallback.  ``benchmarks/bench_kernels.py`` compares the two.
 """
-
-import os
 
 import numpy as np
 
-_FALSEY = ("0", "false", "no", "off")
-
-
-def _want_jit() -> bool:
-    return os.environ.get("CHARP_JIT", "1").strip().lower() not in _FALSEY
-
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_USE_JIT = _HAVE_NUMBA and _want_jit()
-
 
 def backend() -> str:
-    """Name of the active kernel path: 'numba' or 'numpy'."""
-    return "numba" if _USE_JIT else "numpy"
+    """Name of the kernel implementation."""
+    return "numpy"
 
 
-def use_backend(name: str) -> None:
-    """Force a kernel path at runtime ('numba' or 'numpy'); used by benchmarks/tests."""
-    global _USE_JIT
-    if name == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba is not importable")
-        _USE_JIT = True
-    elif name == "numpy":
-        _USE_JIT = False
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# numpy path
-# ---------------------------------------------------------------------------
-
-
-def _argsort_desc_np(keys):
-    """Indices sorting key rows in descending row-lex order (column 0 primary)."""
-    if keys.shape[0] <= 1:
-        return np.arange(keys.shape[0], dtype=np.int64)
-    return np.lexsort(keys.T[::-1])[::-1].astype(np.int64)
-
-
-def _combine_np(keys, exps, coeffs, p):
+def combine(keys, exps, coeffs, p):
+    """Sort raw terms descending, merge equal monomials mod p, drop zeros."""
     n = keys.shape[0]
     if n == 0:
-        return keys, exps, coeffs % p if coeffs.size else coeffs
-    order = _argsort_desc_np(keys)
+        return keys, exps, coeffs
+    # descending row-lex order of the key rows, column 0 primary
+    order = np.lexsort(keys.T[::-1])[::-1] if n > 1 else np.zeros(1, np.int64)
     sk = keys[order]
     sc = coeffs[order] % p
     if n == 1:
@@ -97,333 +42,30 @@ def _combine_np(keys, exps, coeffs, p):
         starts = np.nonzero(new_run)[0]
     sums = np.add.reduceat(sc, starts) % p
     keep = sums != 0
-    starts = starts[keep]
-    idx = order[starts]
+    idx = order[starts[keep]]
     return keys[idx], exps[idx], sums[keep]
 
 
-def _axpy_np(ka, ea, ca, kb, eb, cb, scale, p):
+def axpy(ka, ea, ca, kb, eb, cb, scale, p):
+    """A + scale*B for two descending-sorted term lists."""
     scale = scale % p
     if scale == 0 or kb.shape[0] == 0:
         return ka, ea, ca
     keys = np.concatenate((ka, kb))
     exps = np.concatenate((ea, eb))
     coeffs = np.concatenate((ca, (cb * scale) % p))
-    return _combine_np(keys, exps, coeffs, p)
-
-
-def _mul_np(ka, ea, ca, kb, eb, cb, p):
-    na, nb = ka.shape[0], kb.shape[0]
-    if na == 0 or nb == 0:
-        return (
-            np.empty((0, ka.shape[1]), np.int64),
-            np.empty((0, ea.shape[1]), np.int64),
-            np.empty(0, np.int64),
-        )
-    keys = (ka[:, None, :] + kb[None, :, :]).reshape(na * nb, ka.shape[1])
-    exps = (ea[:, None, :] + eb[None, :, :]).reshape(na * nb, ea.shape[1])
-    coeffs = (ca[:, None] * cb[None, :]).reshape(na * nb) % p
-    return _combine_np(keys, exps, coeffs, p)
-
-
-def _normal_form_np(kf, ef, cf, bkeys, bexps, bcoeffs, bstarts, bmaxdeg, p, max_terms, max_degree):
-    nb = bstarts.shape[0] - 1
-    leads = bexps[bstarts[:-1]] if nb else bexps[:0]
-    keys, exps, coeffs = kf, ef, cf
-    r = 0
-    while r < coeffs.shape[0]:
-        if nb:
-            hits = np.nonzero(np.all(leads <= exps[r], axis=1))[0]
-        else:
-            hits = ()
-        if len(hits) == 0:
-            r += 1
-            continue
-        g = int(hits[0])
-        lo, hi = int(bstarts[g]), int(bstarts[g + 1])
-        shift_e = exps[r] - bexps[lo]
-        if int(shift_e.sum()) + int(bmaxdeg[g]) > max_degree:
-            return keys[:0], exps[:0], coeffs[:0], 2
-        shift_k = keys[r] - bkeys[lo]
-        scale = (p - coeffs[r]) % p
-        tk, te, tc = _axpy_np(
-            keys[r:], exps[r:], coeffs[r:],
-            bkeys[lo:hi] + shift_k, bexps[lo:hi] + shift_e, bcoeffs[lo:hi],
-            scale, p,
-        )
-        keys = np.concatenate((keys[:r], tk))
-        exps = np.concatenate((exps[:r], te))
-        coeffs = np.concatenate((coeffs[:r], tc))
-        if coeffs.shape[0] > max_terms:
-            return keys[:0], exps[:0], coeffs[:0], 1
-    return keys, exps, coeffs, 0
-
-
-# ---------------------------------------------------------------------------
-# numba path
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _row_cmp(A, i, B, j):
-    for c in range(A.shape[1]):
-        a = A[i, c]
-        b = B[j, c]
-        if a > b:
-            return 1
-        if a < b:
-            return -1
-    return 0
-
-
-@njit(cache=True)
-def _argsort_desc_nb(keys):
-    n = keys.shape[0]
-    idx = np.arange(n)
-    if n <= 1:
-        return idx
-    buf = np.empty(n, np.int64)
-    width = 1
-    while width < n:
-        lo = 0
-        while lo < n:
-            mid = lo + width
-            if mid > n:
-                mid = n
-            hi = lo + 2 * width
-            if hi > n:
-                hi = n
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if _row_cmp(keys, idx[i], keys, idx[j]) >= 0:
-                    buf[k] = idx[i]
-                    i += 1
-                else:
-                    buf[k] = idx[j]
-                    j += 1
-                k += 1
-            while i < mid:
-                buf[k] = idx[i]
-                i += 1
-                k += 1
-            while j < hi:
-                buf[k] = idx[j]
-                j += 1
-                k += 1
-            lo = hi
-        idx, buf = buf, idx
-        width *= 2
-    return idx
-
-
-@njit(cache=True)
-def _combine_nb(keys, exps, coeffs, p):
-    n = keys.shape[0]
-    kw = keys.shape[1]
-    d = exps.shape[1]
-    if n == 0:
-        return keys.copy(), exps.copy(), coeffs.copy()
-    order = _argsort_desc_nb(keys)
-    ko = np.empty((n, kw), np.int64)
-    eo = np.empty((n, d), np.int64)
-    co = np.empty(n, np.int64)
-    m = -1
-    for t in range(n):
-        src = order[t]
-        if m >= 0 and _row_cmp(keys, src, ko, m) == 0:
-            co[m] = (co[m] + coeffs[src]) % p
-        else:
-            if m >= 0 and co[m] == 0:
-                m -= 1
-            m += 1
-            for c in range(kw):
-                ko[m, c] = keys[src, c]
-            for c in range(d):
-                eo[m, c] = exps[src, c]
-            co[m] = coeffs[src] % p
-    if m >= 0 and co[m] == 0:
-        m -= 1
-    return ko[: m + 1].copy(), eo[: m + 1].copy(), co[: m + 1].copy()
-
-
-@njit(cache=True)
-def _axpy_nb(ka, ea, ca, kb, eb, cb, scale, p):
-    scale = scale % p
-    if scale == 0 or kb.shape[0] == 0:
-        return ka.copy(), ea.copy(), ca.copy()
-    na = ka.shape[0]
-    nb = kb.shape[0]
-    kw = ka.shape[1]
-    d = ea.shape[1]
-    ko = np.empty((na + nb, kw), np.int64)
-    eo = np.empty((na + nb, d), np.int64)
-    co = np.empty(na + nb, np.int64)
-    i = j = k = 0
-    while i < na and j < nb:
-        cmp = _row_cmp(ka, i, kb, j)
-        if cmp > 0:
-            for c in range(kw):
-                ko[k, c] = ka[i, c]
-            for c in range(d):
-                eo[k, c] = ea[i, c]
-            co[k] = ca[i]
-            i += 1
-            k += 1
-        elif cmp < 0:
-            v = (cb[j] * scale) % p
-            if v != 0:
-                for c in range(kw):
-                    ko[k, c] = kb[j, c]
-                for c in range(d):
-                    eo[k, c] = eb[j, c]
-                co[k] = v
-                k += 1
-            j += 1
-        else:
-            v = (ca[i] + cb[j] * scale) % p
-            if v != 0:
-                for c in range(kw):
-                    ko[k, c] = ka[i, c]
-                for c in range(d):
-                    eo[k, c] = ea[i, c]
-                co[k] = v
-                k += 1
-            i += 1
-            j += 1
-    while i < na:
-        for c in range(kw):
-            ko[k, c] = ka[i, c]
-        for c in range(d):
-            eo[k, c] = ea[i, c]
-        co[k] = ca[i]
-        i += 1
-        k += 1
-    while j < nb:
-        v = (cb[j] * scale) % p
-        if v != 0:
-            for c in range(kw):
-                ko[k, c] = kb[j, c]
-            for c in range(d):
-                eo[k, c] = eb[j, c]
-            co[k] = v
-            k += 1
-        j += 1
-    return ko[:k].copy(), eo[:k].copy(), co[:k].copy()
-
-
-@njit(cache=True)
-def _mul_nb(ka, ea, ca, kb, eb, cb, p):
-    na = ka.shape[0]
-    nb = kb.shape[0]
-    kw = ka.shape[1]
-    d = ea.shape[1]
-    if na == 0 or nb == 0:
-        return (
-            np.empty((0, kw), np.int64),
-            np.empty((0, d), np.int64),
-            np.empty(0, np.int64),
-        )
-    keys = np.empty((na * nb, kw), np.int64)
-    exps = np.empty((na * nb, d), np.int64)
-    coeffs = np.empty(na * nb, np.int64)
-    t = 0
-    for i in range(na):
-        for j in range(nb):
-            for c in range(kw):
-                keys[t, c] = ka[i, c] + kb[j, c]
-            for c in range(d):
-                exps[t, c] = ea[i, c] + eb[j, c]
-            coeffs[t] = (ca[i] * cb[j]) % p
-            t += 1
-    return _combine_nb(keys, exps, coeffs, p)
-
-
-@njit(cache=True)
-def _normal_form_nb(kf, ef, cf, bkeys, bexps, bcoeffs, bstarts, bmaxdeg, p, max_terms, max_degree):
-    nb = bstarts.shape[0] - 1
-    kw = kf.shape[1]
-    d = ef.shape[1]
-    keys = kf.copy()
-    exps = ef.copy()
-    coeffs = cf.copy()
-    r = 0
-    while r < coeffs.shape[0]:
-        found = -1
-        for g in range(nb):
-            lead = bstarts[g]
-            ok = True
-            for c in range(d):
-                if bexps[lead, c] > exps[r, c]:
-                    ok = False
-                    break
-            if ok:
-                found = g
-                break
-        if found < 0:
-            r += 1
-            continue
-        g = found
-        lo = bstarts[g]
-        hi = bstarts[g + 1]
-        sdeg = 0
-        for c in range(d):
-            sdeg += exps[r, c] - bexps[lo, c]
-        if sdeg + bmaxdeg[g] > max_degree:
-            return keys[:0].copy(), exps[:0].copy(), coeffs[:0].copy(), 2
-        gk = np.empty((hi - lo, kw), np.int64)
-        ge = np.empty((hi - lo, d), np.int64)
-        for t in range(hi - lo):
-            for c in range(kw):
-                gk[t, c] = bkeys[lo + t, c] + keys[r, c] - bkeys[lo, c]
-            for c in range(d):
-                ge[t, c] = bexps[lo + t, c] + exps[r, c] - bexps[lo, c]
-        scale = (p - coeffs[r]) % p
-        tk, te, tc = _axpy_nb(keys[r:], exps[r:], coeffs[r:], gk, ge, bcoeffs[lo:hi], scale, p)
-        total = r + tc.shape[0]
-        if total > max_terms:
-            return keys[:0].copy(), exps[:0].copy(), coeffs[:0].copy(), 1
-        nk = np.empty((total, kw), np.int64)
-        ne = np.empty((total, d), np.int64)
-        nc = np.empty(total, np.int64)
-        nk[:r] = keys[:r]
-        ne[:r] = exps[:r]
-        nc[:r] = coeffs[:r]
-        nk[r:] = tk
-        ne[r:] = te
-        nc[r:] = tc
-        keys, exps, coeffs = nk, ne, nc
-    return keys, exps, coeffs, 0
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def _c(a):
-    return np.ascontiguousarray(a, dtype=np.int64)
-
-
-def combine(keys, exps, coeffs, p):
-    """Sort raw terms descending, merge equal monomials mod p, drop zeros."""
-    keys, exps, coeffs = _c(keys), _c(exps), _c(coeffs)
-    if _USE_JIT:
-        return _combine_nb(keys, exps, coeffs, p)
-    return _combine_np(keys, exps, coeffs, p)
-
-
-def axpy(ka, ea, ca, kb, eb, cb, scale, p):
-    """A + scale*B for two descending-sorted term lists."""
-    if _USE_JIT:
-        return _axpy_nb(_c(ka), _c(ea), _c(ca), _c(kb), _c(eb), _c(cb), scale, p)
-    return _axpy_np(_c(ka), _c(ea), _c(ca), _c(kb), _c(eb), _c(cb), scale, p)
+    return _combine(keys, exps, coeffs, p)
 
 
 def mul(ka, ea, ca, kb, eb, cb, p):
     """Product of two term lists."""
-    if _USE_JIT:
-        return _mul_nb(_c(ka), _c(ea), _c(ca), _c(kb), _c(eb), _c(cb), p)
-    return _mul_np(_c(ka), _c(ea), _c(ca), _c(kb), _c(eb), _c(cb), p)
+    na, nb = ka.shape[0], kb.shape[0]
+    if na == 0 or nb == 0:
+        return ka[:0], ea[:0], ca[:0]
+    keys = (ka[:, None, :] + kb[None, :, :]).reshape(na * nb, ka.shape[1])
+    exps = (ea[:, None, :] + eb[None, :, :]).reshape(na * nb, ea.shape[1])
+    coeffs = (ca[:, None] * cb[None, :]).reshape(na * nb) % p
+    return _combine(keys, exps, coeffs, p)
 
 
 def normal_form(kf, ef, cf, bkeys, bexps, bcoeffs, bstarts, bmaxdeg, p, max_terms, max_degree):
@@ -436,8 +78,34 @@ def normal_form(kf, ef, cf, bkeys, bexps, bcoeffs, bstarts, bmaxdeg, p, max_term
     intermediate term count passed ``max_terms``, 2 when a reduction step
     would pass ``max_degree``.
     """
-    args = (_c(kf), _c(ef), _c(cf), _c(bkeys), _c(bexps), _c(bcoeffs),
-            _c(bstarts), _c(bmaxdeg), p, max_terms, max_degree)
-    if _USE_JIT:
-        return _normal_form_nb(*args)
-    return _normal_form_np(*args)
+    leads = bexps[bstarts[:-1]]
+    keys, exps, coeffs = kf, ef, cf
+    r = 0
+    while r < coeffs.shape[0]:
+        hits = np.nonzero(np.all(leads <= exps[r], axis=1))[0]
+        if len(hits) == 0:
+            r += 1
+            continue
+        g = int(hits[0])
+        lo, hi = int(bstarts[g]), int(bstarts[g + 1])
+        shift_e = exps[r] - bexps[lo]
+        if int(shift_e.sum()) + int(bmaxdeg[g]) > max_degree:
+            return keys[:0], exps[:0], coeffs[:0], 2
+        shift_k = keys[r] - bkeys[lo]
+        scale = (p - coeffs[r]) % p
+        tk, te, tc = _axpy(
+            keys[r:], exps[r:], coeffs[r:],
+            bkeys[lo:hi] + shift_k, bexps[lo:hi] + shift_e, bcoeffs[lo:hi],
+            scale, p,
+        )
+        keys = np.concatenate((keys[:r], tk))
+        exps = np.concatenate((exps[:r], te))
+        coeffs = np.concatenate((coeffs[:r], tc))
+        if coeffs.shape[0] > max_terms:
+            return keys[:0], exps[:0], coeffs[:0], 1
+    return keys, exps, coeffs, 0
+
+
+# Kernels call each other through these aliases, so wrapping a public name
+# (as a tracer does) sees only the calls made from outside this module.
+_combine, _axpy = combine, axpy

@@ -3,9 +3,8 @@
 Every order used here can be realised as a linear map on exponent vectors:
 monomial a precedes monomial b (a > b) exactly when the integer row
 ``a @ M`` is lexicographically greater than ``b @ M``.  Reducing order
-comparisons to row-lexicographic comparisons of derived keys lets both the
-numba and numpy kernel paths share one code path, and makes sorting a
-``np.lexsort``.
+comparisons to row-lexicographic comparisons of derived keys makes sorting
+a ``np.lexsort``.
 
 Supported kinds:
 

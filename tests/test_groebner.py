@@ -5,6 +5,7 @@ fast paths against their oracles."""
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charp import (GroebnerBudget, GroebnerBudgetExceeded, Ideal, InputError,
                    Ring, using_budget)
@@ -267,22 +268,35 @@ def test_budget_fields_positive():
 # -- routes and powers ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("call", [
-    lambda I, J: I.contains("X", method="monomail"),
-    lambda I, J: I.contains("X", method="elimination"),
-    lambda I, J: I.intersect(J, method="bogus"),
-    lambda I, J: I.intersect(J, method="colon"),
-    lambda I, J: I.quotient("X", method="x"),
-    lambda I, J: I.quotient("X", method="groebner"),
-    lambda I, J: frob_root(I, method="typo"),
-    lambda I, J: frob_root(I, method="groebner"),
+ROUTES = {
+    "contains": (("auto", "monomial", "groebner"), lambda I, J, m: I.contains("X", method=m)),
+    "intersect": (("auto", "monomial", "elimination"), lambda I, J, m: I.intersect(J, method=m)),
+    "quotient": (("auto", "monomial", "colon"), lambda I, J, m: I.quotient("X", method=m)),
+    "frob_root": (("auto", "monomial", "elimination"), lambda I, J, m: frob_root(I, method=m)),
+}
+# typos, near misses, and the routes of the other operations
+NEAR_MISSES = ["", "Auto", " auto", "auto ", "Monomial", "groebner", "elimination", "colon"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("op, method", [
+    ("contains", "monomail"), ("contains", "elimination"),
+    ("intersect", "bogus"), ("intersect", "colon"),
+    ("quotient", "x"), ("quotient", "groebner"),
+    ("frob_root", "typo"), ("frob_root", "groebner"),
 ], ids=["contains-typo", "contains-foreign", "intersect-typo", "intersect-foreign",
         "quotient-typo", "quotient-foreign", "frob_root-typo", "frob_root-foreign"])
-def test_unknown_method_is_rejected(R2, call):
-    I = Ideal(R2, ["X^2", "X*Y + Y^2"])
-    J = Ideal(R2, ["Y^3"])
-    with pytest.raises(InputError):
-        call(I, J)
+def test_unknown_method_is_rejected(op, method, data):
+    accepted, call = ROUTES[op]
+    drawn = data.draw(st.one_of(st.sampled_from(NEAR_MISSES), st.text(max_size=12))
+                      .filter(lambda m: m not in accepted), label="method")
+    R = Ring(2, ["X", "Y"])
+    I = Ideal(R, ["X^2", "X*Y + Y^2"])
+    J = Ideal(R, ["Y^3"])
+    for m in (method, drawn):
+        with pytest.raises(InputError):
+            call(I, J, m)
 
 
 def _power_oracle(gens, h):
