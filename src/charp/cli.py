@@ -102,10 +102,7 @@ def parse_spec(path: str) -> SpecFile:
     unknown = set(ring_sec) - _RING_KEYS
     if unknown:
         raise InputError(f"unknown [ring] keys {sorted(unknown)}", path)
-    try:
-        p = int(ring_sec.get("p", ""))
-    except ValueError:
-        raise InputError("ring key 'p' must be an integer", f"{path} [ring]") from None
+    p = _int_key(ring_sec, "p", "", "ring", f"{path} [ring]")
     vars_ = _split_list(ring_sec.get("vars", ""))
     if not vars_:
         raise InputError("ring key 'vars' must list variables", f"{path} [ring]")
@@ -162,12 +159,12 @@ def parse_spec(path: str) -> SpecFile:
         if kind == "frobenius-powers":
             seq = FSequence.frobenius_powers(named_ideal())
         elif kind == "canonical":
-            seq = FSequence.canonical(named_ideal(),
-                                      int(sec.get("max_e", 10)), int(sec.get("confirm", 2)))
+            seq = FSequence.canonical(named_ideal(), _int_key(sec, "max_e", 10, "fseq", where),
+                                      _int_key(sec, "confirm", 2, "fseq", where))
         elif kind == "constant-prime":
             seq = FSequence.constant_prime(named_ideal())
         elif kind == "fg-perfection":
-            seq = FSequence.finitely_generated(named_ideal(), int(sec.get("k", 0)))
+            seq = FSequence.finitely_generated(named_ideal(), _int_key(sec, "k", 0, "fseq", where))
         elif kind == "table":
             names = _split_list(sec.get("terms", ""))
             if not names:
@@ -200,6 +197,13 @@ def parse_spec(path: str) -> SpecFile:
     for name in fseq_secs:
         build_fseq(name)
     return SpecFile(ring, ideals, fseqs)
+
+
+def _int_key(sec, key: str, default, kind: str, where: str) -> int:
+    try:
+        return int(sec.get(key, default))
+    except ValueError:
+        raise InputError(f"{kind} key {key!r} must be an integer", where) from None
 
 
 def _parse_in(ring: Ring, text: str, where: str) -> Polynomial:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (CertificateFailure, DistinctLambdaExhausted,
                      IdentityFailure, InputError, NonMonomial)
 from .frobenius import f_closure, frob_power, frob_root
-from .ideals import Ideal, _power_products
+from .ideals import Ideal, _power_products, intersect_all, minimal_rows
 from .perfection import FSequence, PerfectionIdeal
 from .poly import Polynomial, Ring
 
@@ -65,11 +65,7 @@ class Decomposition:
     minimal: bool
 
     def intersection(self) -> Ideal:
-        comps = [c.ideal for c in self.components]
-        acc = comps[0]
-        for c in comps[1:]:
-            acc = acc.intersect(c)
-        return acc
+        return intersect_all(c.ideal for c in self.components)
 
 
 def apply_shift(I: Ideal, shift: dict) -> Ideal:
@@ -98,10 +94,17 @@ def is_primary_monomial(I: Ideal) -> bool:
     return all(int(v) in pure for v in occurring)
 
 
+def _primary_in_frame(I: Ideal, shift) -> bool:
+    """Whether I is monomial and primary once the shift (a ((var, constant),
+    ...) tuple, or None) is applied."""
+    view = apply_shift(I, dict(shift or ()))
+    return view.is_monomial() and is_primary_monomial(view)
+
+
 def _split_irreducible(rows: list) -> list:
     """Splitting step: a generator with mixed support u*v gives
     (I+u) cap (I+v); recurse until every generator is a pure power."""
-    rows = _minimalize_rows(rows)
+    rows = minimal_rows(rows)
     for idx, row in enumerate(rows):
         supp = np.nonzero(row)[0]
         if len(supp) >= 2:
@@ -112,21 +115,6 @@ def _split_irreducible(rows: list) -> list:
             return (_split_irreducible(rest + [u])
                     + _split_irreducible(rest + [v]))
     return [rows]
-
-
-def _minimalize_rows(rows: list) -> list:
-    keep = []
-    for i, r in enumerate(rows):
-        redundant = False
-        for j, s in enumerate(rows):
-            if i == j:
-                continue
-            if np.all(s <= r) and (not np.array_equal(s, r) or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(r)
-    return keep
 
 
 def decompose_monomial(I: Ideal, shift: Optional[dict] = None) -> Decomposition:
@@ -155,14 +143,14 @@ def decompose_monomial(I: Ideal, shift: Optional[dict] = None) -> Decomposition:
     for arr in seen:
         supp = tuple(sorted({int(np.nonzero(r)[0][0]) for r in arr}))
         by_radical.setdefault(supp, []).append(arr)
-    comps = []
-    for supp in sorted(by_radical):
-        group = by_radical[supp]
-        acc = Ideal(ring, [ring.monomial(r) for r in group[0]])
-        for arr in group[1:]:
-            acc = acc.intersect(Ideal(ring, [ring.monomial(r) for r in arr]))
-        comps.append((supp, acc))
-    comps = _prune_redundant(comps)
+    comps = [(supp, intersect_all(Ideal(ring, [ring.monomial(r) for r in arr])
+                                  for arr in by_radical[supp]))
+             for supp in sorted(by_radical)]
+    while len(comps) > 1:
+        i = _redundant_index([c for _, c in comps])
+        if i is None:
+            break
+        del comps[i]
     out = []
     shift_t = tuple(sorted(shift.items())) if shift else None
     for supp, comp in comps:
@@ -179,21 +167,15 @@ def decompose_monomial(I: Ideal, shift: Optional[dict] = None) -> Decomposition:
     return deco
 
 
-def _prune_redundant(comps: list) -> list:
-    comps = list(comps)
-    changed = True
-    while changed and len(comps) > 1:
-        changed = False
-        for i in range(len(comps)):
-            others = [c for j, (_, c) in enumerate(comps) if j != i]
-            acc = others[0]
-            for c in others[1:]:
-                acc = acc.intersect(c)
-            if comps[i][1].contains_ideal(acc):
-                del comps[i]
-                changed = True
-                break
-    return comps
+def _redundant_index(ideals: list) -> Optional[int]:
+    """Index of the first of two or more ideals that contains the
+    intersection of the others, or None when none does."""
+    if len(ideals) < 2:
+        return None
+    for i, I in enumerate(ideals):
+        if I.contains_ideal(intersect_all(ideals[:i] + ideals[i + 1:])):
+            return i
+    return None
 
 
 def ass_monomial(I: Ideal) -> tuple:
@@ -320,11 +302,9 @@ def frobenius_decompositions(deco: Decomposition) -> Callable[[int], Decompositi
         comps = []
         for c in deco.components:
             shifted = frob_power(c.ideal, n)
-            view = apply_shift(shifted, c.shift_map())
             comps.append(PrimaryComponent(
                 ideal=shifted, radical=c.radical,
-                verified_primary=view.is_monomial() and is_primary_monomial(view),
-                shift=c.shift))
+                verified_primary=_primary_in_frame(shifted, c.shift), shift=c.shift))
         return Decomposition(tuple(comps), minimal=deco.minimal)
     return decomposer
 
@@ -359,7 +339,7 @@ def lg2_decompose(a: Ideal, primes: Sequence[Ideal], h: int, n: int,
             base = frob_power(Ideal(ring, a.generators + p_i.power(h).generators), n)
             comp_src = base if mode == "plain" else f_closure(base).closure
         comp = localize_contract(comp_src, p_i)
-        primary = comp.is_monomial() and is_primary_monomial(comp)
+        primary = _primary_in_frame(comp, None)
         if primary and comp.monomial_radical() != p_i:
             raise IdentityFailure(comp, f"component radical is not {p_i!r}")
         comps.append(PrimaryComponent(ideal=comp, radical=p_i,
@@ -378,16 +358,7 @@ def _is_minimal(comps: Sequence[PrimaryComponent]) -> bool:
         for j in range(i + 1, len(rads)):
             if rads[i] == rads[j]:
                 return False
-    if len(comps) == 1:
-        return True
-    for i in range(len(comps)):
-        others = [c.ideal for j, c in enumerate(comps) if j != i]
-        acc = others[0]
-        for c in others[1:]:
-            acc = acc.intersect(c)
-        if comps[i].ideal.contains_ideal(acc):
-            return False
-    return True
+    return _redundant_index([c.ideal for c in comps]) is None
 
 
 def _containment_witness(left: Ideal, right: Ideal):
@@ -413,6 +384,8 @@ def decompose_perfection_ideal(A: PerfectionIdeal, check_depth: int = 3) -> list
     intersection reproduces the original sequence up to check_depth.
     Returns one FSequence per component, tagged with its radical.
     """
+    if check_depth < 0:
+        raise InputError(f"check depth must be >= 0, got {check_depth}")
     seq = A.seq
     meta = getattr(seq, "meta", None)
     if seq.kind != "fg-perfection" or not meta:
@@ -426,9 +399,7 @@ def decompose_perfection_ideal(A: PerfectionIdeal, check_depth: int = 3) -> list
     for comp in deco.components:
         out.append(_primary_sequence(comp, k))
     for n in range(check_depth + 1):
-        acc = out[0].term(n)
-        for s in out[1:]:
-            acc = acc.intersect(s.term(n))
+        acc = intersect_all(s.term(n) for s in out)
         if acc != seq.term(n):
             witness = _containment_witness(acc, seq.term(n))
             raise IdentityFailure(witness, f"component intersection misses term {n}")
@@ -439,10 +410,7 @@ def _primary_sequence(comp: PrimaryComponent, k: int) -> FSequence:
     def fn(n):
         if n >= k:
             return frob_power(comp.ideal, n - k)
-        down = comp.ideal
-        for _ in range(k - n):
-            down = frob_root(down)
-        return down
+        return frob_root(comp.ideal, k - n)
 
     seq = FSequence(comp.ideal.ring, "primary-frobenius", fn,
                     f"{comp.radical!r}-primary sequence from depth {k}")
@@ -508,16 +476,11 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
             xgen = ring.monomial({"X": l * p ** (n - j)})
             ygen = (Y - lam).power(t_j).frobenius(n)
             return Ideal(ring, [xgen, ygen])
-        down = Ideal(ring, [ring.monomial({"X": l}), ring.monomial({"Y": t_j * p ** j})])
-        for _ in range(j - n):
-            down = frob_root(down)
-        return unapply_shift(down, {"Y": lam})
+        top = Ideal(ring, [ring.monomial({"X": l}), ring.monomial({"Y": t_j * p ** j})])
+        return unapply_shift(frob_root(top, j - n), {"Y": lam})
 
     def a_term(m: int) -> Ideal:
-        acc = q_term(0, m)
-        for j in range(1, m + 1):
-            acc = acc.intersect(q_term(j, m))
-        return acc
+        return intersect_all(q_term(j, m) for j in range(m + 1))
 
     seq = FSequence(ring, "intersection", a_term, "escalating-primes family")
 
@@ -534,11 +497,9 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
                 lam = j % p
                 radical = Ideal(ring, [X, Y - lam])
                 shift = (("Y", lam),)
-            view = apply_shift(ideal, dict(shift) if shift else {})
             comps.append(PrimaryComponent(
                 ideal=ideal, radical=radical,
-                verified_primary=view.is_monomial() and is_primary_monomial(view),
-                shift=shift))
+                verified_primary=_primary_in_frame(ideal, shift), shift=shift))
         for j in range(m + 1, depth + 1):  # deeper components vanish into (X) here
             if not q_term(j, m).contains_ideal(Ideal(ring, [X])):
                 raise IdentityFailure(q_term(j, m), f"component {j} fails to absorb (X) at level {m}")

@@ -5,7 +5,8 @@ generators.  The Frobenius root is the preimage {r : r^p in I}, computed by
 p-power elimination: over F_p, r(X)^p = r(X_1^p, ..., X_d^p), so adjoining
 fresh variables with relations fresh_i - X_i^p and eliminating the X_i
 leaves exactly the root, in plain and quotient rings alike.  Monomial
-ideals take the exponent-ceiling shortcut, cross-checked in the tests.
+ideals take the exponent-ceiling shortcut, cross-checked in the tests.  The
+e-fold root {r : r^(p^e) in I} is e single roots in a row.
 
 The F-closure of b is the union over n of the n-fold roots of b^[p^n]; the
 chain of those ideals ascends, and we stop after a configurable number of
@@ -18,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import DepthExceeded, InputError, NotContainingQuotient
-from .ideals import (Ideal, _check_method, _fresh_names, _map_poly, _project_poly,
-                     groebner_basis)
+from .errors import CharpError, DepthExceeded, InputError, NotContainingQuotient
+from .ideals import Ideal, _check_method, _eliminate, _fresh_names, _map_poly
 from .orders import elim
 from .poly import Ring
 
@@ -28,19 +28,28 @@ from .poly import Ring
 def frob_power(I: Ideal, e: int) -> Ideal:
     """I^[p^e]: generator-wise Frobenius (quotient generators re-enter implicitly)."""
     if e < 0:
-        raise ValueError("Frobenius power wants e >= 0")
+        raise InputError(f"Frobenius power wants e >= 0, got {e}")
     if e == 0:
         return I
     return Ideal(I.ring, [g.frobenius(e) for g in I.generators])
 
 
-def frob_root(I: Ideal, method: str = "auto") -> Ideal:
-    """f^{-1}(I) = {r : r^p in I}, by p-power elimination.
+def frob_root(I: Ideal, e: int = 1, method: str = "auto") -> Ideal:
+    """The e-fold root {r : r^(p^e) in I}, taken as e single roots.
 
-    Monomial ideals use the exponent-ceiling shortcut instead; ``method``
-    ("monomial" / "elimination") pins a route for cross-checking.
+    Each single root is a p-power elimination, or the exponent-ceiling
+    shortcut when that step's ideal is monomial; ``method`` ("monomial" /
+    "elimination") pins the route of every step for cross-checking.
     """
     _check_method(method, ("auto", "monomial", "elimination"))
+    if e < 0:
+        raise InputError(f"Frobenius root wants e >= 0, got {e}")
+    for _ in range(e):
+        I = _frob_root_once(I, method)
+    return I
+
+
+def _frob_root_once(I: Ideal, method: str) -> Ideal:
     ring = I.ring
     if ring.is_quotient():
         for g in ring.quotient:
@@ -51,17 +60,13 @@ def frob_root(I: Ideal, method: str = "auto") -> Ideal:
         if not I.is_monomial():
             raise InputError("monomial root shortcut on a non-monomial ideal")
         return _frob_root_monomial(I)
-    p = ring.p
     d = ring.nvars
     fresh = _fresh_names(set(ring.vars), d, "r_")
-    ext = Ring(p, ring.vars + tuple(fresh), elim(d))
+    ext = Ring(ring.p, ring.vars + tuple(fresh), elim(d))
     gens = [_map_poly(g, ext, list(range(d))) for g in I.effective_generators()]
     for i in range(d):
         gens.append(ext.var(fresh[i]) - ext.var(ring.vars[i]).frobenius(1))
-    basis = groebner_basis(gens, ext)
-    keep = [g for g in basis if not g.exps[:, :d].any()]
-    mapped = [_project_poly(g, ring, range(d, 2 * d)) for g in keep]
-    return Ideal(ring, mapped)
+    return _eliminate(gens, ext, d, ring)
 
 
 def _frob_root_monomial(I: Ideal) -> Ideal:
@@ -90,17 +95,16 @@ def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2) -> FClosureResult:
     chain is still moving at max_e.
     """
     if max_e < 1 or confirm < 1:
-        raise ValueError("f_closure wants max_e >= 1 and confirm >= 1")
+        raise InputError(f"f_closure wants max_e >= 1 and confirm >= 1, "
+                         f"got {max_e} and {confirm}")
     steps = [b]
     current = b
     equal_run = 0
     stabilized_at: Optional[int] = None
     for n in range(1, max_e + 1):
-        nxt = frob_power(b, n)
-        for _ in range(n):
-            nxt = frob_root(nxt)
+        nxt = frob_root(frob_power(b, n), n)
         if not nxt.contains_ideal(current):
-            raise AssertionError("F-closure chain failed to ascend")
+            raise CharpError("F-closure chain failed to ascend")
         steps.append(nxt)
         if nxt == current:
             if equal_run == 0:

@@ -24,7 +24,7 @@ import heapq
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -286,10 +286,16 @@ def _map_poly(f: Polynomial, target: Ring, col_map: Sequence[int]) -> Polynomial
     return Polynomial(target, ee, ce, ke)
 
 
-def _project_poly(f: Polynomial, target: Ring, keep_cols: Sequence[int]) -> Polynomial:
-    exps = f.exps[:, list(keep_cols)]
-    ke, ee, ce = K.combine(target.keys_of(exps), exps, f.coeffs.copy(), target.p)
-    return Polynomial(target, ee, ce, ke)
+def _eliminate(gens: Sequence[Polynomial], ext: Ring, k: int, target: Ring) -> "Ideal":
+    """The basis elements of gens in ext (an elim(k) ring) that are free of
+    ext's first k variables, read in target through ext's remaining ones."""
+    out = []
+    for g in groebner_basis(gens, ext):
+        if not g.exps[:, :k].any():
+            exps = g.exps[:, k:]
+            ke, ee, ce = K.combine(target.keys_of(exps), exps, g.coeffs, target.p)
+            out.append(Polynomial(target, ee, ce, ke))
+    return Ideal(target, out)
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +376,7 @@ class Ideal:
         """Minimal monomial generating exponents, canonically sorted."""
         if not self.is_monomial():
             raise InputError("not a monomial ideal")
-        rows = [g.exps[0] for g in self.generators]
-        keep = []
-        for i, r in enumerate(rows):
-            redundant = False
-            for j, s in enumerate(rows):
-                if i == j:
-                    continue
-                if _divides(s, r) and (not np.array_equal(s, r) or j < i):
-                    redundant = True
-                    break
-            if not redundant:
-                keep.append(r)
+        keep = minimal_rows([g.exps[0] for g in self.generators])
         if not keep:
             return np.empty((0, self.ring.nvars), np.int64)
         arr = np.stack(keep)
@@ -443,10 +438,7 @@ class Ideal:
         gens = [t * _map_poly(g, ext, col) for g in self.effective_generators()]
         one_minus_t = ext.one() - t
         gens += [one_minus_t * _map_poly(g, ext, col) for g in other.effective_generators()]
-        basis = groebner_basis(gens, ext)
-        keep = [g for g in basis if not g.exps[:, 0].any()]
-        mapped = [_project_poly(g, ring, range(1, ext.nvars)) for g in keep]
-        return Ideal(ring, mapped)
+        return _eliminate(gens, ext, 1, ring)
 
     def quotient(self, g, method: str = "auto") -> "Ideal":
         """(self : g) for a nonzero polynomial g.
@@ -506,10 +498,9 @@ class Ideal:
             return self
         if first_k == ring.nvars:
             raise InputError("eliminating every variable leaves no ring")
-        basis = self.groebner(order=elim(first_k))
+        ext = Ring(ring.p, ring.vars, elim(first_k))
         small = Ring(ring.p, ring.vars[first_k:], ring.order)
-        keep = [g for g in basis if not g.exps[:, :first_k].any()]
-        return Ideal(small, [_project_poly(g, small, range(first_k, ring.nvars)) for g in keep])
+        return _eliminate([g._rebind(ext) for g in self.generators], ext, first_k, small)
 
     def in_radical(self, g) -> bool:
         """Rabinowitsch test: g in sqrt(I) iff 1 in I + (1 - T*g)."""
@@ -550,3 +541,23 @@ def _power_products(gens: Sequence[Polynomial], h: int):
         for g in combo[1:]:
             out = out * g
         yield out
+
+
+def minimal_rows(rows: Sequence[np.ndarray]) -> list:
+    """The exponent rows no other row divides, in input order; of equal
+    rows the first stays."""
+    return [r for i, r in enumerate(rows)
+            if not any(_divides(s, r) and (j < i or not np.array_equal(s, r))
+                       for j, s in enumerate(rows) if j != i)]
+
+
+def intersect_all(ideals: Iterable[Ideal]) -> Ideal:
+    """Left-to-right intersection of a nonempty iterable of ideals, drawing
+    each ideal only when it is next in line."""
+    it = iter(ideals)
+    acc = next(it, None)
+    if acc is None:
+        raise InputError("intersection of no ideals")
+    for J in it:
+        acc = acc.intersect(J)
+    return acc

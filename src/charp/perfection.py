@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import CharpError, InputError, NonMonomial
 from .frobenius import f_closure, frob_power, frob_root
-from .ideals import Ideal
+from .ideals import Ideal, intersect_all
 from .poly import Polynomial, Ring
 
 
@@ -179,8 +179,7 @@ class FSequence:
         return cls(p.ring, "constant-prime", lambda n: p, f"constant prime {p!r}")
 
     @classmethod
-    def finitely_generated(cls, gens: Ideal, k: int = 0, max_e: int = 10,
-                           confirm: int = 2) -> "FSequence":
+    def finitely_generated(cls, gens: Ideal, k: int = 0) -> "FSequence":
         """The sequence of the ideal generated by the depth-k roots of gens:
         term(k+n) is the F-closure of gens^[p^n], and terms below k are the
         unique downward extension by iterated Frobenius roots."""
@@ -192,18 +191,14 @@ class FSequence:
 
         def fn(n):
             if n >= k:
-                return f_closure(frob_power(gens, n - k), max_e, confirm).closure
-            down = seq.term(k)
-            for _ in range(k - n):
-                down = frob_root(down)
-            return down
+                return f_closure(frob_power(gens, n - k)).closure
+            return frob_root(seq.term(k), k - n)
 
         seq._term_fn = fn
         return seq
 
     @classmethod
-    def from_table(cls, terms: Sequence[Ideal],
-                   extend: Optional[Callable[[int], Ideal]] = None) -> "FSequence":
+    def from_table(cls, terms: Sequence[Ideal]) -> "FSequence":
         """Explicit leading terms, mainly for negative controls in tests."""
         if not terms:
             raise InputError("table sequence needs at least one term")
@@ -213,9 +208,7 @@ class FSequence:
         def fn(n):
             if n < len(table):
                 return table[n]
-            if extend is None:
-                raise InputError(f"table sequence has no term {n}")
-            return extend(n)
+            raise InputError(f"table sequence has no term {n}")
 
         return cls(ring, "table", fn, f"table of {len(table)} terms")
 
@@ -227,10 +220,7 @@ class FSequence:
         ring = seqs[0].ring
 
         def fn(n):
-            acc = seqs[0].term(n)
-            for s in seqs[1:]:
-                acc = acc.intersect(s.term(n))
-            return acc
+            return intersect_all(s.term(n) for s in seqs)
 
         return cls(ring, "intersection", fn,
                    "intersection of " + ", ".join(s.describe for s in seqs))

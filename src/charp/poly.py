@@ -232,9 +232,6 @@ class Polynomial:
         return (self.coeffs.shape[0] == 1 and self.coeffs[0] == 1
                 and not self.exps[0].any())
 
-    def is_constant(self) -> bool:
-        return self.coeffs.shape[0] == 0 or (self.coeffs.shape[0] == 1 and not self.exps[0].any())
-
     def is_monomial(self) -> bool:
         """Single-term polynomial (any coefficient)."""
         return self.coeffs.shape[0] == 1

@@ -145,6 +145,16 @@ def test_parse_spec_rejects_fseq_cycle(tmp_path):
         parse_spec(str(f))
 
 
+@pytest.mark.parametrize("key, value", [("k", "two"), ("max_e", "1.5"), ("confirm", "")])
+def test_parse_spec_rejects_non_integer_fseq_keys(tmp_path, key, value):
+    kind = "fg-perfection" if key == "k" else "canonical"
+    f = tmp_path / "bad.ini"
+    f.write_text(f"[ring]\np = 2\nvars = X\n\n[ideal a]\ngens = X\n\n"
+                 f"[fseq s]\nkind = {kind}\nideal = a\n{key} = {value}\n")
+    with pytest.raises(InputError, match=rf"'{key}' must be an integer.*\[fseq s\]"):
+        parse_spec(str(f))
+
+
 # -- exit code matrix --------------------------------------------------------------
 
 
@@ -162,6 +172,20 @@ def test_exit_codes(demo, cusp, table, tmp_path, capsys):
     budget = main(["gb", demo, "--ideal", "a", "--budget-degree", "2"])
     assert budget == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["frob", "power", "specs/demo.ini", "--ideal", "a", "--e", "-1"],
+    ["lg2", "specs/demo.ini", "--ideal", "a", "--primes", "px,pxy", "--h", "2", "--n", "-1"],
+    ["frob", "closure", "specs/cusp.ini", "--ideal", "u", "--max-e", "0"],
+    ["frob", "closure", "specs/cusp.ini", "--ideal", "u", "--confirm", "0"],
+    ["perfection", "decompose", "specs/demo.ini", "--fseq", "upstairs", "--depth", "-1"],
+], ids=["power-e", "lg2-n", "closure-max-e", "closure-confirm", "decompose-depth"])
+def test_bad_numbers_are_input_errors(argv, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    code, data = run_json(capsys, *argv)
+    assert code == 2
+    assert data["result"]["error_kind"] == "InputError"
 
 
 # -- budgets ---------------------------------------------------------------------

@@ -323,6 +323,12 @@ def test_decompose_perfection_with_anchor_depth(R2):
     assert inter0 == A.term(0)
 
 
+def test_decompose_perfection_rejects_negative_depth(R2):
+    A = PerfectionIdeal.finitely_generated(Ideal(R2, ["X^2", "X*Y"]), k=0)
+    with pytest.raises(InputError):
+        decompose_perfection_ideal(A, check_depth=-1)
+
+
 def test_member_agrees_with_componentwise(R2, rng):
     A = PerfectionIdeal.finitely_generated(Ideal(R2, ["X^2", "X*Y"]), k=0)
     comps = [PerfectionIdeal(s) for s in decompose_perfection_ideal(A, check_depth=3)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from charp import DepthExceeded, Ideal, Ring
+from charp import DepthExceeded, Ideal, InputError, Ring
 from charp.frobenius import f_closure, frob_power, frob_root, is_f_closed
 
 from conftest import (all_polys_up_to_degree, monomial_gen_exps,
@@ -102,6 +102,57 @@ def test_frob_root_in_quotient_ring():
     P = frob_power(Ideal(R, ["U"]), 1)
     root = frob_root(P)
     assert root == Ideal(R, ["U", "V"])
+
+
+# -- e-fold roots ------------------------------------------------------------------
+
+
+def chained_root(I, e, method="auto"):
+    for _ in range(e):
+        I = frob_root(I, method=method)
+    return I
+
+
+def assert_root_is_chain(I, method="auto"):
+    for e in range(4):
+        got = frob_root(I, e, method)
+        want = chained_root(I, e, method)
+        assert got == want
+        assert got.generators == want.generators
+
+
+def test_frob_root_e_fold_matches_chain_monomial(rng):
+    for p in (2, 3):
+        R = Ring(p, ["X", "Y"])
+        for _ in range(6):
+            I = rand_monomial_ideal(R, rng, max_gens=3, max_exp=20)
+            for method in ("auto", "monomial", "elimination"):
+                assert_root_is_chain(I, method)
+
+
+def test_frob_root_e_fold_matches_chain_non_monomial(rng):
+    for p in (2, 3):
+        R = Ring(p, ["X", "Y"])
+        for _ in range(4):
+            I = rand_ideal(R, rng, 2, 3)
+            assert_root_is_chain(I)
+            assert_root_is_chain(frob_power(I, 2))
+
+
+def test_frob_root_e_fold_in_quotient_ring():
+    R = cusp_ring()
+    for I in (Ideal(R, ["U"]), frob_power(Ideal(R, ["U"]), 3), Ideal(R, ["U^3+V", "V^3"])):
+        assert_root_is_chain(I)
+    assert frob_root(frob_power(Ideal(R, ["U"]), 2), 2) == Ideal(R, ["U", "V"])
+
+
+def test_frob_root_e_zero_and_negative(R2):
+    I = Ideal(R2, ["X^2+Y"])
+    assert frob_root(I, 0) is I
+    with pytest.raises(InputError):
+        frob_root(I, -1)
+    with pytest.raises(InputError):
+        frob_power(I, -1)
 
 
 # -- F-closure ---------------------------------------------------------------------

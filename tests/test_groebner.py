@@ -4,13 +4,14 @@ fast paths against their oracles."""
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from charp import (GroebnerBudget, GroebnerBudgetExceeded, Ideal, InputError,
                    Ring, using_budget)
 from charp.frobenius import frob_root
-from charp.ideals import normal_form
+from charp.ideals import minimal_rows, normal_form
 from charp.orders import LEX, elim
 
 from conftest import (assert_same_ideal_on_box,
@@ -361,3 +362,22 @@ def test_reduced_basis_matches_sympy_oracle():
                      for (a, b, c), coef in poly.terms()]
             converted.add(str(R.from_terms(terms)))
         assert ours == converted
+
+
+# -- the monomial minimiser -----------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=9))
+def test_minimal_rows_matches_brute_force(rows):
+    """A row stays iff no other row strictly divides it and no equal row comes
+    before it; the survivors keep input order and are the input's own arrays."""
+    arrays = [np.array(r, np.int64) for r in rows]
+    want = [i for i, r in enumerate(rows)
+            if r not in rows[:i]
+            and not any(s != r and all(x <= y for x, y in zip(s, r)) for s in rows)]
+    got = minimal_rows(arrays)
+    assert [id(a) for a in got] == [id(arrays[i]) for i in want]
+    R = Ring(2, ["X", "Y", "Z"])
+    mins = Ideal(R, [R.monomial(a) for a in arrays]).minimal_monomial_exps()
+    assert sorted(map(tuple, mins.tolist())) == sorted(rows[i] for i in want)
