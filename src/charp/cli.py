@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import json
 import sys
@@ -111,7 +112,10 @@ def parse_spec(path: str) -> SpecFile:
     ring = plain
     if "quotient" in ring_sec:
         qgens = [_parse_in(plain, s, f"{path} [ring] quotient") for s in _split_list(ring_sec["quotient"])]
-        reduced = ring_sec.getboolean("reduced", fallback=False)
+        try:
+            reduced = ring_sec.getboolean("reduced", fallback=False)
+        except ValueError:
+            raise InputError("ring key 'reduced' must be true or false", f"{path} [ring]") from None
         ring = Ring(p, vars_, order, quotient=qgens, reduced=reduced)
 
     ideals: dict = {}
@@ -456,7 +460,10 @@ def _cmd_lg2(args, report: Report, spec: SpecFile) -> int:
 
 
 def _cmd_ex8(args, report: Report) -> int:
-    t_list = tuple(int(x) for x in _split_list(args.t))
+    try:
+        t_list = tuple(int(x) for x in _split_list(args.t))
+    except ValueError:
+        raise InputError(f"--t must list integers, got {args.t!r}") from None
     rep = ex8_build(args.p, args.l, t_list, args.depth)
     report.data["ring"] = _ring_json(rep.seq.ring)
     report.data["result"] = {
@@ -594,14 +601,15 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     args = ap.parse_args(argv)
-    budget = GroebnerBudget(args.budget_pairs, args.budget_terms, args.budget_degree)
     ideals_mod.reset_pair_count()
     started = time.perf_counter()
     command_echo = " ".join(["charp"] + argv)
     report = Report(command_echo)
-    report.data["budget"] = dataclasses.asdict(budget)
-    with using_budget(budget):
+    with contextlib.ExitStack() as scope:  # the handlers run inside the user's budget
         try:
+            budget = GroebnerBudget(args.budget_pairs, args.budget_terms, args.budget_degree)
+            report.data["budget"] = dataclasses.asdict(budget)
+            scope.enter_context(using_budget(budget))
             code = _dispatch(args, report)
         except (InputError, NotPPower, NonMonomial, NotContainingQuotient) as e:
             report.data["result"] = {"error": str(e), "error_kind": type(e).__name__}

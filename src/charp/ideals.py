@@ -10,6 +10,13 @@ Monomial ideals get dedicated fast paths (membership by divisibility,
 intersection by lcm, quotient by exponent subtraction); the test suite
 cross-checks them against the Buchberger route.
 
+One auxiliary-variable ring serves intersection, colon, saturation and
+radical membership: the cover of the ring with a variable T in front,
+under elim(1) (``_aux_cover``).  Intersection eliminates T from
+T*I + (1 - T)*J, saturation eliminates T from I + (1 - T*g), radical
+membership asks whether that saturation is the unit ideal, and the colon
+divides by g as a normal form modulo T*g - 1.
+
 The Groebner budget lives here and nowhere else.  Callers enter a scope
 with ``using_budget(budget)``; each basis computation reads the active
 budget when it starts (pair and degree limits) and each normal form reads
@@ -30,7 +37,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import GroebnerBudgetExceeded, InputError
-from .orders import GREVLEX, MonomialOrder, elim
+from .orders import MonomialOrder, elim
 from .poly import Polynomial, Ring
 
 pair_count = 0  # pairs processed since the last reset; reported by the CLI
@@ -286,16 +293,36 @@ def _map_poly(f: Polynomial, target: Ring, col_map: Sequence[int]) -> Polynomial
     return Polynomial(target, ee, ce, ke)
 
 
+def _project(g: Polynomial, k: int, target: Ring) -> Polynomial:
+    """g read in target through all but the first k variables of g's ring."""
+    exps = g.exps[:, k:]
+    ke, ee, ce = K.combine(target.keys_of(exps), exps, g.coeffs, target.p)
+    return Polynomial(target, ee, ce, ke)
+
+
 def _eliminate(gens: Sequence[Polynomial], ext: Ring, k: int, target: Ring) -> "Ideal":
     """The basis elements of gens in ext (an elim(k) ring) that are free of
     ext's first k variables, read in target through ext's remaining ones."""
-    out = []
-    for g in groebner_basis(gens, ext):
-        if not g.exps[:, :k].any():
-            exps = g.exps[:, k:]
-            ke, ee, ce = K.combine(target.keys_of(exps), exps, g.coeffs, target.p)
-            out.append(Polynomial(target, ee, ce, ke))
-    return Ideal(target, out)
+    return Ideal(target, [_project(g, k, target) for g in groebner_basis(gens, ext)
+                          if not g.exps[:, :k].any()])
+
+
+def _aux_cover(ring: Ring):
+    """The cover of ring with one auxiliary variable T in front, under
+    elim(1): returns that ring, T, and the map of ring's polynomials into it."""
+    cover = ring.cover()
+    (aux,) = _fresh_names(set(ring.vars), 1, "t_")
+    ext = Ring(ring.p, (aux,) + cover.vars, elim(1))
+    col = list(range(1, ext.nvars))
+    return ext, ext.var(aux), lambda f: _map_poly(f, ext, col)
+
+
+def _intersection(a: Sequence[Polynomial], b: Sequence[Polynomial], aux, target: Ring) -> "Ideal":
+    """(a) cap (b) in target: eliminate T from T*(a) + (1 - T)*(b)."""
+    ext, t, lift = aux
+    one_minus_t = ext.one() - t
+    gens = [t * lift(g) for g in a] + [one_minus_t * lift(g) for g in b]
+    return _eliminate(gens, ext, 1, target)
 
 
 # ---------------------------------------------------------------------------
@@ -429,24 +456,18 @@ class Ideal:
             return other
         if method == "auto" and other.is_unit():
             return self
-        ring = self.ring
-        cover = ring.cover()
-        (aux,) = _fresh_names(set(ring.vars), 1, "t_")
-        ext = Ring(ring.p, (aux,) + cover.vars, elim(1))
-        col = list(range(1, ext.nvars))
-        t = ext.var(aux)
-        gens = [t * _map_poly(g, ext, col) for g in self.effective_generators()]
-        one_minus_t = ext.one() - t
-        gens += [one_minus_t * _map_poly(g, ext, col) for g in other.effective_generators()]
-        return _eliminate(gens, ext, 1, ring)
+        return _intersection(self.effective_generators(), other.effective_generators(),
+                             _aux_cover(self.ring), self.ring)
 
     def quotient(self, g, method: str = "auto") -> "Ideal":
         """(self : g) for a nonzero polynomial g.
 
         Monomial route: exponent subtraction.  General route: (I cap (g)) / g
-        in the covering polynomial ring, where membership in (g) is plain
-        divisibility; in a quotient ring the preimage convention makes the
-        cover-level colon the right answer.
+        in the covering polynomial ring; in a quotient ring the preimage
+        convention makes the cover-level colon the right answer.  Each basis
+        element h of I cap (g) is divided by g as the normal form of T*h
+        modulo T*g - 1: T*h - q*(T*g - 1) = q, and no term of q is divisible
+        by the lead T*lt(g), so the remainder is the quotient q.
         """
         _check_method(method, ("auto", "monomial", "colon"))
         g = self.ring.coerce(g)
@@ -459,33 +480,27 @@ class Ideal:
             mins = self.minimal_monomial_exps()
             gens = [self.ring.monomial(np.maximum(r - vec, 0)) for r in mins]
             return Ideal(self.ring, gens)
-        cover = self.ring.cover()
-        if cover == self.ring:
-            cov_ideal = self
-            g_cov = g
-        else:
-            cov_ideal = Ideal(cover, [h._rebind(cover) for h in self.effective_generators()])
-            g_cov = g._rebind(cover)
-        inter = cov_ideal.intersect(Ideal(cover, [g_cov]))
+        aux = ext, t, lift = _aux_cover(self.ring)
+        inter = _intersection(self.effective_generators(), [g], aux, self.ring.cover())
+        divisor = [t * lift(g) - ext.one()]
         gens = []
         for h in inter.groebner():
-            q, r = h.divmod_by(g_cov)
-            if not r.is_zero():
+            q = normal_form(t * lift(h), divisor)
+            if q.exps[:, 0].any():
                 raise InputError("internal error: colon generator not divisible")
-            gens.append(q)
-        if cover == self.ring:
-            return Ideal(self.ring, gens)
-        return Ideal(self.ring, [q._rebind(self.ring) for q in gens])
+            gens.append(_project(q, 1, self.ring))
+        return Ideal(self.ring, gens)
 
     def saturate(self, g) -> "Ideal":
-        """(self : g^inf) by iterating quotients until the chain stabilises."""
+        """(self : g^inf) = (self + (1 - T*g)) cap R, one elimination of T
+        (Rabinowitsch)."""
         g = self.ring.coerce(g)
-        current = self
-        while True:
-            nxt = current.quotient(g)
-            if nxt == current:
-                return current
-            current = nxt
+        if g.is_zero():
+            raise InputError("saturation by the zero polynomial")
+        ext, t, lift = _aux_cover(self.ring)
+        gens = [lift(h) for h in self.effective_generators()]
+        gens.append(ext.one() - t * lift(g))
+        return _eliminate(gens, ext, 1, self.ring)
 
     def eliminate(self, first_k: int) -> "Ideal":
         """Intersection with the subring dropping the first k variables."""
@@ -503,19 +518,10 @@ class Ideal:
         return _eliminate([g._rebind(ext) for g in self.generators], ext, first_k, small)
 
     def in_radical(self, g) -> bool:
-        """Rabinowitsch test: g in sqrt(I) iff 1 in I + (1 - T*g)."""
+        """Rabinowitsch test: g in sqrt(I) iff 1 in I + (1 - T*g), that is,
+        iff I : g^inf is the unit ideal."""
         g = self.ring.coerce(g)
-        if g.is_zero():
-            return True
-        ring = self.ring
-        cover = ring.cover()
-        (aux,) = _fresh_names(set(ring.vars), 1, "t_")
-        ext = Ring(ring.p, (aux,) + cover.vars, GREVLEX)
-        col = list(range(1, ext.nvars))
-        gens = [_map_poly(h, ext, col) for h in self.effective_generators()]
-        gens.append(ext.one() - ext.var(aux) * _map_poly(g, ext, col))
-        basis = groebner_basis(gens, ext)
-        return len(basis) == 1 and basis[0].is_one()
+        return g.is_zero() or self.saturate(g).is_unit()
 
     # -- monomial-only helpers -----------------------------------------------
 

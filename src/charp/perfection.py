@@ -150,9 +150,6 @@ class FSequence:
         with self._lock:
             return self._memo.setdefault(n, value)
 
-    def __getitem__(self, n: int) -> Ideal:
-        return self.term(n)
-
     def __repr__(self):
         return f"FSequence[{self.describe}]"
 

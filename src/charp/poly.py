@@ -137,9 +137,6 @@ class Ring:
         exps[0, i] = 1
         return Polynomial(self, exps, np.array([1], np.int64), self.keys_of(exps))
 
-    def gens(self) -> tuple:
-        return tuple(self._var_poly(i) for i in range(self.nvars))
-
     def monomial(self, exps, coeff: int = 1) -> "Polynomial":
         """Single term; exps is a var->exponent mapping or an exponent vector."""
         vec = np.zeros(self.nvars, np.int64)
@@ -243,11 +240,6 @@ class Polynomial:
         if self.is_zero():
             return -1
         return int(self.exps.sum(axis=1).max())
-
-    def lead_exp(self) -> np.ndarray:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no lead term")
-        return self.exps[0]
 
     def lead_coeff(self) -> int:
         if self.is_zero():
@@ -373,41 +365,6 @@ class Polynomial:
                 term = term * ring.monomial(plain)
             out = out + term
         return out
-
-    def divmod_by(self, g: "Polynomial") -> tuple:
-        """(q, r) with self = q*g + r and no term of r divisible by lt(g)."""
-        if g.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if g.ring != self.ring:
-            raise InputError("mixed-ring division")
-        ring = self.ring
-        p = ring.p
-        inv_lc = ring.field.inv(g.lead_coeff())
-        glead = g.exps[0]
-        keys, exps, coeffs = self.keys, self.exps, self.coeffs
-        q_rows, q_coeffs = [], []
-        r = 0
-        while r < coeffs.shape[0]:
-            if np.all(glead <= exps[r]):
-                shift_e = exps[r] - glead
-                shift_k = keys[r] - g.keys[0]
-                qc = (int(coeffs[r]) * inv_lc) % p
-                q_rows.append(shift_e.copy())
-                q_coeffs.append(qc)
-                tk, te, tc = K.axpy(keys[r:], exps[r:], coeffs[r:],
-                                    g.keys + shift_k, g.exps + shift_e, g.coeffs,
-                                    (p - qc) % p, p)
-                keys = np.concatenate((keys[:r], tk))
-                exps = np.concatenate((exps[:r], te))
-                coeffs = np.concatenate((coeffs[:r], tc))
-            else:
-                r += 1
-        rem = Polynomial(ring, exps, coeffs, keys)
-        if q_rows:
-            quot = ring.from_terms(zip(q_rows, q_coeffs))
-        else:
-            quot = ring.zero()
-        return quot, rem
 
     # -- comparison / display -------------------------------------------------
 

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's fast paths: monomial
 membership is a plain double loop over exponent tuples, intersections are
 compared point-by-point over a finite exponent box that decides membership,
-and Frobenius roots are recomputed by exponent ceilings or by brute-force
-enumeration of small polynomials.
+Frobenius roots are recomputed by exponent ceilings or by brute-force
+enumeration of small polynomials, and saturations by iterating colons until
+the chain stops.
 """
 
 import itertools
@@ -107,6 +108,16 @@ def all_polys_up_to_degree(ring, max_total_deg):
              if sum(m) <= max_total_deg]
     for coeffs in itertools.product(range(ring.p), repeat=len(monos)):
         yield ring.from_terms([(m, c) for m, c in zip(monos, coeffs) if c])
+
+
+def oracle_saturate(I, g):
+    """I : g^inf by iterating colons until the chain stabilises."""
+    current = I
+    while True:
+        nxt = current.quotient(g)
+        if nxt == current:
+            return current
+        current = nxt
 
 
 def assert_same_ideal_on_box(I, J, pad=1):

@@ -1,6 +1,10 @@
 """Spec-file parsing, subcommand behaviour, exit codes, and report stability."""
 
+import contextlib
+import hashlib
+import io
 import json
+import os
 import pathlib
 import shlex
 
@@ -11,6 +15,7 @@ from charp.cli import main, parse_spec
 from charp.ideals import GroebnerBudget
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+README_REPORTS = ROOT / "tests" / "data" / "readme_reports.json"
 
 
 DEMO = """
@@ -155,6 +160,13 @@ def test_parse_spec_rejects_non_integer_fseq_keys(tmp_path, key, value):
         parse_spec(str(f))
 
 
+def test_parse_spec_rejects_non_boolean_reduced(tmp_path):
+    f = tmp_path / "bad.ini"
+    f.write_text("[ring]\np = 2\nvars = U, V\nquotient = V^2 + U^3\nreduced = maybe\n")
+    with pytest.raises(InputError, match=r"'reduced' must be true or false.*\[ring\]"):
+        parse_spec(str(f))
+
+
 # -- exit code matrix --------------------------------------------------------------
 
 
@@ -180,7 +192,12 @@ def test_exit_codes(demo, cusp, table, tmp_path, capsys):
     ["frob", "closure", "specs/cusp.ini", "--ideal", "u", "--max-e", "0"],
     ["frob", "closure", "specs/cusp.ini", "--ideal", "u", "--confirm", "0"],
     ["perfection", "decompose", "specs/demo.ini", "--fseq", "upstairs", "--depth", "-1"],
-], ids=["power-e", "lg2-n", "closure-max-e", "closure-confirm", "decompose-depth"])
+    ["gb", "specs/demo.ini", "--ideal", "a", "--budget-pairs", "0"],
+    ["gb", "specs/demo.ini", "--ideal", "a", "--budget-terms", "0"],
+    ["gb", "specs/demo.ini", "--ideal", "a", "--budget-degree", "0"],
+    ["ex8", "--p", "7", "--l", "2", "--t", "a", "--depth", "1"],
+], ids=["power-e", "lg2-n", "closure-max-e", "closure-confirm", "decompose-depth",
+        "budget-pairs", "budget-terms", "budget-degree", "ex8-t"])
 def test_bad_numbers_are_input_errors(argv, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     code, data = run_json(capsys, *argv)
@@ -191,9 +208,13 @@ def test_bad_numbers_are_input_errors(argv, monkeypatch, capsys):
 # -- budgets ---------------------------------------------------------------------
 
 
-def _readme_commands():
+def _readme_lines():
     text = (ROOT / "README.md").read_text()
-    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("charp ")]
+    return [line for line in text.splitlines() if line.startswith("charp ")]
+
+
+def _readme_commands():
+    return [shlex.split(line)[1:] for line in _readme_lines()]
 
 
 def test_every_basis_runs_under_the_user_budget(monkeypatch, capsys):
@@ -337,6 +358,30 @@ def test_json_reports_byte_identical(demo, capsys):
     assert first == second
 
 
+def _readme_report_hashes() -> list:
+    """sha256 of the --json report and of the text output of every README
+    `charp ...` line, run in-process from the repository root."""
+    out = []
+    for line in _readme_lines():
+        entry = {"line": line}
+        for kind, extra in (("json", ["--json"]), ("text", [])):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                main(shlex.split(line)[1:] + extra)
+            entry[f"{kind}_sha256"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        out.append(entry)
+    return out
+
+
+def test_readme_reports_match_recorded_hashes(monkeypatch):
+    """A change that alters a README report on purpose regenerates
+    tests/data/readme_reports.json (PYTHONPATH=src python tests/test_cli.py)."""
+    monkeypatch.chdir(ROOT)
+    recorded = json.loads(README_REPORTS.read_text())
+    assert len(recorded) >= 10
+    assert _readme_report_hashes() == recorded
+
+
 def test_print_parse_round_trip_via_reports(demo, capsys):
     spec = parse_spec(demo)
     code, data = run_json(capsys, "gb", demo, "--ideal", "a")
@@ -350,3 +395,8 @@ def test_timing_flag_fills_timing(demo, capsys):
     code, data = run_json(capsys, "gb", demo, "--ideal", "a", "--timing")
     assert code == 0
     assert isinstance(data["timing_ms"], float)
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    README_REPORTS.write_text(json.dumps(_readme_report_hashes(), indent=2) + "\n")

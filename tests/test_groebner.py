@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charp import (GroebnerBudget, GroebnerBudgetExceeded, Ideal, InputError,
-                   Ring, using_budget)
+                   Ring, ideals, using_budget)
 from charp.frobenius import frob_root
 from charp.ideals import minimal_rows, normal_form
 from charp.orders import LEX, elim
 
 from conftest import (assert_same_ideal_on_box,
-                      monomial_gen_exps, oracle_mono_member,
+                      monomial_gen_exps, oracle_mono_member, oracle_saturate,
                       oracle_poly_member_monomial, rand_ideal,
                       rand_monomial_ideal, rand_poly)
 
@@ -191,6 +191,70 @@ def test_saturate_one_step_example(R2):
     q1 = I.quotient(R2.parse("Y"))
     assert q1 == Ideal(R2, ["X"])
     assert q1.quotient(R2.parse("Y")) == q1
+
+
+def _colon_rings():
+    plain = Ring(2, ["U", "V"])
+    return {
+        "grevlex-p2": Ring(2, ["X", "Y"]),
+        "grevlex-p3": Ring(3, ["X", "Y"]),
+        "lex-p3": Ring(3, ["X", "Y"], LEX),
+        "cusp": Ring(2, ["U", "V"], quotient=[plain.parse("V^2+U^3")], reduced=True),
+    }
+
+
+@pytest.mark.parametrize("name", ["lex-p3", "cusp"])
+def test_colon_membership_in_lex_and_quotient_rings(name, rng):
+    R = _colon_rings()[name]
+    for _ in range(6):
+        I = rand_ideal(R, rng, 2, 3)
+        g = rand_poly(R, rng, 2, 2)
+        if g.is_zero():
+            continue
+        Q = I.quotient(g, method="colon")
+        for _ in range(10):
+            r = rand_poly(R, rng, 2, 3, allow_zero=True)
+            assert Q.contains(r) == I.contains(r * g)
+
+
+@pytest.mark.parametrize("name", list(_colon_rings()))
+def test_saturate_and_in_radical_match_colon_chain_oracle(name, rng):
+    R = _colon_rings()[name]
+    for _ in range(8):
+        I = rand_ideal(R, rng, 2, 3)
+        g = rand_poly(R, rng, 2, 2)
+        if g.is_zero():
+            continue
+        S = oracle_saturate(I, g)
+        assert I.saturate(g) == S
+        assert I.in_radical(g) == S.is_unit()
+
+
+def test_saturate_by_zero_is_rejected(R2):
+    with pytest.raises(InputError):
+        Ideal(R2, ["X*Y"]).saturate(0)
+
+
+@pytest.mark.parametrize("name, gens, g", [
+    ("grevlex-p2", ["X^2*Y", "X*Y^3"], "Y"),
+    ("lex-p3", ["X^2*Y + X*Y", "Y^3"], "X + Y"),
+    ("cusp", ["U*V"], "U"),
+])
+def test_saturate_computes_one_basis(name, gens, g, monkeypatch):
+    R = _colon_rings()[name]
+    I = Ideal(R, gens)
+    calls = []
+    run = ideals._Buchberger.run
+
+    def spy(self, gens):
+        calls.append(self.ring)
+        return run(self, gens)
+
+    monkeypatch.setattr(ideals._Buchberger, "run", spy)
+    S = I.saturate(g)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert S == oracle_saturate(I, R.coerce(g))
 
 
 # -- elimination and radical membership ----------------------------------------------
