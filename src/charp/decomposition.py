@@ -203,9 +203,13 @@ def localize_contract(I: Ideal, prime: Ideal, s_hint: Optional[Polynomial] = Non
     Monomial fast path: substituting 1 for every variable outside a monomial
     prime inverts them, which is exactly extension-contraction.  Otherwise a
     caller-supplied multiplier s outside the prime drives a saturation that
-    kills the components not inside it.
+    kills the components not inside it.  A hint inside the prime raises
+    InputError.  When I lies in the prime the result must be proper; in a
+    polynomial ring a monomial result must be primary to the prime.
     """
     ring = I.ring
+    if s_hint is not None and prime.contains(s_hint):
+        raise InputError(f"localisation hint {s_hint} lies in the prime")
     if I.is_monomial() and prime.is_monomial():
         inside = set(_monomial_prime_vars(prime))
         outside = {v: 1 for i, v in enumerate(ring.vars) if i not in inside}
@@ -214,8 +218,14 @@ def localize_contract(I: Ideal, prime: Ideal, s_hint: Optional[Polynomial] = Non
     if s_hint is None:
         raise NonMonomial("general localisation needs a multiplier hint")
     result = I.saturate(s_hint)
-    if result.is_monomial():
-        deco = decompose_monomial(result)
+    if result.is_unit():
+        if prime.contains_ideal(I):
+            raise IdentityFailure(result, "saturation hint gave the unit ideal "
+                                          "from an ideal inside the prime")
+        return result
+    basis = result.groebner()
+    if not ring.is_quotient() and all(g.is_monomial() for g in basis):
+        deco = decompose_monomial(Ideal(ring, basis))
         if len(deco.components) != 1 or deco.components[0].radical != prime:
             raise IdentityFailure(result, "saturation hint did not isolate the prime")
     return result

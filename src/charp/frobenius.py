@@ -1,12 +1,22 @@
 """Frobenius powers, Frobenius roots, and F-closure for ideals.
 
 The Frobenius power I^[p^e] is generated by the p^e-th powers of the
-generators.  The Frobenius root is the preimage {r : r^p in I}, computed by
-p-power elimination: over F_p, r(X)^p = r(X_1^p, ..., X_d^p), so adjoining
-fresh variables with relations fresh_i - X_i^p and eliminating the X_i
-leaves exactly the root, in plain and quotient rings alike.  Monomial
-ideals take the exponent-ceiling shortcut, cross-checked in the tests.  The
-e-fold root {r : r^(p^e) in I} is e single roots in a row.
+generators.  The Frobenius root is the preimage {r : r^p in I}, taken by
+the first of three routes that applies:
+
+- monomial: a monomial ideal (X^a) has the root (X^ceil(a/p));
+- flat: in a polynomial ring whose ideal is generated by p-th powers g_i^p,
+  the root is (g_1, ..., g_k), because the Frobenius of a polynomial ring
+  over F_p is flat (Kunz 1969, "Characterizations of regular local rings of
+  characteristic p", Amer. J. Math. 91), so F^{-1}(J^[p]) = J;
+- elimination: over F_p, r(X)^p = r(X_1^p, ..., X_d^p), so adjoining fresh
+  variables with relations fresh_i - X_i^p and eliminating the X_i leaves
+  exactly the root, in plain and quotient rings alike.  Quotient rings
+  always take this route: the preimage carries the quotient generators, and
+  the Frobenius need not be flat there (the cusp).
+
+The routes are cross-checked against each other in the tests.  The e-fold
+root {r : r^(p^e) in I} is e single roots in a row.
 
 The F-closure of b is the union over n of the n-fold roots of b^[p^n]; the
 chain of those ideals ascends, and we stop after a configurable number of
@@ -37,11 +47,16 @@ def frob_power(I: Ideal, e: int) -> Ideal:
 def frob_root(I: Ideal, e: int = 1, method: str = "auto") -> Ideal:
     """The e-fold root {r : r^(p^e) in I}, taken as e single roots.
 
-    Each single root is a p-power elimination, or the exponent-ceiling
-    shortcut when that step's ideal is monomial; ``method`` ("monomial" /
-    "elimination") pins the route of every step for cross-checking.
+    Each step takes the first route that applies to its ideal: the
+    exponent-ceiling shortcut when it is monomial, the generator-wise p-th
+    roots when the ring is a polynomial ring and every generator is a p-th
+    power (flatness of the Frobenius, Kunz), and a p-power elimination
+    otherwise.  A p^e-th power is a p-th power at every step, so the root of
+    I^[p^e] in a polynomial ring computes no basis.  ``method``
+    ("monomial" / "flat" / "elimination") pins the route of every step for
+    cross-checking; a pinned route that does not apply raises InputError.
     """
-    _check_method(method, ("auto", "monomial", "elimination"))
+    _check_method(method, ("auto", "monomial", "flat", "elimination"))
     if e < 0:
         raise InputError(f"Frobenius root wants e >= 0, got {e}")
     for _ in range(e):
@@ -60,6 +75,13 @@ def _frob_root_once(I: Ideal, method: str) -> Ideal:
         if not I.is_monomial():
             raise InputError("monomial root shortcut on a non-monomial ideal")
         return _frob_root_monomial(I)
+    if method in ("auto", "flat"):
+        roots = None if ring.is_quotient() else _p_roots(I.generators)
+        if roots is not None:
+            return Ideal(ring, roots)
+        if method == "flat":
+            raise InputError("flat root on a quotient ring or a generator "
+                             "that is not a p-th power")
     d = ring.nvars
     fresh = _fresh_names(set(ring.vars), d, "r_")
     ext = Ring(ring.p, ring.vars + tuple(fresh), elim(d))
@@ -67,6 +89,17 @@ def _frob_root_once(I: Ideal, method: str) -> Ideal:
     for i in range(d):
         gens.append(ext.var(fresh[i]) - ext.var(ring.vars[i]).frobenius(1))
     return _eliminate(gens, ext, d, ring)
+
+
+def _p_roots(gens) -> Optional[list]:
+    """The p-th root of every generator, or None at the first that has none."""
+    roots = []
+    for g in gens:
+        r = g.try_p_root()
+        if r is None:
+            return None
+        roots.append(r)
+    return roots
 
 
 def _frob_root_monomial(I: Ideal) -> Ideal:

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from charp import Ideal
+from charp import Ideal, Ring
 
 
 @pytest.fixture
@@ -47,6 +47,12 @@ def rand_ideal(ring, rng, max_gens=3, max_total_deg=4):
         gens = [rand_poly(ring, rng, 3, max_total_deg) for _ in range(rng.randint(1, max_gens))]
         gens = [g for g in gens if not g.is_zero()]
     return Ideal(ring, gens)
+
+
+def cusp_ring():
+    """The coordinate ring of the cuspidal cubic V^2 + U^3 over F_2."""
+    plain = Ring(2, ["U", "V"])
+    return Ring(2, ["U", "V"], quotient=[plain.parse("V^2+U^3")], reduced=True)
 
 
 def rand_monomial_ideal(ring, rng, max_gens=4, max_exp=6):

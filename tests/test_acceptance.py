@@ -71,6 +71,14 @@ def test_criterion_02_regular_f_closedness():
             assert res.stabilized_at == 0
 
 
+def test_criteria_01_02_corpora_by_elimination():
+    """Criteria 1 and 2 take the flat root; pin the elimination route on
+    their corpora so the Kunz identity keeps checking it too."""
+    for I in _corpus() + _corpus(seed=13):
+        for n in (1, 2):
+            assert frob_root(frob_power(I, n), n, method="elimination") == I
+
+
 def test_criterion_03_cusp_counterexample():
     with _Criterion(3, "non-regular counterexample with emitted witness", 5):
         plain = Ring(2, ["U", "V"])

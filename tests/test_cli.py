@@ -205,6 +205,19 @@ def test_bad_numbers_are_input_errors(argv, monkeypatch, capsys):
     assert data["result"]["error_kind"] == "InputError"
 
 
+# U + 1 is a valid hint; the localised terms then break the root law in the cusp
+@pytest.mark.parametrize("shint, code", [("V", 2), ("U", 2), ("U + 1", 1)])
+def test_localize_contract_hint_inside_prime_exits_2_from_a_spec(shint, code, tmp_path, capsys):
+    spec = tmp_path / "loc.ini"
+    spec.write_text(CUSP + "\n[ideal m]\ngens = U, V\n\n[fseq s]\nkind = frobenius-powers\n"
+                    "ideal = u\n\n[fseq loc]\nkind = localize-contract\ninner = s\n"
+                    f"prime = m\nshint = {shint}\n")
+    got, data = run_json(capsys, "fseq", "verify", str(spec), "--fseq", "loc", "--depth", "1")
+    assert got == code
+    if code == 2:
+        assert data["result"]["error_kind"] == "InputError"
+
+
 # -- budgets ---------------------------------------------------------------------
 
 

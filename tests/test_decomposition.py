@@ -15,8 +15,8 @@ from charp.errors import DistinctLambdaExhausted
 from charp.frobenius import frob_power
 from charp.perfection import FSequence, PerfectionElement, PerfectionIdeal
 
-from conftest import (membership_box, monomial_gen_exps, oracle_mono_member,
-                      rand_monomial_ideal)
+from conftest import (cusp_ring, membership_box, monomial_gen_exps,
+                      oracle_mono_member, rand_monomial_ideal)
 
 
 @pytest.fixture
@@ -191,6 +191,37 @@ def test_localize_contract_saturation_fallback(R2):
 def test_localize_contract_needs_hint_for_non_monomial(R2):
     with pytest.raises(NonMonomial):
         localize_contract(Ideal(R2, ["X^2+Y"]), Ideal(R2, ["X"]))
+
+
+def test_localize_contract_rejects_hint_inside_prime(R2):
+    R = cusp_ring()
+    I, P = Ideal(R, ["U"]), Ideal(R, ["U", "V"])
+    for hint in ("V", "U", "U*V + V"):
+        with pytest.raises(InputError):
+            localize_contract(I, P, s_hint=R.parse(hint))
+    assert localize_contract(I, P, s_hint=R.parse("U + 1")) == Ideal(R, ["U", "V^2"])
+    with pytest.raises(InputError):
+        localize_contract(Ideal(R2, ["X^2", "X*Y"]), Ideal(R2, ["X"]), s_hint=R2.parse("X"))
+
+
+def test_localize_contract_unit_result():
+    # (U, V^2) is not prime: V lies outside it, yet V^2 lies in (U)
+    R = cusp_ring()
+    with pytest.raises(IdentityFailure):
+        localize_contract(Ideal(R, ["U"]), Ideal(R, ["U", "V^2"]), s_hint=R.parse("V"))
+    # an ideal outside the prime localises to the unit ideal
+    R2 = Ring(2, ["X", "Y"])
+    got = localize_contract(Ideal(R2, ["X^2 + Y^2 + 1"]), Ideal(R2, ["X"]),
+                            s_hint=R2.parse("X + Y + 1"))
+    assert got.is_unit()
+
+
+def test_localize_contract_isolation_reads_the_basis(R2):
+    # (X^2, X*Y + X^2) is the monomial ideal (X^2, X*Y) with other generators
+    I = Ideal(R2, ["X^2", "X*Y + X^2"])
+    assert localize_contract(I, Ideal(R2, ["X"]), s_hint=R2.parse("Y")) == Ideal(R2, ["X"])
+    with pytest.raises(IdentityFailure):
+        localize_contract(I, Ideal(R2, ["X"]), s_hint=R2.parse("Y + 1"))
 
 
 # -- linear growth ------------------------------------------------------------------

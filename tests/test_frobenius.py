@@ -1,22 +1,19 @@
 """Frobenius powers, roots, and F-closure, with their oracles."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from charp import DepthExceeded, Ideal, InputError, Ring
+from charp import DepthExceeded, Ideal, InputError, Ring, ideals
 from charp.frobenius import f_closure, frob_power, frob_root, is_f_closed
+from charp.orders import GREVLEX, LEX
 
-from conftest import (all_polys_up_to_degree, monomial_gen_exps,
+from conftest import (all_polys_up_to_degree, cusp_ring, monomial_gen_exps,
                       oracle_ceiling_root, rand_ideal, rand_monomial_ideal)
 
 
 @pytest.fixture
 def R2():
     return Ring(2, ["X", "Y"])
-
-
-def cusp_ring():
-    plain = Ring(2, ["U", "V"])
-    return Ring(2, ["U", "V"], quotient=[plain.parse("V^2+U^3")], reduced=True)
 
 
 # -- frob_power -----------------------------------------------------------------
@@ -153,6 +150,77 @@ def test_frob_root_e_zero_and_negative(R2):
         frob_root(I, -1)
     with pytest.raises(InputError):
         frob_power(I, -1)
+
+
+# -- the flat route ------------------------------------------------------------------
+
+
+def _polys(ring, max_deg=2):
+    """Nonzero polynomials of a few terms with exponents up to max_deg."""
+    term = st.tuples(st.tuples(*[st.integers(0, max_deg)] * ring.nvars),
+                     st.integers(1, ring.p - 1))
+    return (st.lists(term, min_size=1, max_size=3).map(ring.from_terms)
+            .filter(lambda g: not g.is_zero()))
+
+
+def _is_power(g, q):
+    return not (g.exps % q).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_flat_route_matches_elimination_and_chain(data):
+    """In a polynomial ring every route agrees; roots of a Frobenius power
+    give the ideal back (Kunz), and a non-power generator bars the flat pin."""
+    p = data.draw(st.sampled_from((2, 3)), label="p")
+    order = data.draw(st.sampled_from((GREVLEX, LEX)), label="order")
+    e = data.draw(st.integers(0, 3), label="e")
+    R = Ring(p, ["X", "Y"], order)
+    base = Ideal(R, data.draw(st.lists(_polys(R), min_size=1, max_size=2), label="base"))
+    I = frob_power(base, e)
+    mixed = data.draw(st.booleans(), label="mixed")
+    if mixed:
+        I = Ideal(R, I.generators + (data.draw(_polys(R), label="extra"),))
+    want = frob_root(I, e, "elimination")
+    got = frob_root(I, e)
+    assert got == want
+    assert got.generators == chained_root(I, e).generators
+    if not mixed:
+        assert want == base
+    if e == 0 or all(_is_power(g, p ** e) for g in I.generators):
+        assert frob_root(I, e, "flat") == want
+    else:
+        with pytest.raises(InputError):
+            frob_root(I, e, "flat")
+
+
+def test_flat_pin_rejects_quotient_rings_and_non_powers():
+    R = cusp_ring()
+    P = frob_power(Ideal(R, ["U"]), 1)
+    assert all(_is_power(g, 2) for g in P.generators)
+    with pytest.raises(InputError):
+        frob_root(P, method="flat")
+    R2 = Ring(2, ["X", "Y"])
+    with pytest.raises(InputError):
+        frob_root(Ideal(R2, ["X^2", "X + Y"]), method="flat")
+
+
+def test_root_of_frobenius_power_computes_no_basis(monkeypatch):
+    R = Ring(3, ["X", "Y", "Z"])
+    I = Ideal(R, ["X^2 + Y*Z", "Y^3 - X*Z"])
+    P = frob_power(I, 2)
+    calls = []
+    run = ideals._Buchberger.run
+
+    def spy(self, gens):
+        calls.append(self.ring)
+        return run(self, gens)
+
+    monkeypatch.setattr(ideals._Buchberger, "run", spy)
+    root = frob_root(P, 2)
+    assert calls == []
+    monkeypatch.undo()
+    assert root.generators == I.generators
 
 
 # -- F-closure ---------------------------------------------------------------------

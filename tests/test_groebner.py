@@ -337,10 +337,11 @@ ROUTES = {
     "contains": (("auto", "monomial", "groebner"), lambda I, J, m: I.contains("X", method=m)),
     "intersect": (("auto", "monomial", "elimination"), lambda I, J, m: I.intersect(J, method=m)),
     "quotient": (("auto", "monomial", "colon"), lambda I, J, m: I.quotient("X", method=m)),
-    "frob_root": (("auto", "monomial", "elimination"), lambda I, J, m: frob_root(I, method=m)),
+    "frob_root": (("auto", "monomial", "flat", "elimination"), lambda I, J, m: frob_root(I, method=m)),
 }
 # typos, near misses, and the routes of the other operations
-NEAR_MISSES = ["", "Auto", " auto", "auto ", "Monomial", "groebner", "elimination", "colon"]
+NEAR_MISSES = ["", "Auto", " auto", "auto ", "Monomial", "groebner", "elimination", "colon",
+               "flat"]
 
 
 @settings(max_examples=30, deadline=None)
