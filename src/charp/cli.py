@@ -32,6 +32,7 @@ import argparse
 import configparser
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -45,7 +46,7 @@ from .errors import (CertificateFailure, CharpError, DepthExceeded,
                      GroebnerBudgetExceeded, IdentityFailure, InputError,
                      NonMonomial, NotContainingQuotient, NotPPower)
 from .frobenius import f_closure, frob_power, frob_root
-from .ideals import GroebnerBudget, Ideal, using_budget
+from .ideals import DEFAULT_BUDGET, GroebnerBudget, Ideal, using_budget
 from .orders import parse_order
 from .perfection import FSequence, PerfectionElement, PerfectionIdeal
 from .poly import Polynomial, Ring
@@ -501,98 +502,94 @@ def _cmd_ex8(args, report: Report) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub.add_argument("--timing", action="store_true",
-                     help="fill timing_ms (off by default to keep reports byte-stable)")
-    sub.add_argument("--budget-pairs", type=int, default=GroebnerBudget().max_pairs)
-    sub.add_argument("--budget-terms", type=int, default=GroebnerBudget().max_poly_terms)
-    sub.add_argument("--budget-degree", type=int, default=GroebnerBudget().max_degree)
-
-
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The charp argument parser, built once per process on first use.
+
+    ``parse_args`` leaves a parser unchanged, so every ``main`` call shares
+    this one; callers must not add to it.  Arguments that several
+    subcommands take are declared once, on parent parsers: the common
+    flags, ``spec``, and ``spec`` with ``--ideal``.
+    """
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="emit a JSON report")
+    common.add_argument("--timing", action="store_true",
+                        help="fill timing_ms (off by default to keep reports byte-stable)")
+    common.add_argument("--budget-pairs", type=int, default=DEFAULT_BUDGET.max_pairs)
+    common.add_argument("--budget-terms", type=int, default=DEFAULT_BUDGET.max_poly_terms)
+    common.add_argument("--budget-degree", type=int, default=DEFAULT_BUDGET.max_degree)
+    on_spec = argparse.ArgumentParser(add_help=False, parents=[common])
+    on_spec.add_argument("spec")
+    on_ideal = argparse.ArgumentParser(add_help=False, parents=[on_spec])
+    on_ideal.add_argument("--ideal", required=True)
+
     ap = argparse.ArgumentParser(prog="charp",
                                  description="exact characteristic-p ideal computations")
     top = ap.add_subparsers(dest="command", required=True)
 
-    g = top.add_parser("gb", help="reduced groebner basis of a named ideal")
-    g.add_argument("spec")
-    g.add_argument("--ideal", required=True)
-    _add_common(g)
+    g = top.add_parser("gb", parents=[on_ideal], help="reduced groebner basis of a named ideal")
+    g.set_defaults(run=_cmd_gb)
 
     frob = top.add_parser("frob", help="frobenius power / root / closure")
     fsub = frob.add_subparsers(dest="frob_command", required=True)
-    fp = fsub.add_parser("power")
-    fp.add_argument("spec")
-    fp.add_argument("--ideal", required=True)
+    fp = fsub.add_parser("power", parents=[on_ideal])
     fp.add_argument("--e", type=int, required=True)
-    _add_common(fp)
-    fr = fsub.add_parser("root")
-    fr.add_argument("spec")
-    fr.add_argument("--ideal", required=True)
-    _add_common(fr)
-    fc = fsub.add_parser("closure")
-    fc.add_argument("spec")
-    fc.add_argument("--ideal", required=True)
+    fp.set_defaults(run=_cmd_frob_power)
+    fsub.add_parser("root", parents=[on_ideal]).set_defaults(run=_cmd_frob_root)
+    fc = fsub.add_parser("closure", parents=[on_ideal])
     fc.add_argument("--max-e", type=int, default=10, dest="max_e")
     fc.add_argument("--confirm", type=int, default=2)
-    _add_common(fc)
+    fc.set_defaults(run=_cmd_frob_closure)
 
-    d = top.add_parser("decompose", help="minimal primary decomposition (monomial)")
-    d.add_argument("spec")
-    d.add_argument("--ideal", required=True)
-    _add_common(d)
+    d = top.add_parser("decompose", parents=[on_ideal],
+                       help="minimal primary decomposition (monomial)")
+    d.set_defaults(run=_cmd_decompose)
 
     fseq = top.add_parser("fseq", help="verify or certify growth of an f-sequence")
     ssub = fseq.add_subparsers(dest="fseq_command", required=True)
-    sv = ssub.add_parser("verify")
-    sv.add_argument("spec")
+    sv = ssub.add_parser("verify", parents=[on_spec])
     sv.add_argument("--fseq", required=True)
     sv.add_argument("--depth", type=int, required=True)
-    _add_common(sv)
-    sg = ssub.add_parser("growth")
-    sg.add_argument("spec")
+    sv.set_defaults(run=_cmd_fseq_verify)
+    sg = ssub.add_parser("growth", parents=[on_spec])
     sg.add_argument("--fseq", required=True)
     hgroup = sg.add_mutually_exclusive_group(required=True)
     hgroup.add_argument("--h", type=int)
     hgroup.add_argument("--find-h", action="store_true", dest="find_h")
     sg.add_argument("--depth", type=int, required=True)
-    _add_common(sg)
+    sg.set_defaults(run=_cmd_fseq_growth)
 
     perf = top.add_parser("perfection", help="perfect-closure membership / decomposition")
     psub = perf.add_subparsers(dest="perfection_command", required=True)
-    pm = psub.add_parser("member")
-    pm.add_argument("spec")
+    pm = psub.add_parser("member", parents=[on_spec])
     pm.add_argument("--fseq")
     pm.add_argument("--ideal")
     pm.add_argument("--k", type=int, default=0)
     pm.add_argument("--elem", required=True)
     pm.add_argument("--root", type=int, required=True,
                     help="depth M: the element is elem^(1/p^M)")
-    _add_common(pm)
-    pd = psub.add_parser("decompose")
-    pd.add_argument("spec")
+    pm.set_defaults(run=_cmd_perfection_member)
+    pd = psub.add_parser("decompose", parents=[on_spec])
     pd.add_argument("--fseq")
     pd.add_argument("--ideal")
     pd.add_argument("--k", type=int, default=0)
     pd.add_argument("--depth", type=int, default=3)
-    _add_common(pd)
+    pd.set_defaults(run=_cmd_perfection_decompose)
 
-    lg = top.add_parser("lg2", help="decompose a frobenius power through localized components")
-    lg.add_argument("spec")
-    lg.add_argument("--ideal", required=True)
+    lg = top.add_parser("lg2", parents=[on_ideal],
+                        help="decompose a frobenius power through localized components")
     lg.add_argument("--primes", required=True, help="comma-separated ideal names")
     lg.add_argument("--h", type=int, required=True)
     lg.add_argument("--n", type=int, required=True)
     lg.add_argument("--mode", choices=("plain", "fclosure", "seqterm"), default="plain")
-    _add_common(lg)
+    lg.set_defaults(run=_cmd_lg2)
 
-    e8 = top.add_parser("ex8", help="build the escalating-associated-primes family")
+    e8 = top.add_parser("ex8", parents=[common],
+                        help="build the escalating-associated-primes family")
     e8.add_argument("--p", type=int, required=True)
     e8.add_argument("--l", type=int, required=True)
     e8.add_argument("--t", required=True, help="comma-separated multiplicities")
     e8.add_argument("--depth", type=int, required=True)
-    _add_common(e8)
 
     return ap
 
@@ -651,23 +648,7 @@ def _dispatch(args, report: Report) -> int:
         return _cmd_ex8(args, report)
     spec = parse_spec(args.spec)
     report.data["ring"] = _ring_json(spec.ring)
-    if args.command == "gb":
-        return _cmd_gb(args, report, spec)
-    if args.command == "frob":
-        return {"power": _cmd_frob_power, "root": _cmd_frob_root,
-                "closure": _cmd_frob_closure}[args.frob_command](args, report, spec)
-    if args.command == "decompose":
-        return _cmd_decompose(args, report, spec)
-    if args.command == "fseq":
-        return {"verify": _cmd_fseq_verify,
-                "growth": _cmd_fseq_growth}[args.fseq_command](args, report, spec)
-    if args.command == "perfection":
-        return {"member": _cmd_perfection_member,
-                "decompose": _cmd_perfection_decompose}[args.perfection_command](
-                    args, report, spec)
-    if args.command == "lg2":
-        return _cmd_lg2(args, report, spec)
-    raise InputError(f"unknown command {args.command!r}")  # pragma: no cover
+    return args.run(args, report, spec)
 
 
 if __name__ == "__main__":

@@ -204,8 +204,10 @@ def localize_contract(I: Ideal, prime: Ideal, s_hint: Optional[Polynomial] = Non
     prime inverts them, which is exactly extension-contraction.  Otherwise a
     caller-supplied multiplier s outside the prime drives a saturation that
     kills the components not inside it.  A hint inside the prime raises
-    InputError.  When I lies in the prime the result must be proper; in a
-    polynomial ring a monomial result must be primary to the prime.
+    InputError.  The contraction is either the unit ideal or lies in the
+    prime, so a proper result outside the prime raises IdentityFailure; when
+    I lies in the prime the result must be proper; in a polynomial ring a
+    monomial result must be primary to the prime.
     """
     ring = I.ring
     if s_hint is not None and prime.contains(s_hint):
@@ -223,6 +225,8 @@ def localize_contract(I: Ideal, prime: Ideal, s_hint: Optional[Polynomial] = Non
             raise IdentityFailure(result, "saturation hint gave the unit ideal "
                                           "from an ideal inside the prime")
         return result
+    if not prime.contains_ideal(result):
+        raise IdentityFailure(result, "saturation hint did not isolate the prime")
     basis = result.groebner()
     if not ring.is_quotient() and all(g.is_monomial() for g in basis):
         deco = decompose_monomial(Ideal(ring, basis))

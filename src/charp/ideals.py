@@ -31,13 +31,13 @@ import heapq
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _kernels as K
 from .errors import GroebnerBudgetExceeded, InputError
-from .orders import MonomialOrder, elim
+from .orders import elim
 from .poly import Polynomial, Ring
 
 pair_count = 0  # pairs processed since the last reset; reported by the CLI
@@ -331,16 +331,17 @@ def _intersection(a: Sequence[Polynomial], b: Sequence[Polynomial], aux, target:
 
 
 class Ideal:
-    """Immutable ideal with a per-order cache of reduced Groebner bases."""
+    """Immutable ideal with a cached reduced Groebner basis."""
 
-    __slots__ = ("ring", "generators", "_gb_cache", "_packed")
+    __slots__ = ("ring", "generators", "_gb_cache", "_packed", "_min_exps")
 
     def __init__(self, ring: Ring, gens: Sequence):
         self.ring = ring
         coerced = (ring.coerce(g) for g in gens)
         self.generators = tuple(dict.fromkeys(g for g in coerced if not g.is_zero()))
-        self._gb_cache = {}
+        self._gb_cache = None
         self._packed = None  # packed basis under ring.order, for membership
+        self._min_exps = None  # minimal monomial generators, read-only
 
     # -- basics ---------------------------------------------------------------
 
@@ -348,22 +349,11 @@ class Ideal:
         """User generators plus the ring's quotient generators (preimage view)."""
         return self.generators + self.ring.quotient
 
-    def groebner(self, order: Optional[MonomialOrder] = None) -> tuple:
-        order = order or self.ring.order
-        cached = self._gb_cache.get(order)
-        if cached is None:
-            if order == self.ring.order:
-                work = self.ring
-                gens = self.effective_generators()
-            else:
-                work = Ring(self.ring.p, self.ring.vars, order)
-                gens = tuple(g._rebind(work) for g in self.effective_generators())
-            basis = groebner_basis(gens, work)
-            if order != self.ring.order:
-                basis = tuple(g._rebind(self.ring) for g in basis)
-            cached = basis
-            self._gb_cache[order] = cached  # write-once; idempotent on races
-        return cached
+    def groebner(self) -> tuple:
+        """The reduced Groebner basis under the ring's order, computed once."""
+        if self._gb_cache is None:
+            self._gb_cache = groebner_basis(self.effective_generators(), self.ring)
+        return self._gb_cache
 
     def _packed_gb(self):
         if self._packed is None:
@@ -400,15 +390,23 @@ class Ideal:
                 and all(g.is_monomial() for g in self.generators))
 
     def minimal_monomial_exps(self) -> np.ndarray:
-        """Minimal monomial generating exponents, canonically sorted."""
-        if not self.is_monomial():
-            raise InputError("not a monomial ideal")
-        keep = minimal_rows([g.exps[0] for g in self.generators])
-        if not keep:
-            return np.empty((0, self.ring.nvars), np.int64)
-        arr = np.stack(keep)
-        order = np.lexsort(arr.T[::-1])
-        return arr[order]
+        """Minimal monomial generating exponents, canonically sorted.
+
+        Computed once per ideal; the array is read-only because every call
+        returns the same one.
+        """
+        if self._min_exps is None:
+            if not self.is_monomial():
+                raise InputError("not a monomial ideal")
+            keep = minimal_rows([g.exps[0] for g in self.generators])
+            if keep:
+                arr = np.stack(keep)
+                arr = arr[np.lexsort(arr.T[::-1])]
+            else:
+                arr = np.empty((0, self.ring.nvars), np.int64)
+            arr.flags.writeable = False
+            self._min_exps = arr
+        return self._min_exps
 
     def contains(self, g, method: str = "auto") -> bool:
         """Membership by normal form; monomial ideals use divisibility.

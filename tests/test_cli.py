@@ -1,17 +1,19 @@
 """Spec-file parsing, subcommand behaviour, exit codes, and report stability."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
 import pathlib
+import re
 import shlex
 
 import pytest
 
 from charp import InputError, ideals
-from charp.cli import main, parse_spec
+from charp.cli import build_parser, main, parse_spec
 from charp.ideals import GroebnerBudget
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -393,6 +395,94 @@ def test_readme_reports_match_recorded_hashes(monkeypatch):
     recorded = json.loads(README_REPORTS.read_text())
     assert len(recorded) >= 10
     assert _readme_report_hashes() == recorded
+
+
+# -- the shared parser ------------------------------------------------------------
+
+# one process, one parser: parse errors, input errors and budget stops in between
+REUSE_SEQUENCE = [
+    (["gb", "specs/demo.ini", "--ideal", "a", "--json"], 0),
+    (["frob", "closure", "specs/cusp.ini", "--ideal", "u", "--json"], 0),
+    (["gb", "specs/demo.ini"], 2),
+    (["fseq", "growth", "specs/demo.ini", "--fseq", "powers", "--h", "2", "--depth", "2"], 0),
+    (["fseq", "growth", "specs/demo.ini", "--fseq", "powers", "--find-h", "--depth", "2",
+      "--json"], 0),
+    (["gb", "specs/demo.ini", "--ideal", "nope", "--json"], 2),
+    (["frob", "power", "specs/demo.ini", "--ideal", "a", "--e", "2", "--budget-degree", "3",
+      "--json"], 3),
+    (["decompose", "specs/demo.ini", "--ideal", "a"], 0),
+    (["perfection", "member", "specs/demo.ini", "--ideal", "a", "--elem", "X^4", "--root", "1",
+      "--json"], 0),
+    (["ex8", "--p", "5", "--l", "2", "--t", "1,1", "--depth", "1", "--json"], 0),
+    (["frob", "root", "specs/demo.ini", "--ideal", "a", "--json"], 0),
+]
+
+
+def _run_captured(argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_gives_the_bytes_of_a_fresh_one(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    build_parser.cache_clear()
+    shared = [_run_captured(argv) for argv, _ in REUSE_SEQUENCE]
+    for (argv, code), got in zip(REUSE_SEQUENCE, shared):
+        build_parser.cache_clear()
+        assert got == _run_captured(argv), argv
+        assert got[0] == code, argv
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    monkeypatch.chdir(ROOT)
+    build_parser.cache_clear()
+    assert main(["gb", "specs/demo.ini", "--ideal", "a"]) == 0
+    one_build = len(built)
+    assert one_build > 0
+    for _ in range(5):
+        assert main(["frob", "root", "specs/demo.ini", "--ideal", "a"]) == 0
+    assert len(built) == one_build
+    assert build_parser.cache_info().misses == 1
+    capsys.readouterr()
+
+
+COMMON_FLAGS = {"--json", "--timing", "--budget-pairs", "--budget-terms", "--budget-degree"}
+LEAF_ARGUMENTS = {
+    "gb": {"spec", "--ideal"},
+    "frob power": {"spec", "--ideal", "--e"},
+    "frob root": {"spec", "--ideal"},
+    "frob closure": {"spec", "--ideal", "--max-e", "--confirm"},
+    "decompose": {"spec", "--ideal"},
+    "fseq verify": {"spec", "--fseq", "--depth"},
+    "fseq growth": {"spec", "--fseq", "--h", "--find-h", "--depth"},
+    "perfection member": {"spec", "--fseq", "--ideal", "--k", "--elem", "--root"},
+    "perfection decompose": {"spec", "--fseq", "--ideal", "--k", "--depth"},
+    "lg2": {"spec", "--ideal", "--primes", "--h", "--n", "--mode"},
+    "ex8": {"--p", "--l", "--t", "--depth"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(LEAF_ARGUMENTS))
+def test_leaf_help_lists_its_own_and_the_common_flags(command):
+    code, out, err = _run_captured(command.split() + ["--help"])
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: charp {command} ")
+    listed = {m.group(1) for m in re.finditer(r"^  ([^\s,]+)", out, re.MULTILINE)}
+    assert listed == {"-h"} | COMMON_FLAGS | LEAF_ARGUMENTS[command]
 
 
 def test_print_parse_round_trip_via_reports(demo, capsys):

@@ -224,6 +224,17 @@ def test_localize_contract_isolation_reads_the_basis(R2):
         localize_contract(I, Ideal(R2, ["X"]), s_hint=R2.parse("Y + 1"))
 
 
+def test_localize_contract_rejects_a_proper_result_outside_the_prime(R2):
+    # X + Y^2 lies outside (Y), so its localisation contracts to the unit
+    # ideal; inverting X alone leaves the proper ideal (X + Y^2) outside (Y)
+    with pytest.raises(IdentityFailure, match="did not isolate the prime"):
+        localize_contract(Ideal(R2, ["X + Y^2"]), Ideal(R2, ["Y"]), s_hint=R2.parse("X"))
+    # in the cusp, (V + 1) : (U + 1)^inf = (V + 1, U^2 + U + 1), outside (U, V)
+    R = cusp_ring()
+    with pytest.raises(IdentityFailure, match="did not isolate the prime"):
+        localize_contract(Ideal(R, ["V + 1"]), Ideal(R, ["U", "V"]), s_hint=R.parse("U + 1"))
+
+
 # -- linear growth ------------------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ from charp import (GroebnerBudget, GroebnerBudgetExceeded, Ideal, InputError,
                    Ring, ideals, using_budget)
 from charp.frobenius import frob_root
 from charp.ideals import minimal_rows, normal_form
-from charp.orders import LEX, elim
+from charp.orders import GREVLEX, LEX, elim
 
 from conftest import (assert_same_ideal_on_box,
                       monomial_gen_exps, oracle_mono_member, oracle_saturate,
@@ -25,8 +25,8 @@ def R2():
     return Ring(2, ["X", "Y"])
 
 
-def gb_strs(I, order=None):
-    return [str(g) for g in I.groebner(order=order)]
+def gb_strs(I):
+    return [str(g) for g in I.groebner()]
 
 
 # -- reduced bases -------------------------------------------------------------
@@ -36,9 +36,9 @@ def test_gb_hand_example(R2):
     assert gb_strs(Ideal(R2, ["X", "X^2+Y"])) == ["Y", "X"]
 
 
-def test_gb_single_monomial(R2):
-    for order in (None, LEX, elim(1)):
-        assert gb_strs(Ideal(R2, ["X*Y"]), order) == ["X*Y"]
+def test_gb_single_monomial():
+    for order in (GREVLEX, LEX, elim(1)):
+        assert gb_strs(Ideal(Ring(2, ["X", "Y"], order), ["X*Y"])) == ["X*Y"]
 
 
 def test_gb_zero_ideal(R2):
@@ -55,12 +55,14 @@ def test_gb_idempotent(R2, rng):
 
 
 def test_gb_is_order_sensitive_cache():
-    R = Ring(7, ["X", "Y"])
-    I = Ideal(R, ["X^2 - Y", "Y^2 - X"])
+    gens = ["X^2 - Y", "Y^2 - X"]
+    I = Ideal(Ring(7, ["X", "Y"]), gens)
+    J = Ideal(Ring(7, ["X", "Y"], LEX), gens)
     g1 = I.groebner()
-    g2 = I.groebner(order=LEX)
-    assert g1 == I.groebner()
-    assert g2 == I.groebner(order=LEX)
+    g2 = J.groebner()
+    assert g1 is I.groebner()
+    assert g2 is J.groebner()
+    assert [str(g) for g in g1] != [str(g) for g in g2]
 
 
 def test_ideal_equality_is_canonical(R2):
@@ -446,3 +448,32 @@ def test_minimal_rows_matches_brute_force(rows):
     R = Ring(2, ["X", "Y", "Z"])
     mins = Ideal(R, [R.monomial(a) for a in arrays]).minimal_monomial_exps()
     assert sorted(map(tuple, mins.tolist())) == sorted(rows[i] for i in want)
+
+
+_EXPS3 = st.tuples(*[st.integers(0, 3)] * 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 3]), order=st.sampled_from([GREVLEX, LEX]),
+       gens=st.lists(_EXPS3, min_size=1, max_size=5),
+       probes=st.lists(st.lists(st.tuples(_EXPS3, st.integers(1, 2)), min_size=1, max_size=3),
+                       min_size=1, max_size=5))
+def test_minimal_generators_are_memoised(p, order, gens, probes):
+    """Repeated membership keeps agreeing with the Groebner route, and every
+    call returns the one read-only array of minimal generators."""
+    R = Ring(p, ["X", "Y", "Z"], order)
+    I = Ideal(R, [R.monomial(np.array(g, np.int64)) for g in gens])
+    mins = I.minimal_monomial_exps()
+    snapshot = mins.copy()
+    for _ in range(2):
+        for terms in probes:
+            f = R.from_terms([(e, c % (p - 1) + 1) for e, c in terms])
+            expect = I.contains(f, method="groebner")
+            assert I.contains(f) == expect
+            assert I.contains(f, method="monomial") == expect
+            assert oracle_poly_member_monomial(gens, f) == expect
+    assert I.minimal_monomial_exps() is mins
+    assert not mins.flags.writeable
+    with pytest.raises(ValueError):
+        mins[...] = 0
+    assert np.array_equal(mins, snapshot)
