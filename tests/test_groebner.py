@@ -3,6 +3,8 @@ saturation, elimination, radical membership, budgets, and the monomial
 fast paths against their oracles."""
 
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from charp import (GroebnerBudget, GroebnerBudgetExceeded, Ideal, InputError,
                    Ring, ideals, using_budget)
 from charp.frobenius import frob_root
 from charp.ideals import minimal_rows, normal_form
-from charp.orders import GREVLEX, LEX, elim
+from charp.orders import GREVLEX, LEX, elim, parse_order
 
 from conftest import (assert_same_ideal_on_box,
                       monomial_gen_exps, oracle_mono_member, oracle_saturate,
@@ -68,6 +70,65 @@ def test_gb_is_order_sensitive_cache():
 def test_ideal_equality_is_canonical(R2):
     assert Ideal(R2, ["X", "Y"]) == Ideal(R2, ["X+Y", "Y"])
     assert Ideal(R2, ["X"]) != Ideal(R2, ["X^2"])
+
+
+# -- pair counts -------------------------------------------------------------
+
+PAIR_COUNTS = pathlib.Path(__file__).resolve().parent / "data" / "pair_counts.json"
+
+# (name, p, variables, order, quotient generators, ideal generators)
+PAIR_CORPUS = [
+    ("cyclic3-grevlex-p32003", 32003, "X,Y,Z", "grevlex", [],
+     ["X+Y+Z", "X*Y+Y*Z+Z*X", "X*Y*Z-1"]),
+    ("cyclic3-lex-p32003", 32003, "X,Y,Z", "lex", [],
+     ["X+Y+Z", "X*Y+Y*Z+Z*X", "X*Y*Z-1"]),
+    ("cyclic4-grevlex-p32003", 32003, "A,B,C,D", "grevlex", [],
+     ["A+B+C+D", "A*B+B*C+C*D+D*A", "A*B*C+B*C*D+C*D*A+D*A*B", "A*B*C*D-1"]),
+    ("katsura3-grevlex-p32003", 32003, "X,Y,Z", "grevlex", [],
+     ["X+2*Y+2*Z-1", "X^2+2*Y^2+2*Z^2-X", "2*X*Y+2*Y*Z-Y"]),
+    ("dense-grevlex-p32003", 32003, "X,Y,Z", "grevlex", [],
+     ["7*X^2*Y + 11*Y*Z^2 + 13*X*Z + 5", "3*X*Y^2 + 17*Z^2*X + 2*Y + 19*Z",
+      "23*X^2 + 29*Y^2*Z + 31*Z + 37*X*Y*Z"]),
+    ("twisted-cubic-lex-p3", 3, "X,Y,Z,W", "lex", [],
+     ["X*Z-Y^2", "Y*W-Z^2", "X*W-Y*Z"]),
+    ("dense-grevlex-p3", 3, "X,Y,Z", "grevlex", [],
+     ["X^2+Y*Z", "Y^2-X*Z", "Z^2+2*X*Y-1"]),
+    ("dense-lex-p3", 3, "X,Y,Z", "lex", [],
+     ["X*Y+Z^2", "Y^2-1", "X^2+Y+Z"]),
+    ("graph-elim1-p3", 3, "T,X,Y", "elim(1)", [],
+     ["X-T^2", "Y-T^3-T"]),
+    ("dense-grevlex-p2", 2, "X,Y,Z", "grevlex", [],
+     ["X^2+Y^2+Z^2", "X*Y+Y*Z", "X^3+Z+1"]),
+    ("intersection-elim1-p2", 2, "T,X,Y", "elim(1)", [],
+     ["T*X^2", "T*X*Y+T*Y^3", "X*Y+Y^2+X*Y^2+Y^3"]),
+    ("cusp-quotient-p2", 2, "U,V", "grevlex", ["V^2+U^3"],
+     ["U*V+V", "U^2+V"]),
+    ("cusp-quotient-lex-p3", 3, "U,V", "lex", ["V^2+U^3"],
+     ["U*V+1", "U^2+2*V"]),
+]
+
+
+def _pair_count_entries():
+    """For each corpus system: its reduced basis and the pairs it processed."""
+    out = []
+    for name, p, names, order, quotient, gens in PAIR_CORPUS:
+        names = names.split(",")
+        plain = Ring(p, names, parse_order(order))
+        ring = Ring(p, names, parse_order(order), quotient=[plain.parse(q) for q in quotient])
+        before = ideals.pair_count
+        basis = Ideal(ring, gens).groebner()
+        out.append({"name": name, "basis": [str(g) for g in basis],
+                    "pairs": ideals.pair_count - before})
+    return out
+
+
+def test_pair_counts_match_recorded():
+    """Bases and pair counts of a fixed corpus.  A change that alters them on
+    purpose regenerates tests/data/pair_counts.json
+    (PYTHONPATH=src python tests/test_groebner.py)."""
+    recorded = json.loads(PAIR_COUNTS.read_text())
+    assert [e["name"] for e in recorded] == [c[0] for c in PAIR_CORPUS]
+    assert _pair_count_entries() == recorded
 
 
 # -- membership ---------------------------------------------------------------
@@ -477,3 +538,7 @@ def test_minimal_generators_are_memoised(p, order, gens, probes):
     with pytest.raises(ValueError):
         mins[...] = 0
     assert np.array_equal(mins, snapshot)
+
+
+if __name__ == "__main__":
+    PAIR_COUNTS.write_text(json.dumps(_pair_count_entries(), indent=2) + "\n")
