@@ -31,6 +31,7 @@ import heapq
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -94,28 +95,17 @@ def _monic(f: Polynomial) -> Polynomial:
     return f * f.ring.field.inv(lc)
 
 
-def _pack(polys: Sequence[Polynomial]):
-    """Concatenate basis term arrays for the normal-form kernel."""
-    if not polys:
-        z = np.empty((0, 0), np.int64)
-        return z, z, np.empty(0, np.int64), np.zeros(1, np.int64), np.empty(0, np.int64)
-    bkeys = np.concatenate([f.keys for f in polys])
-    bexps = np.concatenate([f.exps for f in polys])
-    bcoeffs = np.concatenate([f.coeffs for f in polys])
-    starts = np.zeros(len(polys) + 1, np.int64)
-    for i, f in enumerate(polys):
-        starts[i + 1] = starts[i] + f.nterms()
-    bmaxdeg = np.array([f.total_degree() for f in polys], np.int64)
-    return bkeys, bexps, bcoeffs, starts, bmaxdeg
+def _pack(polys: Sequence[Polynomial]) -> list:
+    """The normal-form kernel's encoding of a monic basis, in scan order."""
+    return [K.divisor(f.keys, f.exps, f.coeffs) for f in polys]
 
 
 def _nf_packed(f: Polynomial, packed) -> Polynomial:
-    if f.is_zero() or packed[3].shape[0] == 1:
+    if f.is_zero() or not packed:
         return f
     budget = _budget.get()
-    ke, ee, ce, status = K.normal_form(
-        f.keys, f.exps, f.coeffs, *packed,
-        f.ring.p, budget.max_poly_terms, budget.max_degree)
+    ke, ee, ce, status = K.normal_form(f.keys, f.exps, f.coeffs, packed, f.ring.p,
+                                       budget.max_poly_terms, budget.max_degree)
     if status == 1:
         raise GroebnerBudgetExceeded("max_poly_terms", budget.max_poly_terms)
     if status == 2:
@@ -145,92 +135,93 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.ring, ee, ce, ke)
 
 
-def _divides(a: np.ndarray, b: np.ndarray) -> bool:
-    return bool(np.all(a <= b))
+def _mono_divides(a: tuple, b: tuple) -> bool:
+    """Exponent tuple a divides exponent tuple b."""
+    return all(map(le, a, b))
+
+
+def _lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
+
+
+def _minimal(rows: Sequence[tuple]) -> list:
+    """Indices of the exponent tuples no other one divides, in input order;
+    of equal tuples the first stays."""
+    return [i for i, r in enumerate(rows)
+            if not any(_mono_divides(s, r) and (j < i or s != r)
+                       for j, s in enumerate(rows) if j != i)]
 
 
 class _Buchberger:
     """One basis computation; deterministic normal strategy with
-    Gebauer-Moeller pair pruning and first-match-in-sorted-basis reducers."""
+    Gebauer-Moeller pair pruning and first-match-in-sorted-basis reducers.
+
+    Beside each basis element it keeps the lead's exponent tuple, the
+    lead's key tuple (tuples compare in the monomial order) and the
+    element's kernel encoding, so pair bookkeeping is plain tuple work and
+    a repack only reorders encodings."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
         self.budget = _budget.get()
         self.G: list[Polynomial] = []
-        self.leads: list[np.ndarray] = []
-        self.pairs: list[tuple] = []  # heap of (lcm degree, lcm key, i, j)
-        self._packed = None
+        self.leads: list[tuple] = []
+        self.lead_keys: list[tuple] = []
+        self.divisors: list[tuple] = []
+        self.pairs: list[tuple] = []  # heap of (lcm degree, lcm key, i, j, lcm)
+        self._packed = []
+        # column j of the key matrix: key_j(e) = sum_i e_i * cols[j][i]
+        self._key_cols = ring.keys_of(np.eye(ring.nvars, dtype=np.int64)).T.tolist()
 
-    def _key_tuple(self, exp: np.ndarray) -> tuple:
-        return tuple(int(x) for x in self.ring.keys_of(exp.reshape(1, -1))[0])
+    def _key_tuple(self, exp: tuple) -> tuple:
+        return tuple(sum(e * m for e, m in zip(exp, col)) for col in self._key_cols)
 
     def _push_pair(self, i: int, j: int):
-        lcm = np.maximum(self.leads[i], self.leads[j])
-        heapq.heappush(self.pairs, (int(lcm.sum()), self._key_tuple(lcm), i, j))
+        lcm = _lcm(self.leads[i], self.leads[j])
+        heapq.heappush(self.pairs, (sum(lcm), self._key_tuple(lcm), i, j, lcm))
 
     def _scan_order(self) -> list[int]:
-        return sorted(range(len(self.G)), key=lambda i: (self._key_tuple(self.leads[i]), i))
-
-    def _repack(self):
-        order = self._scan_order()
-        self._packed = _pack([self.G[i] for i in order])
+        return sorted(range(len(self.G)), key=lambda i: (self.lead_keys[i], i))
 
     def add(self, h: Polynomial):
         """Install a new monic element, updating the pair set (Gebauer-Moeller)."""
         t = len(self.G)
-        lt = h.exps[0]
-        lcm_with = [np.maximum(self.leads[i], lt) for i in range(t)]
-        keep = []
-        for i in range(t):
-            li = lcm_with[i]
-            drop = False
-            for j in range(t):
-                if j == i:
-                    continue
-                lj = lcm_with[j]
-                if _divides(lj, li) and not np.array_equal(lj, li):
-                    drop = True  # criterion M
-                    break
-            if not drop:
-                keep.append(i)
-        seen = []
+        lt = tuple(h.exps[0].tolist())
+        lcm_with = [_lcm(li, lt) for li in self.leads]
+        first = {}
+        for i, li in enumerate(lcm_with):
+            first.setdefault(li, i)  # criterion F: one pair per distinct lcm
+        lcms = list(first)
         final = []
-        for i in keep:  # criterion F: one pair per distinct lcm
-            li = lcm_with[i]
-            if any(np.array_equal(li, s) for s in seen):
-                continue
-            seen.append(li)
-            coprime = np.array_equal(li, self.leads[i] + lt)
-            if not coprime:  # criterion B (Buchberger's coprime-lead criterion)
+        for k in _minimal(lcms):  # criterion M: no other lcm divides this one
+            i = first[lcms[k]]
+            if any(map(min, self.leads[i], lt)):  # criterion B drops coprime leads
                 final.append(i)
-        old = []
-        while self.pairs:  # prune old pairs now covered through h
-            deg, key, i, j = heapq.heappop(self.pairs)
-            lij = np.maximum(self.leads[i], self.leads[j])
-            if (_divides(lt, lij)
-                    and not np.array_equal(lcm_with[i], lij)
-                    and not np.array_equal(lcm_with[j], lij)):
-                continue
-            old.append((deg, key, i, j))
-        self.pairs = old
+        # prune old pairs now covered through h; the survivors keep their order
+        self.pairs = [pair for pair in self.pairs
+                      if not (_mono_divides(lt, pair[4])
+                              and lcm_with[pair[2]] != pair[4]
+                              and lcm_with[pair[3]] != pair[4])]
         heapq.heapify(self.pairs)
         self.G.append(h)
         self.leads.append(lt)
+        self.lead_keys.append(self._key_tuple(lt))
+        self.divisors.append(K.divisor(h.keys, h.exps, h.coeffs))
         for i in final:
             self._push_pair(i, t)
-        self._repack()
+        self._packed = [self.divisors[i] for i in self._scan_order()]
 
     def run(self, gens: Sequence[Polynomial]) -> list[Polynomial]:
         global pair_count
         for g in gens:
             if g.is_zero():
                 continue
-            h = _nf_packed(g, self._packed) if self._packed else g
+            h = _nf_packed(g, self._packed)
             if not h.is_zero():
                 self.add(_monic(h))
         processed = 0
         while self.pairs:
-            deg, key, i, j = heapq.heappop(self.pairs)
+            deg, _, i, j, _ = heapq.heappop(self.pairs)
             processed += 1
             pair_count += 1
             if processed > self.budget.max_pairs:
@@ -244,21 +235,15 @@ class _Buchberger:
         return self._reduce_final()
 
     def _reduce_final(self) -> list[Polynomial]:
-        # minimal generating leads, then tail-reduce for the unique reduced basis
+        # minimal generating leads, then tail-reduce for the unique reduced
+        # basis; no lead divides another, so tail reduction keeps every lead
+        # and the basis stays sorted ascending by lead
         order = self._scan_order()
-        minimal = []
-        for i in order:
-            li = self.leads[i]
-            if any(_divides(self.leads[j], li) for j in minimal if j != i):
-                continue
-            minimal = [j for j in minimal if not _divides(li, self.leads[j])]
-            minimal.append(i)
-        chosen = [self.G[i] for i in sorted(minimal, key=lambda i: (self._key_tuple(self.leads[i]), i))]
+        chosen = [order[k] for k in _minimal([self.leads[i] for i in order])]
         reduced = []
-        for k, g in enumerate(chosen):
-            others = chosen[:k] + chosen[k + 1:]
-            reduced.append(_monic(_nf_packed(g, _pack(others))))
-        reduced.sort(key=lambda f: self._key_tuple(f.exps[0]))
+        for k, i in enumerate(chosen):
+            others = [self.divisors[j] for j in chosen[:k] + chosen[k + 1:]]
+            reduced.append(_nf_packed(self.G[i], others))
         return reduced
 
 
@@ -340,7 +325,7 @@ class Ideal:
         coerced = (ring.coerce(g) for g in gens)
         self.generators = tuple(dict.fromkeys(g for g in coerced if not g.is_zero()))
         self._gb_cache = None
-        self._packed = None  # packed basis under ring.order, for membership
+        self._packed = None  # kernel encoding of the basis, for membership
         self._min_exps = None  # minimal monomial generators, read-only
 
     # -- basics ---------------------------------------------------------------
@@ -550,9 +535,7 @@ def _power_products(gens: Sequence[Polynomial], h: int):
 def minimal_rows(rows: Sequence[np.ndarray]) -> list:
     """The exponent rows no other row divides, in input order; of equal
     rows the first stays."""
-    return [r for i, r in enumerate(rows)
-            if not any(_divides(s, r) and (j < i or not np.array_equal(s, r))
-                       for j, s in enumerate(rows) if j != i)]
+    return [rows[i] for i in _minimal([tuple(r.tolist()) for r in rows])]
 
 
 def intersect_all(ideals: Iterable[Ideal]) -> Ideal:

@@ -6,8 +6,10 @@ ring denotes F_p[vars]/J and all ideal-level code works with full preimages.
 
 Polynomials are immutable.  Term data lives in the parallel int64 arrays
 described in _kernels.py, always sorted strictly descending under the
-ring's order.  Exponents are checked against EXP_LIMIT so that Frobenius
-powers fail loudly instead of wrapping around.
+ring's order.  The arrays are the only storage format: the normal-form
+kernel packs terms into Python ints while it divides and hands arrays back.
+Exponents are checked against EXP_LIMIT so that Frobenius powers fail
+loudly instead of wrapping around.
 """
 
 from __future__ import annotations
@@ -235,11 +237,6 @@ class Polynomial:
 
     def nterms(self) -> int:
         return self.coeffs.shape[0]
-
-    def total_degree(self) -> int:
-        if self.is_zero():
-            return -1
-        return int(self.exps.sum(axis=1).max())
 
     def lead_coeff(self) -> int:
         if self.is_zero():

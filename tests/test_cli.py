@@ -207,6 +207,16 @@ def test_bad_numbers_are_input_errors(argv, monkeypatch, capsys):
     assert data["result"]["error_kind"] == "InputError"
 
 
+def test_budget_terms_exits_3(tmp_path, capsys):
+    spec = tmp_path / "dense.ini"
+    spec.write_text("[ring]\np = 3\nvars = X, Y, Z\n\n[ideal d]\n"
+                    "gens = X^2+Y*Z, Y^2-X*Z, Z^2+2*X*Y-1\n")
+    code, data = run_json(capsys, "gb", str(spec), "--ideal", "d", "--budget-terms", "2")
+    assert code == 3
+    assert data["result"]["error_kind"] == "GroebnerBudgetExceeded"
+    assert data["result"]["error"] == "budget exceeded: max_poly_terms > 2"
+
+
 # U + 1 is a valid hint; the localised terms then break the root law in the cusp
 @pytest.mark.parametrize("shint, code", [("V", 2), ("U", 2), ("U + 1", 1)])
 def test_localize_contract_hint_inside_prime_exits_2_from_a_spec(shint, code, tmp_path, capsys):

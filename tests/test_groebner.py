@@ -378,6 +378,17 @@ def test_budget_degree_raises(R2):
             I.groebner()
 
 
+def test_budget_terms_raises():
+    R = Ring(3, ["X", "Y", "Z"])
+    gens = ["X^2+Y*Z", "Y^2-X*Z", "Z^2+2*X*Y-1"]
+    with using_budget(GroebnerBudget(max_poly_terms=2)):
+        with pytest.raises(GroebnerBudgetExceeded) as err:
+            Ideal(R, gens).groebner()
+    assert err.value.which == "max_poly_terms"
+    with using_budget(GroebnerBudget(max_poly_terms=3)):  # the largest intermediate
+        assert Ideal(R, gens).groebner() == Ideal(R, gens[::-1]).groebner()
+
+
 def test_budget_scope_covers_ideal_equality():
     R = Ring(3, ["X", "Y", "Z"])
     gens = ["X^2+Y*Z", "Y^2-X*Z", "Z^2+2*X*Y-1"]
