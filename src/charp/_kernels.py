@@ -204,6 +204,6 @@ def divisor(keys, exps, coeffs):
             packed_k[1:], packed_e[1:], coeffs[1:].tolist())
 
 
-# Kernels call each other through these aliases, so wrapping a public name
-# (as a tracer does) sees only the calls made from outside this module.
-_combine, _axpy = combine, axpy
+# Kernels call combine through this alias, so wrapping the public name (as a
+# tracer does) sees only the calls made from outside this module.
+_combine = combine

@@ -262,11 +262,11 @@ def _certificate_json(cert: GrowthCertificate) -> dict:
 
 
 class Report:
-    def __init__(self, command: str, ring=None):
+    def __init__(self, command: str):
         self.data = {
             "format_version": FORMAT_VERSION,
             "command": command,
-            "ring": _ring_json(ring) if ring is not None else None,
+            "ring": None,
             "result": {},
             "witnesses": [],
             "timing_ms": None,
@@ -403,9 +403,11 @@ def _cmd_fseq_growth(args, report: Report, spec: SpecFile) -> int:
 
 def _perfection_ideal(args, spec: SpecFile) -> PerfectionIdeal:
     if args.fseq:
+        if args.ideal is not None or args.k is not None:
+            raise InputError("--fseq names the whole sequence; drop --ideal and --k")
         return PerfectionIdeal(spec.fseq(args.fseq))
     if args.ideal:
-        return PerfectionIdeal.finitely_generated(spec.ideal(args.ideal), args.k)
+        return PerfectionIdeal.finitely_generated(spec.ideal(args.ideal), args.k or 0)
     raise InputError("give --fseq NAME or --ideal NAME")
 
 
@@ -564,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = psub.add_parser("member", parents=[on_spec])
     pm.add_argument("--fseq")
     pm.add_argument("--ideal")
-    pm.add_argument("--k", type=int, default=0)
+    pm.add_argument("--k", type=int)
     pm.add_argument("--elem", required=True)
     pm.add_argument("--root", type=int, required=True,
                     help="depth M: the element is elem^(1/p^M)")
@@ -572,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = psub.add_parser("decompose", parents=[on_spec])
     pd.add_argument("--fseq")
     pd.add_argument("--ideal")
-    pd.add_argument("--k", type=int, default=0)
+    pd.add_argument("--k", type=int)
     pd.add_argument("--depth", type=int, default=3)
     pd.set_defaults(run=_cmd_perfection_decompose)
 
@@ -594,6 +596,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# (error types, exit code, text prefix) for a failed command; the first
+# entry whose types match the error wins
+_FAILURES = (
+    ((InputError, NotPPower, NonMonomial, NotContainingQuotient, DistinctLambdaExhausted),
+     EXIT_INPUT, "input error"),
+    ((GroebnerBudgetExceeded, ExponentOverflow), EXIT_BUDGET, "budget exceeded"),
+    (DepthExceeded, EXIT_BUDGET, "depth exceeded"),
+    (CertificateFailure, EXIT_FAILED, "certification failed"),
+    (IdentityFailure, EXIT_FAILED, "verification failed"),
+    (CharpError, EXIT_FAILED, "error"),
+)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
@@ -608,38 +623,17 @@ def main(argv=None) -> int:
             report.data["budget"] = dataclasses.asdict(budget)
             scope.enter_context(using_budget(budget))
             code = _dispatch(args, report)
-        except (InputError, NotPPower, NonMonomial, NotContainingQuotient) as e:
-            report.data["result"] = {"error": str(e), "error_kind": type(e).__name__}
-            report.say(f"input error: {e}")
-            return _emit(report, args, started, EXIT_INPUT)
-        except (GroebnerBudgetExceeded, ExponentOverflow) as e:
-            report.data["result"] = {"error": str(e), "error_kind": type(e).__name__}
-            report.say(f"budget exceeded: {e}")
-            return _emit(report, args, started, EXIT_BUDGET)
-        except DepthExceeded as e:
-            report.data["result"] = {"error": str(e), "error_kind": "DepthExceeded",
-                                     "partial_steps": [[str(g) for g in s.groebner()]
-                                                       for s in e.partial]}
-            report.say(f"depth exceeded: {e}")
-            return _emit(report, args, started, EXIT_BUDGET)
-        except CertificateFailure as e:
-            report.data["result"] = {"error": str(e), "error_kind": "CertificateFailure"}
-            report.data["witnesses"] = [{"n": e.n, "i": e.i}]
-            report.say(f"certification failed: {e}")
-            return _emit(report, args, started, EXIT_FAILED)
-        except IdentityFailure as e:
-            report.data["result"] = {"error": str(e), "error_kind": "IdentityFailure"}
-            report.data["witnesses"] = [{"witness": str(e.witness)}]
-            report.say(f"verification failed: {e}")
-            return _emit(report, args, started, EXIT_FAILED)
-        except DistinctLambdaExhausted as e:
-            report.data["result"] = {"error": str(e), "error_kind": "DistinctLambdaExhausted"}
-            report.say(f"input error: {e}")
-            return _emit(report, args, started, EXIT_INPUT)
         except CharpError as e:
+            code, prefix = next((c, t) for types, c, t in _FAILURES if isinstance(e, types))
             report.data["result"] = {"error": str(e), "error_kind": type(e).__name__}
-            report.say(f"error: {e}")
-            return _emit(report, args, started, EXIT_FAILED)
+            if isinstance(e, DepthExceeded):
+                report.data["result"]["partial_steps"] = [[str(g) for g in s.groebner()]
+                                                          for s in e.partial]
+            elif isinstance(e, CertificateFailure):
+                report.data["witnesses"] = [{"n": e.n, "i": e.i}]
+            elif isinstance(e, IdentityFailure):
+                report.data["witnesses"] = [{"witness": str(e.witness)}]
+            report.say(f"{prefix}: {e}")
     return _emit(report, args, started, code)
 
 

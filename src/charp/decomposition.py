@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .errors import (CertificateFailure, DistinctLambdaExhausted,
                      IdentityFailure, InputError, NonMonomial)
 from .frobenius import f_closure, frob_power, frob_root
-from .ideals import Ideal, _power_products, intersect_all, minimal_rows
+from .ideals import Ideal, _minimal, _power_products, intersect_all
 from .perfection import FSequence, PerfectionIdeal
 from .poly import Polynomial, Ring
 
@@ -83,15 +81,17 @@ def unapply_shift(I: Ideal, shift: dict) -> Ideal:
     return apply_shift(I, {v: -c for v, c in shift.items()})
 
 
+def _support(row: tuple) -> tuple:
+    """Indices of the variables an exponent tuple involves."""
+    return tuple(i for i, e in enumerate(row) if e)
+
+
 def is_primary_monomial(I: Ideal) -> bool:
     """Monomial criterion: every variable occurring in a generator occurs
     as a pure power among the generators."""
-    mins = I.minimal_monomial_exps()
-    if mins.shape[0] == 0:
-        return False
-    occurring = np.nonzero(mins.max(axis=0) > 0)[0]
-    pure = {int(np.nonzero(row)[0][0]) for row in mins if np.count_nonzero(row) == 1}
-    return all(int(v) in pure for v in occurring)
+    supports = [_support(r) for r in I.minimal_monomial_exps()]
+    pure = {s[0] for s in supports if len(s) == 1}
+    return bool(supports) and all(v in pure for s in supports for v in s)
 
 
 def _primary_in_frame(I: Ideal, shift) -> bool:
@@ -101,16 +101,15 @@ def _primary_in_frame(I: Ideal, shift) -> bool:
     return view.is_monomial() and is_primary_monomial(view)
 
 
-def _split_irreducible(rows: list) -> list:
+def _split_irreducible(rows: Sequence[tuple]) -> list:
     """Splitting step: a generator with mixed support u*v gives
     (I+u) cap (I+v); recurse until every generator is a pure power."""
-    rows = minimal_rows(rows)
+    rows = [rows[i] for i in _minimal(rows)]
     for idx, row in enumerate(rows):
-        supp = np.nonzero(row)[0]
+        supp = _support(row)
         if len(supp) >= 2:
-            u = np.zeros_like(row)
-            u[supp[0]] = row[supp[0]]
-            v = row - u
+            u = tuple(e if i == supp[0] else 0 for i, e in enumerate(row))
+            v = tuple(0 if i == supp[0] else e for i, e in enumerate(row))
             rest = rows[:idx] + rows[idx + 1:]
             return (_split_irreducible(rest + [u])
                     + _split_irreducible(rest + [v]))
@@ -128,23 +127,17 @@ def decompose_monomial(I: Ideal, shift: Optional[dict] = None) -> Decomposition:
     if not work.is_monomial():
         raise NonMonomial(f"{I!r} is not monomial" + (" after the given shift" if shift else ""))
     mins = work.minimal_monomial_exps()
-    if mins.shape[0] == 0:
+    if not mins:
         raise InputError("cannot decompose the zero ideal")
-    if not np.all(mins.sum(axis=1) > 0):
+    if not all(any(r) for r in mins):
         raise InputError("cannot decompose an improper ideal")
     ring = I.ring
-    irreducibles = _split_irreducible([r for r in mins])
-    seen = []
-    for rows in irreducibles:
-        arr = np.stack(sorted(rows, key=tuple))
-        if not any(a.shape == arr.shape and np.array_equal(a, arr) for a in seen):
-            seen.append(arr)
-    by_radical: dict = {}
-    for arr in seen:
-        supp = tuple(sorted({int(np.nonzero(r)[0][0]) for r in arr}))
-        by_radical.setdefault(supp, []).append(arr)
-    comps = [(supp, intersect_all(Ideal(ring, [ring.monomial(r) for r in arr])
-                                  for arr in by_radical[supp]))
+    by_radical: dict = {}  # the distinct irreducible components, by radical
+    for rows in dict.fromkeys(tuple(sorted(irr)) for irr in _split_irreducible(mins)):
+        supp = tuple(sorted({_support(r)[0] for r in rows}))
+        by_radical.setdefault(supp, []).append(rows)
+    comps = [(supp, intersect_all(Ideal(ring, [ring.monomial(r) for r in rows])
+                                  for rows in by_radical[supp]))
              for supp in sorted(by_radical)]
     while len(comps) > 1:
         i = _redundant_index([c for _, c in comps])
@@ -192,9 +185,9 @@ def ass_monomial(I: Ideal) -> tuple:
 
 def _monomial_prime_vars(p: Ideal) -> tuple:
     mins = p.minimal_monomial_exps()
-    if mins.shape[0] and not np.all((mins.sum(axis=1) == 1) & (mins.max(axis=1) == 1)):
+    if any(sum(r) != 1 for r in mins):
         raise NonMonomial(f"{p!r} is not generated by a subset of the variables")
-    return tuple(int(np.nonzero(r)[0][0]) for r in mins)
+    return tuple(r.index(1) for r in mins)
 
 
 def localize_contract(I: Ideal, prime: Ideal, s_hint: Optional[Polynomial] = None) -> Ideal:

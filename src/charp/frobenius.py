@@ -105,8 +105,7 @@ def _p_roots(gens) -> Optional[list]:
 def _frob_root_monomial(I: Ideal) -> Ideal:
     """Ceiling shortcut: the root of (X^a) is generated by X^ceil(a/p)."""
     p = I.ring.p
-    mins = I.minimal_monomial_exps()
-    gens = [I.ring.monomial(-(-row // p)) for row in mins]
+    gens = [I.ring.monomial([-(-e // p) for e in r]) for r in I.minimal_monomial_exps()]
     return Ideal(I.ring, gens)
 
 

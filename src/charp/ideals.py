@@ -124,12 +124,11 @@ def _shifted(f: Polynomial, shift: np.ndarray) -> Polynomial:
     return Polynomial(f.ring, f.exps + shift, f.coeffs, f.keys + shift_k)
 
 
-def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of two monic polynomials."""
-    lf, lg = f.exps[0], g.exps[0]
-    lcm = np.maximum(lf, lg)
-    a = _shifted(f, lcm - lf)
-    b = _shifted(g, lcm - lg)
+def _spoly(f: Polynomial, g: Polynomial, lcm: tuple) -> Polynomial:
+    """S-polynomial of two monic polynomials whose leads have the lcm ``lcm``."""
+    lcm = np.array(lcm, np.int64)
+    a = _shifted(f, lcm - f.exps[0])
+    b = _shifted(g, lcm - g.exps[0])
     p = f.ring.p
     ke, ee, ce = K.axpy(a.keys, a.exps, a.coeffs, b.keys, b.exps, b.coeffs, p - 1, p)
     return Polynomial(f.ring, ee, ce, ke)
@@ -150,6 +149,11 @@ def _minimal(rows: Sequence[tuple]) -> list:
     return [i for i, r in enumerate(rows)
             if not any(_mono_divides(s, r) and (j < i or s != r)
                        for j, s in enumerate(rows) if j != i)]
+
+
+def _sorted_minimal(rows: Sequence[tuple]) -> tuple:
+    """The distinct minimal exponent tuples, ascending."""
+    return tuple(sorted(rows[i] for i in _minimal(rows)))
 
 
 class _Buchberger:
@@ -221,14 +225,14 @@ class _Buchberger:
                 self.add(_monic(h))
         processed = 0
         while self.pairs:
-            deg, _, i, j, _ = heapq.heappop(self.pairs)
+            deg, _, i, j, lcm = heapq.heappop(self.pairs)
             processed += 1
             pair_count += 1
             if processed > self.budget.max_pairs:
                 raise GroebnerBudgetExceeded("max_pairs", self.budget.max_pairs)
             if deg > self.budget.max_degree:
                 raise GroebnerBudgetExceeded("max_degree", self.budget.max_degree)
-            s = _spoly(self.G[i], self.G[j])
+            s = _spoly(self.G[i], self.G[j], lcm)
             h = _nf_packed(s, self._packed)
             if not h.is_zero():
                 self.add(_monic(h))
@@ -326,7 +330,7 @@ class Ideal:
         self.generators = tuple(dict.fromkeys(g for g in coerced if not g.is_zero()))
         self._gb_cache = None
         self._packed = None  # kernel encoding of the basis, for membership
-        self._min_exps = None  # minimal monomial generators, read-only
+        self._min_exps = None  # minimal monomial generators
 
     # -- basics ---------------------------------------------------------------
 
@@ -374,23 +378,16 @@ class Ideal:
         return (not self.ring.is_quotient()
                 and all(g.is_monomial() for g in self.generators))
 
-    def minimal_monomial_exps(self) -> np.ndarray:
-        """Minimal monomial generating exponents, canonically sorted.
+    def minimal_monomial_exps(self) -> tuple:
+        """The minimal monomial generators as exponent tuples, ascending.
 
-        Computed once per ideal; the array is read-only because every call
-        returns the same one.
+        Computed once per ideal.  Every monomial route reads them in this
+        order, so equal monomial ideals give equal generator lists.
         """
         if self._min_exps is None:
             if not self.is_monomial():
                 raise InputError("not a monomial ideal")
-            keep = minimal_rows([g.exps[0] for g in self.generators])
-            if keep:
-                arr = np.stack(keep)
-                arr = arr[np.lexsort(arr.T[::-1])]
-            else:
-                arr = np.empty((0, self.ring.nvars), np.int64)
-            arr.flags.writeable = False
-            self._min_exps = arr
+            self._min_exps = _sorted_minimal([tuple(g.exps[0].tolist()) for g in self.generators])
         return self._min_exps
 
     def contains(self, g, method: str = "auto") -> bool:
@@ -406,17 +403,9 @@ class Ideal:
         if method == "monomial" or (method == "auto" and self.is_monomial()):
             if not self.is_monomial():
                 raise InputError("monomial membership on a non-monomial ideal")
-            return self._contains_monomial(g)
+            mins = self.minimal_monomial_exps()
+            return all(any(_mono_divides(m, vec) for m in mins) for vec in g.exps.tolist())
         return _nf_packed(g, self._packed_gb()).is_zero()
-
-    def _contains_monomial(self, g: Polynomial) -> bool:
-        mins = self.minimal_monomial_exps()
-        if mins.shape[0] == 0:
-            return g.is_zero()
-        for vec, _ in g.terms():
-            if not np.any(np.all(mins <= vec, axis=1)):
-                return False
-        return True
 
     def contains_ideal(self, other: "Ideal") -> bool:
         """self contains other, i.e. other is a subset of self."""
@@ -433,7 +422,7 @@ class Ideal:
         if method == "monomial" or (method == "auto" and self.is_monomial() and other.is_monomial()):
             a = self.minimal_monomial_exps()
             b = other.minimal_monomial_exps()
-            gens = [self.ring.monomial(np.maximum(r, s)) for r in a for s in b]
+            gens = [self.ring.monomial(_lcm(r, s)) for r in a for s in b]
             return Ideal(self.ring, gens)
         if method == "auto" and self.is_unit():
             return other
@@ -459,9 +448,9 @@ class Ideal:
         if method == "monomial" or (method == "auto" and self.is_monomial() and g.is_monomial()):
             if not (self.is_monomial() and g.is_monomial()):
                 raise InputError("monomial quotient on non-monomial input")
-            vec = g.exps[0]
-            mins = self.minimal_monomial_exps()
-            gens = [self.ring.monomial(np.maximum(r - vec, 0)) for r in mins]
+            vec = g.exps[0].tolist()
+            gens = [self.ring.monomial([max(e - v, 0) for e, v in zip(r, vec)])
+                    for r in self.minimal_monomial_exps()]
             return Ideal(self.ring, gens)
         aux = ext, t, lift = _aux_cover(self.ring)
         inter = _intersection(self.effective_generators(), [g], aux, self.ring.cover())
@@ -510,11 +499,8 @@ class Ideal:
 
     def monomial_radical(self) -> "Ideal":
         """Radical of a monomial ideal: squarefree supports of the generators."""
-        mins = self.minimal_monomial_exps()
-        gens = [self.ring.monomial(np.minimum(r, 1)) for r in mins]
-        squarefree = Ideal(self.ring, gens)
-        mins = squarefree.minimal_monomial_exps()
-        return Ideal(self.ring, [self.ring.monomial(r) for r in mins])
+        squarefree = [tuple(min(e, 1) for e in r) for r in self.minimal_monomial_exps()]
+        return Ideal(self.ring, [self.ring.monomial(r) for r in _sorted_minimal(squarefree)])
 
     def power(self, h: int) -> "Ideal":
         """Ordinary h-th power (products of h generators); h >= 1."""
@@ -530,12 +516,6 @@ def _power_products(gens: Sequence[Polynomial], h: int):
         for g in combo[1:]:
             out = out * g
         yield out
-
-
-def minimal_rows(rows: Sequence[np.ndarray]) -> list:
-    """The exponent rows no other row divides, in input order; of equal
-    rows the first stays."""
-    return [rows[i] for i in _minimal([tuple(r.tolist()) for r in rows])]
 
 
 def intersect_all(ideals: Iterable[Ideal]) -> Ideal:

@@ -207,6 +207,51 @@ def test_bad_numbers_are_input_errors(argv, monkeypatch, capsys):
     assert data["result"]["error_kind"] == "InputError"
 
 
+# failure reports the README does not run: exit code, the error payload, and
+# the sha256 of the --json report and of the text output
+FAILURE_REPORTS = [
+    ("frob closure specs/cusp.ini --ideal u --max-e 1 --confirm 2", 3,
+     {"error": "F-closure chain still moving after 1 steps", "error_kind": "DepthExceeded",
+      "partial_steps": [["U", "V^2"], ["V", "U"]]}, [],
+     "41c801ed78bdc1914b61b649ccd3640724c5c08d69adb255b1bc8de6168e7811",
+     "b319a330c47f4eb2b7a7e8fe221a2db95ebdfe1e96db39573beec92250dfeab4"),
+    ("fseq growth specs/demo.ini --fseq powers --h 1 --depth 2", 1,
+     {"error": "growth containment failed at term n=0, component i=1: "
+               "(radical^1)^[p^0] escapes the component",
+      "error_kind": "CertificateFailure"}, [{"n": 0, "i": 1}],
+     "d3c5fa81366e5f1b1c255cb29b85ff64713187cdf4534f56f150411b02cc3eff",
+     "829fe27e438ae5e1425210e16e5ec3344112fdd0465c1eb0def9c4e0968738e4"),
+    ("ex8 --p 3 --l 2 --t 1,1,1 --depth 3", 2,
+     {"error": "depth 3 needs 3 distinct constants but F_3 has only 2 nonzero ones",
+      "error_kind": "DistinctLambdaExhausted"}, [],
+     "e7b48632361bbba12bc8b34e5d58c508654df7b841e4da425815fb35ef2f79b8",
+     "b681bc2ff25c0360a02953dea738f99fd99833c5e4a918e64699bc2e05094798"),
+    ("lg2 specs/demo.ini --ideal a --primes px --h 2 --n 1", 1,
+     {"error": "decomposition identity failed: components do not intersect to the "
+               "target at n=1 (witness: X^2)",
+      "error_kind": "IdentityFailure"}, [{"witness": "X^2"}],
+     "6f2c802bc9d2fe16329f32c23faa45c1b61552f05e03393234c9985ad5861558",
+     "46a66776f4a2c1a4c686806792eb0e64f7f2117f54fabe13b836ff6ecb7b7b3c"),
+]
+
+
+@pytest.mark.parametrize("line, code, result, witnesses, json_sha, text_sha", FAILURE_REPORTS,
+                         ids=["depth", "certificate", "lambda", "identity"])
+def test_failure_reports_are_pinned(line, code, result, witnesses, json_sha, text_sha,
+                                    monkeypatch):
+    monkeypatch.chdir(ROOT)
+    got_code, out, err = _run_captured(line.split() + ["--json"])
+    data = json.loads(out)
+    assert (got_code, data["exit_status"], err) == (code, code, "")
+    assert data["result"] == result
+    assert data["witnesses"] == witnesses
+    assert hashlib.sha256(out.encode()).hexdigest() == json_sha
+    got_code, out, err = _run_captured(line.split())
+    assert (got_code, err) == (code, "")
+    assert out.count("\n") == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == text_sha
+
+
 def test_budget_terms_exits_3(tmp_path, capsys):
     spec = tmp_path / "dense.ini"
     spec.write_text("[ring]\np = 3\nvars = X, Y, Z\n\n[ideal d]\n"
@@ -337,6 +382,27 @@ def test_perfection_member_reports(demo, capsys):
     assert data["result"]["member"] is True
     assert data["result"]["normalized_depth"] == 0
     assert data["result"]["normalized_body"] == "X^2"
+
+
+@pytest.mark.parametrize("extra", [["--ideal", "px"], ["--k", "0"], ["--ideal", "a", "--k", "1"]],
+                         ids=["ideal", "k", "both"])
+@pytest.mark.parametrize("command", [["member", "--elem", "X", "--root", "1"], ["decompose"]],
+                         ids=["member", "decompose"])
+def test_perfection_fseq_rejects_ideal_and_k(command, extra, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    code, data = run_json(capsys, "perfection", command[0], "specs/demo.ini",
+                          "--fseq", "upstairs", *command[1:], *extra)
+    assert code == 2
+    assert data["result"]["error_kind"] == "InputError"
+
+
+def test_perfection_ideal_without_k_anchors_at_depth_0(demo, capsys):
+    for command in (["member", "--elem", "X^4", "--root", "1"], ["decompose"]):
+        argv = ["perfection", command[0], demo, "--ideal", "a", *command[1:]]
+        code, implicit = run_json(capsys, *argv)
+        assert code == 0
+        _, explicit = run_json(capsys, *argv, "--k", "0")
+        assert implicit["result"] == explicit["result"]
 
 
 def test_perfection_decompose_report(demo, capsys):

@@ -6,14 +6,13 @@ import itertools
 import json
 import pathlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from charp import (GroebnerBudget, GroebnerBudgetExceeded, Ideal, InputError,
                    Ring, ideals, using_budget)
 from charp.frobenius import frob_root
-from charp.ideals import minimal_rows, normal_form
+from charp.ideals import _minimal, normal_form
 from charp.orders import GREVLEX, LEX, elim, parse_order
 
 from conftest import (assert_same_ideal_on_box,
@@ -510,16 +509,15 @@ def test_reduced_basis_matches_sympy_oracle():
 @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=9))
 def test_minimal_rows_matches_brute_force(rows):
     """A row stays iff no other row strictly divides it and no equal row comes
-    before it; the survivors keep input order and are the input's own arrays."""
-    arrays = [np.array(r, np.int64) for r in rows]
+    before it; the survivors keep input order, and an ideal's minimal
+    generators are them in ascending order."""
     want = [i for i, r in enumerate(rows)
             if r not in rows[:i]
             and not any(s != r and all(x <= y for x, y in zip(s, r)) for s in rows)]
-    got = minimal_rows(arrays)
-    assert [id(a) for a in got] == [id(arrays[i]) for i in want]
+    assert _minimal(rows) == want
     R = Ring(2, ["X", "Y", "Z"])
-    mins = Ideal(R, [R.monomial(a) for a in arrays]).minimal_monomial_exps()
-    assert sorted(map(tuple, mins.tolist())) == sorted(rows[i] for i in want)
+    mins = Ideal(R, [R.monomial(r) for r in rows]).minimal_monomial_exps()
+    assert mins == tuple(sorted(rows[i] for i in want))
 
 
 _EXPS3 = st.tuples(*[st.integers(0, 3)] * 3)
@@ -532,11 +530,10 @@ _EXPS3 = st.tuples(*[st.integers(0, 3)] * 3)
                        min_size=1, max_size=5))
 def test_minimal_generators_are_memoised(p, order, gens, probes):
     """Repeated membership keeps agreeing with the Groebner route, and every
-    call returns the one read-only array of minimal generators."""
+    call returns the one tuple of minimal generators."""
     R = Ring(p, ["X", "Y", "Z"], order)
-    I = Ideal(R, [R.monomial(np.array(g, np.int64)) for g in gens])
+    I = Ideal(R, [R.monomial(g) for g in gens])
     mins = I.minimal_monomial_exps()
-    snapshot = mins.copy()
     for _ in range(2):
         for terms in probes:
             f = R.from_terms([(e, c % (p - 1) + 1) for e, c in terms])
@@ -545,10 +542,36 @@ def test_minimal_generators_are_memoised(p, order, gens, probes):
             assert I.contains(f, method="monomial") == expect
             assert oracle_poly_member_monomial(gens, f) == expect
     assert I.minimal_monomial_exps() is mins
-    assert not mins.flags.writeable
-    with pytest.raises(ValueError):
-        mins[...] = 0
-    assert np.array_equal(mins, snapshot)
+
+
+def _oracle_sorted_minimal(rows):
+    """The distinct exponent tuples no other tuple strictly divides, ascending."""
+    return sorted({r for r in rows
+                   if not any(s != r and all(x <= y for x, y in zip(s, r)) for s in rows)})
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=st.sampled_from([2, 3]), a=st.lists(_EXPS3, max_size=5),
+       b=st.lists(_EXPS3, max_size=5), g=_EXPS3)
+def test_monomial_routes_generate_from_sorted_minimal_rows(p, a, b, g):
+    """Each monomial route maps the sorted minimal generators in order, so its
+    generator list (which a later basis computation reads in order) is fixed."""
+    R = Ring(p, ["X", "Y", "Z"])
+    I = Ideal(R, [R.monomial(e) for e in a])
+    J = Ideal(R, [R.monomial(e) for e in b])
+    ma, mb = _oracle_sorted_minimal(a), _oracle_sorted_minimal(b)
+
+    def distinct(rows):
+        return list(dict.fromkeys(rows))
+
+    assert monomial_gen_exps(I.intersect(J)) == distinct(
+        tuple(map(max, r, s)) for r in ma for s in mb)
+    assert monomial_gen_exps(I.quotient(R.monomial(g))) == distinct(
+        tuple(max(x - y, 0) for x, y in zip(r, g)) for r in ma)
+    assert monomial_gen_exps(frob_root(I)) == distinct(
+        tuple(-(-x // p) for x in r) for r in ma)
+    assert monomial_gen_exps(I.monomial_radical()) == _oracle_sorted_minimal(
+        [tuple(min(x, 1) for x in r) for r in ma])
 
 
 if __name__ == "__main__":

@@ -217,6 +217,18 @@ def test_parse_whitespace_and_signs():
     assert R.parse("10") == R.constant(3)
 
 
+def test_parse_parentheses():
+    R = Ring(7, ["X", "Y"])
+    assert R.parse("(X+Y)*(X-Y)") == R.parse("X^2 - Y^2")
+    assert R.parse("-(X+1)*Y") == R.parse("-X*Y - Y")
+    with pytest.raises(InputError, match=r"expected '\)'") as info:
+        R.parse("(X+Y")
+    assert info.value.location == "col 5"
+    with pytest.raises(InputError, match="expected a coefficient, variable or '\\('") as info:
+        R.parse("()")
+    assert info.value.location == "col 2"
+
+
 def test_parse_errors_carry_location():
     R = Ring(7, ["X", "Y"])
     with pytest.raises(InputError, match="col"):
