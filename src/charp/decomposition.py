@@ -471,6 +471,8 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
     t_list = tuple(t_list)
     if len(t_list) < depth:
         raise InputError(f"need at least {depth} multiplicities, got {len(t_list)}")
+    if min(t_list[:depth], default=1) < 1:
+        raise InputError("multiplicities must be >= 1")
     X = ring.var("X")
     Y = ring.var("Y")
 

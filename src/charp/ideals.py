@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from operator import le
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import _kernels as K
 from .errors import GroebnerBudgetExceeded, InputError
 from .orders import elim
@@ -92,25 +90,26 @@ def _monic(f: Polynomial) -> Polynomial:
     lc = f.lead_coeff()
     if lc == 1:
         return f
-    return f * f.ring.field.inv(lc)
+    inv, p = f.ring.field.inv(lc), f.ring.p
+    return Polynomial(f.ring, f.keys, f.packed, [c * inv % p for c in f.coeffs])
 
 
 def _pack(polys: Sequence[Polynomial]) -> list:
     """The normal-form kernel's encoding of a monic basis, in scan order."""
-    return [K.divisor(f.keys, f.exps, f.coeffs) for f in polys]
+    return [K.divisor(f.keys, f.packed, f.coeffs) for f in polys]
 
 
 def _nf_packed(f: Polynomial, packed) -> Polynomial:
     if f.is_zero() or not packed:
         return f
     budget = _budget.get()
-    ke, ee, ce, status = K.normal_form(f.keys, f.exps, f.coeffs, packed, f.ring.p,
-                                       budget.max_poly_terms, budget.max_degree)
+    *terms, status = K.normal_form(f.keys, f.packed, f.coeffs, packed, f.ring.p,
+                                   budget.max_poly_terms, budget.max_degree)
     if status == 1:
         raise GroebnerBudgetExceeded("max_poly_terms", budget.max_poly_terms)
     if status == 2:
         raise GroebnerBudgetExceeded("max_degree", budget.max_degree)
-    return Polynomial(f.ring, ee, ce, ke)
+    return Polynomial(f.ring, *terms)
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
@@ -119,19 +118,18 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return _nf_packed(f, _pack(reducers))
 
 
-def _shifted(f: Polynomial, shift: np.ndarray) -> Polynomial:
-    shift_k = f.ring.keys_of(shift.reshape(1, -1))[0]
-    return Polynomial(f.ring, f.exps + shift, f.coeffs, f.keys + shift_k)
+def _shifted(f: Polynomial, key: int, exp: int) -> tuple:
+    """The terms of f times the monomial that takes its lead to the packed
+    key ``key`` and packed exponents ``exp``."""
+    dk, de = key - f.keys[0], exp - f.packed[0]
+    return [k + dk for k in f.keys], [e + de for e in f.packed], f.coeffs
 
 
-def _spoly(f: Polynomial, g: Polynomial, lcm: tuple) -> Polynomial:
-    """S-polynomial of two monic polynomials whose leads have the lcm ``lcm``."""
-    lcm = np.array(lcm, np.int64)
-    a = _shifted(f, lcm - f.exps[0])
-    b = _shifted(g, lcm - g.exps[0])
+def _spoly(f: Polynomial, g: Polynomial, key: int, exp: int) -> Polynomial:
+    """S-polynomial of two monic polynomials whose leads have the lcm of
+    packed key ``key`` and packed exponents ``exp``."""
     p = f.ring.p
-    ke, ee, ce = K.axpy(a.keys, a.exps, a.coeffs, b.keys, b.exps, b.coeffs, p - 1, p)
-    return Polynomial(f.ring, ee, ce, ke)
+    return Polynomial(f.ring, *K.axpy(*_shifted(f, key, exp), *_shifted(g, key, exp), p - 1, p))
 
 
 def _mono_divides(a: tuple, b: tuple) -> bool:
@@ -161,7 +159,7 @@ class _Buchberger:
     Gebauer-Moeller pair pruning and first-match-in-sorted-basis reducers.
 
     Beside each basis element it keeps the lead's exponent tuple, the
-    lead's key tuple (tuples compare in the monomial order) and the
+    lead's packed key (ints compare in the monomial order) and the
     element's kernel encoding, so pair bookkeeping is plain tuple work and
     a repack only reorders encodings."""
 
@@ -174,15 +172,10 @@ class _Buchberger:
         self.divisors: list[tuple] = []
         self.pairs: list[tuple] = []  # heap of (lcm degree, lcm key, i, j, lcm)
         self._packed = []
-        # column j of the key matrix: key_j(e) = sum_i e_i * cols[j][i]
-        self._key_cols = ring.keys_of(np.eye(ring.nvars, dtype=np.int64)).T.tolist()
-
-    def _key_tuple(self, exp: tuple) -> tuple:
-        return tuple(sum(e * m for e, m in zip(exp, col)) for col in self._key_cols)
 
     def _push_pair(self, i: int, j: int):
         lcm = _lcm(self.leads[i], self.leads[j])
-        heapq.heappush(self.pairs, (sum(lcm), self._key_tuple(lcm), i, j, lcm))
+        heapq.heappush(self.pairs, (sum(lcm), self.ring.key_of(lcm), i, j, lcm))
 
     def _scan_order(self) -> list[int]:
         return sorted(range(len(self.G)), key=lambda i: (self.lead_keys[i], i))
@@ -190,7 +183,7 @@ class _Buchberger:
     def add(self, h: Polynomial):
         """Install a new monic element, updating the pair set (Gebauer-Moeller)."""
         t = len(self.G)
-        lt = tuple(h.exps[0].tolist())
+        lt = self.ring.unpack(h.packed[0])
         lcm_with = [_lcm(li, lt) for li in self.leads]
         first = {}
         for i, li in enumerate(lcm_with):
@@ -209,8 +202,8 @@ class _Buchberger:
         heapq.heapify(self.pairs)
         self.G.append(h)
         self.leads.append(lt)
-        self.lead_keys.append(self._key_tuple(lt))
-        self.divisors.append(K.divisor(h.keys, h.exps, h.coeffs))
+        self.lead_keys.append(h.keys[0])
+        self.divisors.append(K.divisor(h.keys, h.packed, h.coeffs))
         for i in final:
             self._push_pair(i, t)
         self._packed = [self.divisors[i] for i in self._scan_order()]
@@ -225,14 +218,14 @@ class _Buchberger:
                 self.add(_monic(h))
         processed = 0
         while self.pairs:
-            deg, _, i, j, lcm = heapq.heappop(self.pairs)
+            deg, key, i, j, lcm = heapq.heappop(self.pairs)
             processed += 1
             pair_count += 1
             if processed > self.budget.max_pairs:
                 raise GroebnerBudgetExceeded("max_pairs", self.budget.max_pairs)
             if deg > self.budget.max_degree:
                 raise GroebnerBudgetExceeded("max_degree", self.budget.max_degree)
-            s = _spoly(self.G[i], self.G[j], lcm)
+            s = _spoly(self.G[i], self.G[j], key, self.ring.pack(lcm))
             h = _nf_packed(s, self._packed)
             if not h.is_zero():
                 self.add(_monic(h))
@@ -275,25 +268,25 @@ def _fresh_names(taken, count, stem):
 
 def _map_poly(f: Polynomial, target: Ring, col_map: Sequence[int]) -> Polynomial:
     """Reinterpret f in target ring, sending source column i to col_map[i]."""
-    exps = np.zeros((f.exps.shape[0], target.nvars), np.int64)
-    for i, j in enumerate(col_map):
-        exps[:, j] = f.exps[:, i]
-    ke, ee, ce = K.combine(target.keys_of(exps), exps, f.coeffs.copy(), target.p)
-    return Polynomial(target, ee, ce, ke)
+    rows = []
+    for vec in f.exps:
+        row = [0] * target.nvars
+        for i, j in enumerate(col_map):
+            row[j] = vec[i]
+        rows.append(row)
+    return target.from_terms(zip(rows, f.coeffs))
 
 
 def _project(g: Polynomial, k: int, target: Ring) -> Polynomial:
     """g read in target through all but the first k variables of g's ring."""
-    exps = g.exps[:, k:]
-    ke, ee, ce = K.combine(target.keys_of(exps), exps, g.coeffs, target.p)
-    return Polynomial(target, ee, ce, ke)
+    return target.from_terms((vec[k:], c) for vec, c in g.terms())
 
 
 def _eliminate(gens: Sequence[Polynomial], ext: Ring, k: int, target: Ring) -> "Ideal":
     """The basis elements of gens in ext (an elim(k) ring) that are free of
     ext's first k variables, read in target through ext's remaining ones."""
     return Ideal(target, [_project(g, k, target) for g in groebner_basis(gens, ext)
-                          if not g.exps[:, :k].any()])
+                          if not any(any(vec[:k]) for vec in g.exps)])
 
 
 def _aux_cover(ring: Ring):
@@ -387,7 +380,7 @@ class Ideal:
         if self._min_exps is None:
             if not self.is_monomial():
                 raise InputError("not a monomial ideal")
-            self._min_exps = _sorted_minimal([tuple(g.exps[0].tolist()) for g in self.generators])
+            self._min_exps = _sorted_minimal([g.exps[0] for g in self.generators])
         return self._min_exps
 
     def contains(self, g, method: str = "auto") -> bool:
@@ -404,7 +397,7 @@ class Ideal:
             if not self.is_monomial():
                 raise InputError("monomial membership on a non-monomial ideal")
             mins = self.minimal_monomial_exps()
-            return all(any(_mono_divides(m, vec) for m in mins) for vec in g.exps.tolist())
+            return all(any(_mono_divides(m, vec) for m in mins) for vec in g.exps)
         return _nf_packed(g, self._packed_gb()).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:
@@ -448,7 +441,7 @@ class Ideal:
         if method == "monomial" or (method == "auto" and self.is_monomial() and g.is_monomial()):
             if not (self.is_monomial() and g.is_monomial()):
                 raise InputError("monomial quotient on non-monomial input")
-            vec = g.exps[0].tolist()
+            vec = g.exps[0]
             gens = [self.ring.monomial([max(e - v, 0) for e, v in zip(r, vec)])
                     for r in self.minimal_monomial_exps()]
             return Ideal(self.ring, gens)
@@ -458,7 +451,7 @@ class Ideal:
         gens = []
         for h in inter.groebner():
             q = normal_form(t * lift(h), divisor)
-            if q.exps[:, 0].any():
+            if any(vec[0] for vec in q.exps):
                 raise InputError("internal error: colon generator not divisible")
             gens.append(_project(q, 1, self.ring))
         return Ideal(self.ring, gens)

@@ -2,9 +2,9 @@
 
 Every order used here can be realised as a linear map on exponent vectors:
 monomial a precedes monomial b (a > b) exactly when the integer row
-``a @ M`` is lexicographically greater than ``b @ M``.  Reducing order
-comparisons to row-lexicographic comparisons of derived keys makes sorting
-a ``np.lexsort``.
+``a @ M`` is lexicographically greater than ``b @ M``.  The kernels pack
+that row into one int whose integer order is the row order (see
+_kernels.py), so comparing monomials is comparing ints.
 
 Supported kinds:
 
@@ -20,8 +20,6 @@ monomial equality.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError
 
 
@@ -36,21 +34,20 @@ class MonomialOrder:
         if self.kind == "elim" and self.block < 1:
             raise InputError("elimination order needs a positive block size")
 
-    def key_matrix(self, nvars: int) -> np.ndarray:
-        """(nvars, width) int64 matrix M with a > b iff a@M >lex b@M."""
+    def key_matrix(self, nvars: int) -> list:
+        """The rows of the integer matrix M, one per variable, with
+        a > b iff a@M >lex b@M."""
         if self.kind == "lex":
-            return np.eye(nvars, dtype=np.int64)
+            return [[int(i == j) for j in range(nvars)] for i in range(nvars)]
         if self.kind == "grevlex":
             return _grevlex_block(nvars, 0, nvars)
         k = self.block
         if k > nvars:
             raise InputError(f"elimination block {k} exceeds variable count {nvars}")
-        parts = []
-        if k > 0:
-            parts.append(_grevlex_block(nvars, 0, k))
+        rows = _grevlex_block(nvars, 0, k)
         if k < nvars:
-            parts.append(_grevlex_block(nvars, k, nvars))
-        return np.concatenate(parts, axis=1)
+            rows = [a + b for a, b in zip(rows, _grevlex_block(nvars, k, nvars))]
+        return rows
 
     def __str__(self):
         if self.kind == "elim":
@@ -60,12 +57,8 @@ class MonomialOrder:
 
 def _grevlex_block(nvars, lo, hi):
     """Grevlex key columns for variables in [lo, hi): degree, then -e reversed."""
-    width = 1 + (hi - lo)
-    m = np.zeros((nvars, width), dtype=np.int64)
-    m[lo:hi, 0] = 1
-    for j, i in enumerate(range(hi - 1, lo - 1, -1)):
-        m[i, 1 + j] = -1
-    return m
+    return [[int(lo <= i < hi)] + [-int(i == hi - 1 - j) for j in range(hi - lo)]
+            for i in range(nvars)]
 
 
 GREVLEX = MonomialOrder("grevlex")

@@ -4,20 +4,18 @@ A Ring fixes the characteristic p, the ordered variable names, the active
 monomial order and (optionally) quotient generators J, in which case the
 ring denotes F_p[vars]/J and all ideal-level code works with full preimages.
 
-Polynomials are immutable.  Term data lives in the parallel int64 arrays
-described in _kernels.py, always sorted strictly descending under the
-ring's order.  The arrays are the only storage format: the normal-form
-kernel packs terms into Python ints while it divides and hands arrays back.
-Exponents are checked against EXP_LIMIT so that Frobenius powers fail
-loudly instead of wrapping around.
+Polynomials are immutable.  Term data lives in the parallel lists of packed
+ints described in _kernels.py, always sorted strictly descending under the
+ring's order; every kernel takes and returns them, so no term is converted
+between formats.  Exponents are checked against EXP_LIMIT so that
+Frobenius powers fail loudly instead of overflowing a packed field.
 """
 
 from __future__ import annotations
 
 import re
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from . import _kernels as K
 from .errors import ExponentOverflow, InputError, NotPPower
@@ -29,8 +27,8 @@ EXP_LIMIT = 2**56
 _VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _check_exps(exps: np.ndarray) -> None:
-    if exps.size and int(exps.max()) > EXP_LIMIT:
+def _check_exps(rows) -> None:
+    if max(map(max, rows), default=0) > EXP_LIMIT:
         raise ExponentOverflow(f"exponent exceeds {EXP_LIMIT}")
 
 
@@ -38,7 +36,7 @@ class Ring:
     """F_p[vars] with a fixed monomial order, optionally modulo quotient generators."""
 
     __slots__ = ("field", "vars", "order", "quotient", "reduced_assertion",
-                 "_key_matrix", "_var_index", "_zero", "_one")
+                 "_key_units", "_exp_units", "_var_index", "_zero", "_one")
 
     def __init__(self, p: int, vars: Sequence[str], order: MonomialOrder = GREVLEX,
                  quotient: Sequence["Polynomial"] = (), reduced: Optional[bool] = None):
@@ -55,7 +53,7 @@ class Ring:
             raise InputError("at most 64 variables are supported")
         self.vars = vars
         self.order = order
-        self._key_matrix = order.key_matrix(len(vars))
+        self._key_units, self._exp_units = K.units(order.key_matrix(len(vars)))
         self._var_index = {v: i for i, v in enumerate(vars)}
         self.quotient: tuple = ()
         self.reduced_assertion = reduced
@@ -104,23 +102,28 @@ class Ring:
 
     # -- construction -------------------------------------------------------
 
-    def keys_of(self, exps: np.ndarray) -> np.ndarray:
-        return exps @ self._key_matrix
+    def key_of(self, vec) -> int:
+        """The packed sort key of an exponent vector."""
+        return sum(map(mul, vec, self._key_units))
+
+    def pack(self, vec) -> int:
+        """The packed exponents of an exponent vector."""
+        return sum(map(mul, vec, self._exp_units))
+
+    def unpack(self, e: int) -> tuple:
+        """The exponent tuple of packed exponents."""
+        return K.unpack(e, len(self.vars))
 
     def zero(self) -> "Polynomial":
         if self._zero is None:
-            d = self.nvars
-            self._zero = Polynomial(self, np.empty((0, d), np.int64),
-                                    np.empty(0, np.int64),
-                                    np.empty((0, self._key_matrix.shape[1]), np.int64))
+            self._zero = Polynomial(self, [], [], [])
         return self._zero
 
     def constant(self, c: int) -> "Polynomial":
         c = self.field.reduce(c)
         if c == 0:
             return self.zero()
-        exps = np.zeros((1, self.nvars), np.int64)
-        return Polynomial(self, exps, np.array([c], np.int64), self.keys_of(exps))
+        return Polynomial(self, [0], [0], [c])
 
     def one(self) -> "Polynomial":
         if self._one is None:
@@ -135,14 +138,12 @@ class Ring:
         return self._var_poly(i)
 
     def _var_poly(self, i: int) -> "Polynomial":
-        exps = np.zeros((1, self.nvars), np.int64)
-        exps[0, i] = 1
-        return Polynomial(self, exps, np.array([1], np.int64), self.keys_of(exps))
+        return Polynomial(self, [self._key_units[i]], [self._exp_units[i]], [1])
 
     def monomial(self, exps, coeff: int = 1) -> "Polynomial":
         """Single term; exps is a var->exponent mapping or an exponent vector."""
-        vec = np.zeros(self.nvars, np.int64)
         if isinstance(exps, Mapping):
+            vec = [0] * self.nvars
             for v, e in exps.items():
                 if v not in self._var_index:
                     raise InputError(f"unknown variable {v!r}")
@@ -150,37 +151,34 @@ class Ring:
                     raise InputError("negative exponent")
                 vec[self._var_index[v]] = e
         else:
-            arr = np.asarray(exps, dtype=np.int64)
-            if arr.shape != (self.nvars,):
+            vec = [int(e) for e in exps]
+            if len(vec) != self.nvars:
                 raise InputError(f"exponent vector must have length {self.nvars}")
-            if arr.size and arr.min() < 0:
+            if min(vec) < 0:
                 raise InputError("negative exponent")
-            vec[:] = arr
         c = self.field.reduce(coeff)
         if c == 0:
             return self.zero()
-        _check_exps(vec)
-        exps2 = vec.reshape(1, -1)
-        return Polynomial(self, exps2, np.array([c], np.int64), self.keys_of(exps2))
+        _check_exps([vec])
+        return Polynomial(self, [self.key_of(vec)], [self.pack(vec)], [c])
 
     def from_terms(self, terms: Iterable[tuple]) -> "Polynomial":
         """Build from (exponent-vector, coefficient) pairs; merges duplicates."""
         rows = []
         coeffs = []
         for vec, c in terms:
-            arr = np.asarray(vec, dtype=np.int64)
-            if arr.shape != (self.nvars,):
+            row = [int(e) for e in vec]
+            if len(row) != self.nvars:
                 raise InputError(f"exponent vector must have length {self.nvars}")
-            rows.append(arr)
+            rows.append(row)
             coeffs.append(self.field.reduce(c))
         if not rows:
             return self.zero()
-        exps = np.stack(rows)
-        if exps.min() < 0:
+        if min(map(min, rows)) < 0:
             raise InputError("negative exponent")
-        _check_exps(exps)
-        ke, ee, ce = K.combine(self.keys_of(exps), exps, np.array(coeffs, np.int64), self.p)
-        return Polynomial(self, ee, ce, ke)
+        _check_exps(rows)
+        return Polynomial(self, *K.combine([self.key_of(r) for r in rows],
+                                           [self.pack(r) for r in rows], coeffs, self.p))
 
     def parse(self, text: str) -> "Polynomial":
         return _parse_poly(self, text)
@@ -198,19 +196,23 @@ class Ring:
 
 
 def _term_data(polys) -> tuple:
-    return tuple((p.exps.tobytes(), p.coeffs.tobytes()) for p in polys)
+    return tuple((tuple(p.packed), tuple(p.coeffs)) for p in polys)
 
 
 class Polynomial:
-    """Immutable sparse polynomial; terms sorted descending under the ring order."""
+    """Immutable sparse polynomial; terms sorted descending under the ring order.
 
-    __slots__ = ("ring", "exps", "coeffs", "keys", "_hash")
+    ``keys``, ``packed`` and ``coeffs`` are the kernel lists; ``exps``
+    decodes the exponent tuples.
+    """
 
-    def __init__(self, ring: Ring, exps: np.ndarray, coeffs: np.ndarray, keys: np.ndarray):
+    __slots__ = ("ring", "keys", "packed", "coeffs", "_hash")
+
+    def __init__(self, ring: Ring, keys: list, packed: list, coeffs: list):
         self.ring = ring
-        self.exps = exps
-        self.coeffs = coeffs
         self.keys = keys
+        self.packed = packed
+        self.coeffs = coeffs
         self._hash = None
 
     def _rebind(self, ring: Ring) -> "Polynomial":
@@ -218,35 +220,38 @@ class Polynomial:
         if ring.p != self.ring.p or ring.vars != self.ring.vars:
             raise InputError("cannot rebind polynomial across different variable sets")
         if ring.order == self.ring.order:
-            return Polynomial(ring, self.exps, self.coeffs, self.keys)
-        ke, ee, ce = K.combine(ring.keys_of(self.exps), self.exps, self.coeffs, ring.p)
-        return Polynomial(ring, ee, ce, ke)
+            return Polynomial(ring, self.keys, self.packed, self.coeffs)
+        keys = [ring.key_of(vec) for vec in self.exps]
+        return Polynomial(ring, *K.combine(keys, self.packed, self.coeffs, ring.p))
 
     # -- inspection ----------------------------------------------------------
 
+    @property
+    def exps(self) -> tuple:
+        """The exponent tuples of the terms, descending."""
+        return tuple(map(self.ring.unpack, self.packed))
+
     def is_zero(self) -> bool:
-        return self.coeffs.shape[0] == 0
+        return not self.coeffs
 
     def is_one(self) -> bool:
-        return (self.coeffs.shape[0] == 1 and self.coeffs[0] == 1
-                and not self.exps[0].any())
+        return self.coeffs == [1] and self.packed[0] == 0
 
     def is_monomial(self) -> bool:
         """Single-term polynomial (any coefficient)."""
-        return self.coeffs.shape[0] == 1
+        return len(self.coeffs) == 1
 
     def nterms(self) -> int:
-        return self.coeffs.shape[0]
+        return len(self.coeffs)
 
     def lead_coeff(self) -> int:
         if self.is_zero():
             raise ValueError("zero polynomial has no lead term")
-        return int(self.coeffs[0])
+        return self.coeffs[0]
 
     def terms(self):
-        """Iterate (exponent-vector, coefficient) pairs, descending."""
-        for i in range(self.coeffs.shape[0]):
-            yield self.exps[i], int(self.coeffs[i])
+        """Iterate (exponent tuple, coefficient) pairs, descending."""
+        return zip(self.exps, self.coeffs)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -263,9 +268,8 @@ class Polynomial:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        ke, ee, ce = K.axpy(self.keys, self.exps, self.coeffs,
-                            other.keys, other.exps, other.coeffs, 1, self.ring.p)
-        return Polynomial(self.ring, ee, ce, ke)
+        return Polynomial(self.ring, *K.axpy(self.keys, self.packed, self.coeffs, other.keys,
+                                             other.packed, other.coeffs, 1, self.ring.p))
 
     __radd__ = __add__
 
@@ -273,10 +277,9 @@ class Polynomial:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        ke, ee, ce = K.axpy(self.keys, self.exps, self.coeffs,
-                            other.keys, other.exps, other.coeffs,
-                            self.ring.p - 1, self.ring.p)
-        return Polynomial(self.ring, ee, ce, ke)
+        return Polynomial(self.ring, *K.axpy(self.keys, self.packed, self.coeffs, other.keys,
+                                             other.packed, other.coeffs,
+                                             self.ring.p - 1, self.ring.p))
 
     def __rsub__(self, other):
         other = self._coerced(other)
@@ -291,10 +294,10 @@ class Polynomial:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        ke, ee, ce = K.mul(self.keys, self.exps, self.coeffs,
-                           other.keys, other.exps, other.coeffs, self.ring.p)
-        _check_exps(ee)
-        return Polynomial(self.ring, ee, ce, ke)
+        out = Polynomial(self.ring, *K.mul(self.keys, self.packed, self.coeffs, other.keys,
+                                           other.packed, other.coeffs, self.ring.p))
+        _check_exps(out.exps)
+        return out
 
     __rmul__ = __mul__
 
@@ -322,18 +325,18 @@ class Polynomial:
         if e == 0 or self.is_zero():
             return self
         scale = self.ring.p ** e
-        if self.exps.size and int(self.exps.max()) * scale > EXP_LIMIT:
+        if max(map(max, self.exps)) * scale > EXP_LIMIT:
             raise ExponentOverflow(f"Frobenius scaling by p^{e} exceeds {EXP_LIMIT}")
-        return Polynomial(self.ring, self.exps * scale, self.coeffs, self.keys * scale)
+        return Polynomial(self.ring, [k * scale for k in self.keys],
+                          [x * scale for x in self.packed], self.coeffs)
 
     def try_p_root(self) -> Optional["Polynomial"]:
         """The unique p-th root, or None when some exponent is not divisible by p."""
         p = self.ring.p
-        if self.is_zero():
-            return self
-        if (self.exps % p).any():
+        if any(e % p for vec in self.exps for e in vec):
             return None
-        return Polynomial(self.ring, self.exps // p, self.coeffs, self.keys // p)
+        return Polynomial(self.ring, [k // p for k in self.keys],
+                          [x // p for x in self.packed], self.coeffs)
 
     def p_root(self) -> "Polynomial":
         root = self.try_p_root()
@@ -352,13 +355,13 @@ class Polynomial:
         out = ring.zero()
         for vec, c in self.terms():
             term = ring.constant(c)
-            plain = np.array(vec)
+            plain = list(vec)
             for i, val in values.items():
-                e = int(vec[i])
+                e = vec[i]
                 if e:
                     plain[i] = 0
                     term = term * val.power(e)
-            if plain.any():
+            if any(plain):
                 term = term * ring.monomial(plain)
             out = out + term
         return out
@@ -370,15 +373,13 @@ class Polynomial:
             if isinstance(other, int):
                 return self == self.ring.constant(other)
             return NotImplemented
-        return (self.ring == other.ring
-                and self.exps.shape == other.exps.shape
-                and np.array_equal(self.exps, other.exps)
-                and np.array_equal(self.coeffs, other.coeffs))
+        return (self.ring == other.ring and self.packed == other.packed
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
         if self._hash is None:
             self._hash = hash((self.ring.p, self.ring.vars,
-                               self.exps.tobytes(), self.coeffs.tobytes()))
+                               tuple(self.packed), tuple(self.coeffs)))
         return self._hash
 
     def __str__(self):
@@ -388,7 +389,6 @@ class Polynomial:
         for vec, c in self.terms():
             factors = []
             for v, e in zip(self.ring.vars, vec):
-                e = int(e)
                 if e == 1:
                     factors.append(v)
                 elif e > 1:

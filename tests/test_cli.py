@@ -207,6 +207,14 @@ def test_bad_numbers_are_input_errors(argv, monkeypatch, capsys):
     assert data["result"]["error_kind"] == "InputError"
 
 
+@pytest.mark.parametrize("t", ["0,1,1", "1,-1,1"])
+def test_ex8_rejects_multiplicities_below_1(t, capsys):
+    code, data = run_json(capsys, "ex8", "--p", "7", "--l", "2", "--t", t, "--depth", "3")
+    assert code == 2
+    assert data["result"] == {"error": "multiplicities must be >= 1",
+                              "error_kind": "InputError"}
+
+
 # failure reports the README does not run: exit code, the error payload, and
 # the sha256 of the --json report and of the text output
 FAILURE_REPORTS = [

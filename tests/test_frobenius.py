@@ -164,7 +164,7 @@ def _polys(ring, max_deg=2):
 
 
 def _is_power(g, q):
-    return not (g.exps % q).any()
+    return not any(e % q for vec in g.exps for e in vec)
 
 
 @settings(max_examples=40, deadline=None)

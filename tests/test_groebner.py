@@ -14,6 +14,7 @@ from charp import (GroebnerBudget, GroebnerBudgetExceeded, Ideal, InputError,
 from charp.frobenius import frob_root
 from charp.ideals import _minimal, normal_form
 from charp.orders import GREVLEX, LEX, elim, parse_order
+from charp.poly import EXP_LIMIT
 
 from conftest import (assert_same_ideal_on_box,
                       monomial_gen_exps, oracle_mono_member, oracle_saturate,
@@ -162,6 +163,32 @@ def test_contains_random_monomial_ideals_vs_oracle(rng):
         expect = oracle_poly_member_monomial(gens, g)
         assert I.contains(g) == expect
         assert I.contains(g, method="groebner") == expect
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_contains_routes_agree_in_64_variables_up_to_exp_limit(data):
+    """Groebner membership on packed monomials of 64 variables with exponents
+    up to EXP_LIMIT agrees with divisibility.  A query is a generator moved
+    by a sparse shift, clamped to [0, EXP_LIMIT]; half the shifts are
+    nonnegative, so members and non-members both come up."""
+    order = data.draw(st.sampled_from([GREVLEX, LEX, elim(1), elim(32)]), label="order")
+    R = Ring(2, [f"x{i}" for i in range(64)], order)
+
+    def vectors(lo):
+        value = st.one_of(st.just(0), st.just(EXP_LIMIT), st.integers(lo, EXP_LIMIT))
+        return st.lists(st.one_of(st.just(0), value), min_size=64, max_size=64)
+
+    gens = data.draw(st.lists(vectors(0), min_size=1, max_size=4), label="gens")
+    I = Ideal(R, [R.monomial(g) for g in gens])
+    with using_budget(GroebnerBudget(max_degree=2**63)):
+        for _ in range(5):
+            base = data.draw(st.sampled_from(gens), label="base")
+            lo = data.draw(st.sampled_from([0, -EXP_LIMIT]), label="lo")
+            shift = data.draw(vectors(lo), label="shift")
+            query = R.monomial([min(max(b + s, 0), EXP_LIMIT) for b, s in zip(base, shift)])
+            assert (I.contains(query, method="groebner")
+                    == I.contains(query, method="monomial"))
 
 
 def test_normal_form_is_zero_only_on_members(R2, rng):

@@ -2,15 +2,16 @@
 
 A term list is modelled as a dict from exponent tuple to coefficient mod p
 with no zero entries; every kernel output must be exactly that dict, laid out
-strictly descending in the ring's order.
+strictly descending in the ring's order.  The expected order comes from the
+key-matrix rows, not from the packed keys under test.
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from charp import Ring
 from charp import _kernels as K
 from charp.orders import GREVLEX, LEX, elim
+from charp.poly import EXP_LIMIT
 
 P = 5
 VARS = ["X", "Y", "Z"]
@@ -25,23 +26,24 @@ def term_dicts(min_size=0, max_size=5):
 
 
 def _key(ring, e):
-    return tuple(ring.keys_of(np.array([e], np.int64))[0].tolist())
+    """The key-matrix row of exponent vector e."""
+    return tuple(sum(x * m for x, m in zip(e, col))
+                 for col in zip(*ring.order.key_matrix(ring.nvars)))
 
 
-def _arrays(ring, d):
+def _lists(ring, d):
     """Kernel layout of an oracle dict: (keys, exps, coeffs), descending."""
     terms = sorted(d.items(), key=lambda t: _key(ring, t[0]), reverse=True)
-    exps = np.array([e for e, _ in terms], np.int64).reshape(len(terms), len(VARS))
-    coeffs = np.array([c for _, c in terms], np.int64)
-    return ring.keys_of(exps), exps, coeffs
+    return ([ring.key_of(e) for e, _ in terms], [ring.pack(e) for e, _ in terms],
+            [c for _, c in terms])
 
 
 def _assert_matches(ring, out, d):
     keys, exps, coeffs = out[:3]
-    want_keys, want_exps, want_coeffs = _arrays(ring, d)
-    assert exps.tolist() == want_exps.tolist()
-    assert coeffs.tolist() == want_coeffs.tolist()
-    assert keys.tolist() == want_keys.tolist()
+    want = sorted(d.items(), key=lambda t: _key(ring, t[0]), reverse=True)
+    assert [ring.unpack(e) for e in exps] == [e for e, _ in want]
+    assert coeffs == [c for _, c in want]
+    assert keys == [ring.key_of(e) for e, _ in want]
 
 
 def _add(d, e, c):
@@ -104,7 +106,7 @@ def _oracle_normal_form(ring, f, basis, max_terms, max_degree):
 
 
 def _pack(ring, basis):
-    return tuple(K.divisor(*_arrays(ring, g)) for _, g in basis)
+    return tuple(K.divisor(*_lists(ring, g)) for _, g in basis)
 
 
 @settings(max_examples=150, deadline=None)
@@ -113,31 +115,30 @@ def test_combine_matches_oracle(ring, terms, data):
     # append the negation of some terms so that whole monomials cancel
     flips = data.draw(st.lists(st.sampled_from(terms), max_size=4) if terms else st.just([]))
     terms = terms + [(e, -c % P) for e, c in flips]
-    exps = np.array([e for e, _ in terms], np.int64).reshape(len(terms), len(VARS))
-    coeffs = np.array([c for _, c in terms], np.int64)
-    out = K.combine(ring.keys_of(exps), exps, coeffs, P)
+    out = K.combine([ring.key_of(e) for e, _ in terms], [ring.pack(e) for e, _ in terms],
+                    [c for _, c in terms], P)
     _assert_matches(ring, out, _oracle_combine(terms))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(RINGS), term_dicts(), term_dicts(), st.integers(0, 2 * P))
 def test_axpy_matches_oracle(ring, a, b, scale):
-    out = K.axpy(*_arrays(ring, a), *_arrays(ring, b), scale, P)
+    out = K.axpy(*_lists(ring, a), *_lists(ring, b), scale, P)
     _assert_matches(ring, out, _oracle_axpy(a, b, scale))
     # B = A scaled by -1 cancels every term
-    _assert_matches(ring, K.axpy(*_arrays(ring, a), *_arrays(ring, a), P - 1, P), {})
+    _assert_matches(ring, K.axpy(*_lists(ring, a), *_lists(ring, a), P - 1, P), {})
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(RINGS), term_dicts(), term_dicts())
 def test_mul_matches_oracle(ring, a, b):
-    out = K.mul(*_arrays(ring, a), *_arrays(ring, b), P)
+    out = K.mul(*_lists(ring, a), *_lists(ring, b), P)
     _assert_matches(ring, out, _oracle_mul(a, b))
 
 
 def _normal_form(ring, f, basis, max_terms, max_degree):
     basis = [_monic(ring, g) for g in basis]
-    out = K.normal_form(*_arrays(ring, f), _pack(ring, basis), P, max_terms, max_degree)
+    out = K.normal_form(*_lists(ring, f), _pack(ring, basis), P, max_terms, max_degree)
     want, status = _oracle_normal_form(ring, f, basis, max_terms, max_degree)
     assert out[3] == status
     _assert_matches(ring, out, want)
@@ -187,5 +188,34 @@ def test_empty_inputs_all_kernels():
     assert (z + z).is_zero()
     assert (z * one).is_zero()
     assert (one - one).is_zero()
-    ke, ee, ce = K.combine(z.keys, z.exps, z.coeffs, 3)
-    assert ce.shape == (0,)
+    assert K.combine(z.keys, z.packed, z.coeffs, 3) == ([], [], [])
+
+
+# -- packed monomials at the limits ---------------------------------------------
+
+
+def _exponent_vectors(n):
+    value = st.one_of(st.just(0), st.just(EXP_LIMIT), st.integers(0, EXP_LIMIT))
+    return st.lists(value, min_size=n, max_size=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_keys_follow_key_rows_up_to_64_variables(data):
+    """Packed keys order monomials as their key-matrix rows do, in rings of
+    up to 64 variables with exponents up to EXP_LIMIT, and packed exponents
+    unpack to the vector.  b is a with a few entries redrawn, so rows that
+    first differ deep in the key come up often."""
+    n = data.draw(st.integers(1, 64), label="nvars")
+    order = data.draw(st.sampled_from([GREVLEX, LEX]) | st.integers(1, n).map(elim),
+                      label="order")
+    ring = Ring(P, [f"x{i}" for i in range(n)], order)
+    a = data.draw(_exponent_vectors(n), label="a")
+    b = list(a)
+    for i, v in data.draw(st.lists(st.tuples(st.integers(0, n - 1), _exponent_vectors(1)),
+                                   max_size=3), label="changes"):
+        b[i] = v[0]
+    for u, v in ((a, b), (b, a)):
+        assert (ring.key_of(u) < ring.key_of(v)) == (_key(ring, u) < _key(ring, v))
+    assert (ring.key_of(a) == ring.key_of(b)) == (a == b)
+    assert ring.unpack(ring.pack(a)) == tuple(a)
