@@ -22,6 +22,10 @@ with ``using_budget(budget)``; each basis computation reads the active
 budget when it starts (pair and degree limits) and each normal form reads
 it for its term and degree limits.  Outside any scope the active budget is
 DEFAULT_BUDGET.
+
+Each Ring keeps the last _BASES_KEPT reduced bases it computed, keyed by
+generators and budget.  A recalled basis charges pair_count the pairs it cost,
+so counts do not depend on what the ring computed before.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ from typing import Iterable, Sequence
 from . import _kernels as K
 from .errors import GroebnerBudgetExceeded, InputError
 from .orders import elim
-from .poly import Polynomial, Ring
+from .poly import Polynomial, Ring, _term_data
 
-pair_count = 0  # pairs processed since the last reset; reported by the CLI
+pair_count = 0  # pairs of the bases computed or recalled since the last reset; the CLI reports it
+_BASES_KEPT = 256  # reduced bases each Ring remembers
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,8 @@ def using_budget(budget: GroebnerBudget):
 
     The scope belongs to the current context: a thread started inside it
     sees DEFAULT_BUDGET unless it runs through contextvars.copy_context().run.
+    A basis the ring computed under another budget is computed again, so a
+    recalled basis is always one that succeeded under ``budget``.
     """
     token = _budget.set(budget)
     try:
@@ -332,9 +339,24 @@ class Ideal:
         return self.generators + self.ring.quotient
 
     def groebner(self) -> tuple:
-        """The reduced Groebner basis under the ring's order, computed once."""
+        """The reduced Groebner basis under the ring's order, computed once
+        per ring and budget for these generators."""
+        global pair_count
         if self._gb_cache is None:
-            self._gb_cache = groebner_basis(self.effective_generators(), self.ring)
+            # entries hold term lists: Polynomials would refer back to the ring
+            # and leave it, with its bases, to the cycle collector
+            ring, key = self.ring, (_term_data(self.generators), _budget.get())
+            hit = ring._bases.get(key)
+            if hit is None:
+                before = pair_count
+                self._gb_cache = groebner_basis(self.effective_generators(), ring)
+                ring._bases[key] = ([(g.keys, g.packed, g.coeffs) for g in self._gb_cache],
+                                    pair_count - before)
+                if len(ring._bases) > _BASES_KEPT:
+                    ring._bases.popitem(last=False)
+            else:
+                pair_count += hit[1]
+                self._gb_cache = tuple(Polynomial(ring, *terms) for terms in hit[0])
         return self._gb_cache
 
     def _packed_gb(self):

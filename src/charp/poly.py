@@ -14,6 +14,7 @@ Frobenius powers fail loudly instead of overflowing a packed field.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -36,7 +37,7 @@ class Ring:
     """F_p[vars] with a fixed monomial order, optionally modulo quotient generators."""
 
     __slots__ = ("field", "vars", "order", "quotient", "reduced_assertion",
-                 "_key_units", "_exp_units", "_var_index", "_zero", "_one")
+                 "_key_units", "_exp_units", "_var_index", "_zero", "_one", "_bases")
 
     def __init__(self, p: int, vars: Sequence[str], order: MonomialOrder = GREVLEX,
                  quotient: Sequence["Polynomial"] = (), reduced: Optional[bool] = None):
@@ -59,6 +60,7 @@ class Ring:
         self.reduced_assertion = reduced
         self._zero = None
         self._one = None
+        self._bases = OrderedDict()  # reduced bases of this ring's ideals (charp.ideals)
         if quotient:
             gens = tuple(g._rebind(self) for g in quotient if not g.is_zero())
             self.quotient = gens

@@ -2,9 +2,11 @@
 saturation, elimination, radical membership, budgets, and the monomial
 fast paths against their oracles."""
 
+import gc
 import itertools
 import json
 import pathlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from charp.ideals import _minimal, normal_form
 from charp.orders import GREVLEX, LEX, elim, parse_order
 from charp.poly import EXP_LIMIT
 
-from conftest import (assert_same_ideal_on_box,
+from conftest import (assert_same_ideal_on_box, cusp_ring,
                       monomial_gen_exps, oracle_mono_member, oracle_saturate,
                       oracle_poly_member_monomial, rand_ideal,
                       rand_monomial_ideal, rand_poly)
@@ -428,6 +430,165 @@ def test_budget_scope_covers_ideal_equality():
 def test_budget_fields_positive():
     with pytest.raises(InputError):
         GroebnerBudget(max_pairs=0)
+
+
+# -- the ring's basis cache ------------------------------------------------------
+
+
+def _spied_bases(calls):
+    """Patch ideals.groebner_basis with a wrapper that logs each call."""
+    real = ideals.groebner_basis
+
+    def spy(gens, ring):
+        calls.append(tuple(gens))
+        return real(gens, ring)
+
+    return mock.patch.object(ideals, "groebner_basis", spy)
+
+
+_CACHE_RINGS = [(p, order) for p in (2, 3) for order in (GREVLEX, LEX)] + ["cusp"]
+
+
+def _cache_ring(kind):
+    if kind == "cusp":
+        return cusp_ring()
+    p, order = kind
+    return Ring(p, ["X", "Y"], order)
+
+
+_TERM = st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(1, 2))
+_GENS = st.lists(st.lists(_TERM, min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(_CACHE_RINGS), data=st.data())
+def test_ring_basis_cache_is_invisible(kind, data):
+    """A shared ring gives every call the basis and pair count a fresh equal
+    ring gives, and computes nothing for a repeated ideal."""
+    distinct = data.draw(st.lists(_GENS, min_size=1, max_size=4))
+    order = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=10))
+
+    def run(ring_for):
+        out = []
+        for k in order:
+            ring = ring_for()
+            I = Ideal(ring, [ring.from_terms(t) for t in distinct[k]])
+            before = ideals.pair_count
+            basis = I.groebner()
+            out.append((I.generators, basis, ideals.pair_count - before))
+        return out
+
+    shared_ring = _cache_ring(kind)
+    calls = []
+    with _spied_bases(calls):
+        shared = run(lambda: shared_ring)
+    fresh = run(lambda: _cache_ring(kind))
+    assert [(b, d) for _, b, d in shared] == [(b, d) for _, b, d in fresh]
+    firsts = {gens for gens, _, _ in shared}
+    assert len(calls) == len(firsts)  # one computation per distinct ideal
+    assert len(shared_ring._bases) == len(firsts)
+
+
+def test_ring_basis_cache_keys_on_the_budget():
+    R = Ring(2, ["X", "Y"])
+    gens = ["X^2+Y", "X*Y^2+1"]  # two pairs
+    basis = Ideal(R, gens).groebner()
+    with using_budget(GroebnerBudget(max_pairs=1)):
+        with pytest.raises(GroebnerBudgetExceeded):
+            Ideal(R, gens).groebner()
+    assert len(R._bases) == 1
+    calls = []
+    with _spied_bases(calls):
+        assert Ideal(R, gens).groebner() == basis
+    assert calls == []  # recalled under the budget it was computed under
+
+
+def test_ring_basis_cache_keeps_no_failed_computation():
+    R = Ring(2, ["X", "Y"])
+    calls = []
+    with _spied_bases(calls), using_budget(GroebnerBudget(max_pairs=1)):
+        for _ in range(2):
+            with pytest.raises(GroebnerBudgetExceeded):
+                Ideal(R, ["X^2+Y", "X*Y^2+1"]).groebner()
+    assert len(R._bases) == 0
+    assert len(calls) == 2
+
+
+def test_ring_basis_cache_is_bounded_oldest_out():
+    R = Ring(2, ["X", "Y"])
+    extra = 5
+    for i in range(1, ideals._BASES_KEPT + extra + 1):
+        Ideal(R, [f"X^{i}"]).groebner()
+    assert len(R._bases) == ideals._BASES_KEPT
+    calls = []
+    with _spied_bases(calls):
+        Ideal(R, [f"X^{ideals._BASES_KEPT + extra}"]).groebner()  # the newest
+        Ideal(R, [f"X^{extra + 1}"]).groebner()  # the oldest kept
+        assert calls == []
+        Ideal(R, [f"X^{extra}"]).groebner()  # dropped
+    assert len(calls) == 1
+    assert len(R._bases) == ideals._BASES_KEPT
+
+
+def test_ring_basis_cache_under_concurrent_threads():
+    """Threads sharing one ring, with more distinct ideals than the bound and
+    a short switch interval, get the bases a fresh ring gives; afterwards the
+    cache holds at most the bound and recalls only right bases."""
+    import sys
+    import threading
+
+    R = Ring(3, ["X", "Y"])
+    nthreads, per_thread = 8, ideals._BASES_KEPT // 4
+    gens = [[f"X^{1 + i % 7}+Y^{1 + i // 7}", f"X*Y+{1 + t}"]
+            for t in range(nthreads) for i in range(per_thread)]
+    expected = [Ideal(Ring(3, ["X", "Y"]), g).groebner() for g in gens]
+    got, errors = {}, []
+
+    def worker(t):
+        try:
+            for k in range(t * per_thread, (t + 1) * per_thread):
+                for _ in range(2):
+                    got[k] = Ideal(R, gens[k]).groebner()
+        except Exception as e:  # reported below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(nthreads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    assert [got[k] for k in range(len(gens))] == expected
+    assert len(R._bases) <= ideals._BASES_KEPT
+    assert [Ideal(R, g).groebner() for g in gens] == expected  # recalled or computed again
+
+
+def test_ring_basis_cache_adds_no_reference_cycle():
+    """Once its ideals are gone, a ring that computed and recalled bases is
+    freed by reference counting alone.  The generators are built from terms:
+    the text parser leaves a cycle of its own."""
+    def rings():
+        return sum(isinstance(o, Ring) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = rings()
+        R = Ring(2, ["X", "Y"])
+        gens = [R.from_terms([((2, 0), 1), ((0, 1), 1)]), R.from_terms([((1, 2), 1), ((0, 0), 1)])]
+        for _ in range(2):
+            Ideal(R, gens).groebner()
+        assert rings() == before + 1
+        del R, gens
+        assert rings() == before
+    finally:
+        gc.enable()
 
 
 # -- routes and powers ---------------------------------------------------------------

@@ -5,10 +5,14 @@ a refactor that moves or renames a layer function breaks ``perfbench/run.py
 --trace 1`` without failing anything else in this suite.  Likewise the
 workloads' checks in ``perfbench/workloads.py`` read charp's results
 (exponent tuples, terms, lead coefficients), so a change to those breaks
-the benchmark's gates.
+the benchmark's gates, and a change that moves a report or a basis moves the
+digests pinned in ``perfbench/reference.json``.
 """
 
+import json
+import os
 import pathlib
+import shutil
 import sys
 
 import pytest
@@ -18,6 +22,7 @@ import charp.cli
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import run as bench  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -54,3 +59,30 @@ def test_workload_warmup_passes_its_check(name, monkeypatch):
     raw = workload.run(inst)
     assert workload.canon(inst, raw)
     assert workload.check(inst, raw) is None
+
+
+# critical pairs of one pass at the reference seed, as ``ideals.pairs_per_pass``
+PAIRS_PER_PASS = {"frobenius_closure": 7747, "cli_specs": 3942}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS_PER_PASS))
+def test_reference_pass_matches_pinned_digest(name, monkeypatch):
+    """One pass at the reference seed, checked as the benchmark checks it,
+    hashes to the digest in perfbench/reference.json (read, never written)."""
+    monkeypatch.chdir(ROOT)
+    work = ROOT / "perfbench" / "_work"
+    monkeypatch.setattr(workloads, "WORK_DIR", os.path.relpath(work, ROOT))
+    workload = workloads.WORKLOADS[name]()
+    instances = workload.generate(bench.DEFAULT_SEED)
+    checker = bench.Checker(workload, instances)
+    try:
+        if hasattr(workload, "prepare"):
+            workload.prepare(instances)
+        records, _ = bench.run_loop(workload, instances, indices=range(len(instances)),
+                                    checker=checker)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    assert not any(failed for *_, failed in records), checker.errors
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    assert checker.digest() == reference["sha256"][name]
+    assert sum(checker.pairs.values()) == PAIRS_PER_PASS[name]
