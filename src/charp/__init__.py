@@ -8,7 +8,7 @@ certificates, over F_p[X_1..X_d] and reduced quotients.
 from .errors import (CertificateFailure, CharpError, DepthExceeded,
                      DistinctLambdaExhausted, ExponentOverflow,
                      GroebnerBudgetExceeded, IdentityFailure, InputError,
-                     NonMonomial, NotContainingQuotient, NotPPower)
+                     NonMonomial, NotContainingQuotient)
 from .field import PrimeField
 from .orders import GREVLEX, LEX, MonomialOrder, elim
 from .poly import Polynomial, Ring
@@ -17,7 +17,7 @@ __all__ = [
     "CertificateFailure", "CharpError", "DepthExceeded",
     "DistinctLambdaExhausted", "ExponentOverflow", "GroebnerBudgetExceeded",
     "IdentityFailure", "InputError", "NonMonomial", "NotContainingQuotient",
-    "NotPPower", "PrimeField", "MonomialOrder", "GREVLEX", "LEX", "elim",
+    "PrimeField", "MonomialOrder", "GREVLEX", "LEX", "elim",
     "Polynomial", "Ring", "Ideal", "GroebnerBudget", "using_budget",
 ]
 

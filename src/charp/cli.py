@@ -16,9 +16,10 @@ Spec files are INI-style::
     kind = frobenius-powers    ; or canonical | constant-prime | fg-perfection
     ideal = a                  ;    | table | intersection | localize-contract
 
-Polynomials use the grammar of the core parser (terms joined by +/-, a term
-is coeff, coeff*mono or mono, monomials are VAR, VAR^k or *-products);
-commas separate list entries, so they never collide with the grammar.
+Polynomials use the grammar of the core parser (a sum is terms joined by
++/-, optionally led by a sign; a term is factors joined by *; a factor is a
+coefficient, VAR, VAR^k or a parenthesised sum); commas separate list
+entries, so they never collide with the grammar.
 
 Exit codes: 0 success or property verified, 1 verification or certification
 failed (the report carries the witness), 2 input error, 3 budget or depth
@@ -44,7 +45,7 @@ from .decomposition import (Decomposition, GrowthCertificate, certify_growth,
 from .errors import (CertificateFailure, CharpError, DepthExceeded,
                      DistinctLambdaExhausted, ExponentOverflow,
                      GroebnerBudgetExceeded, IdentityFailure, InputError,
-                     NonMonomial, NotContainingQuotient, NotPPower)
+                     NonMonomial, NotContainingQuotient)
 from .frobenius import f_closure, frob_power, frob_root
 from .ideals import DEFAULT_BUDGET, GroebnerBudget, Ideal, using_budget
 from .orders import parse_order
@@ -413,7 +414,7 @@ def _perfection_ideal(args, spec: SpecFile) -> PerfectionIdeal:
 
 def _cmd_perfection_member(args, report: Report, spec: SpecFile) -> int:
     A = _perfection_ideal(args, spec)
-    body = _parse_in(spec.ring, args.elem, "--elem")
+    body = _parse_in(spec.ring.cover(), args.elem, "--elem")
     e = PerfectionElement(args.root, body)
     ok = A.member(e)
     report.data["result"] = {
@@ -599,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 # (error types, exit code, text prefix) for a failed command; the first
 # entry whose types match the error wins
 _FAILURES = (
-    ((InputError, NotPPower, NonMonomial, NotContainingQuotient, DistinctLambdaExhausted),
+    ((InputError, NonMonomial, NotContainingQuotient, DistinctLambdaExhausted),
      EXIT_INPUT, "input error"),
     ((GroebnerBudgetExceeded, ExponentOverflow), EXIT_BUDGET, "budget exceeded"),
     (DepthExceeded, EXIT_BUDGET, "depth exceeded"),

@@ -22,10 +22,6 @@ class ExponentOverflow(CharpError):
     """An exponent left the checked 64-bit safe range."""
 
 
-class NotPPower(CharpError):
-    """A polynomial is not a p-th power, so it has no p-th root."""
-
-
 class GroebnerBudgetExceeded(CharpError):
     """A Groebner computation exceeded its pair/term/degree budget."""
 

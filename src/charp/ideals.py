@@ -371,9 +371,6 @@ class Ideal:
         gb = self.groebner()
         return len(gb) == 1 and gb[0].is_one()
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented

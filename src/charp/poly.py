@@ -19,7 +19,7 @@ from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import _kernels as K
-from .errors import ExponentOverflow, InputError, NotPPower
+from .errors import ExponentOverflow, InputError
 from .field import PrimeField
 from .orders import GREVLEX, MonomialOrder
 
@@ -37,7 +37,7 @@ class Ring:
     """F_p[vars] with a fixed monomial order, optionally modulo quotient generators."""
 
     __slots__ = ("field", "vars", "order", "quotient", "reduced_assertion",
-                 "_key_units", "_exp_units", "_var_index", "_zero", "_one", "_bases")
+                 "_key_units", "_exp_units", "_var_index", "_bases")
 
     def __init__(self, p: int, vars: Sequence[str], order: MonomialOrder = GREVLEX,
                  quotient: Sequence["Polynomial"] = (), reduced: Optional[bool] = None):
@@ -58,8 +58,6 @@ class Ring:
         self._var_index = {v: i for i, v in enumerate(vars)}
         self.quotient: tuple = ()
         self.reduced_assertion = reduced
-        self._zero = None
-        self._one = None
         self._bases = OrderedDict()  # reduced bases of this ring's ideals (charp.ideals)
         if quotient:
             gens = tuple(g._rebind(self) for g in quotient if not g.is_zero())
@@ -117,9 +115,7 @@ class Ring:
         return K.unpack(e, len(self.vars))
 
     def zero(self) -> "Polynomial":
-        if self._zero is None:
-            self._zero = Polynomial(self, [], [], [])
-        return self._zero
+        return Polynomial(self, [], [], [])
 
     def constant(self, c: int) -> "Polynomial":
         c = self.field.reduce(c)
@@ -128,9 +124,7 @@ class Ring:
         return Polynomial(self, [0], [0], [c])
 
     def one(self) -> "Polynomial":
-        if self._one is None:
-            self._one = self.constant(1)
-        return self._one
+        return self.constant(1)
 
     def var(self, name: str) -> "Polynomial":
         try:
@@ -183,7 +177,15 @@ class Ring:
                                            [self.pack(r) for r in rows], coeffs, self.p))
 
     def parse(self, text: str) -> "Polynomial":
-        return _parse_poly(self, text)
+        tokens = _tokenize(text)
+        if not tokens:
+            raise InputError("empty polynomial", "col 1")
+        tokens.append((None, None, len(text) + 1))
+        result, pos = _parse_sum(self, tokens, 0)
+        kind, value, col = tokens[pos]
+        if kind is not None:
+            raise InputError(f"unexpected token {value!r}", f"col {col}")
+        return result
 
     def coerce(self, x) -> "Polynomial":
         if isinstance(x, Polynomial):
@@ -253,7 +255,7 @@ class Polynomial:
 
     def terms(self):
         """Iterate (exponent tuple, coefficient) pairs, descending."""
-        return zip(self.exps, self.coeffs)
+        return zip(map(self.ring.unpack, self.packed), self.coeffs)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -340,12 +342,6 @@ class Polynomial:
         return Polynomial(self.ring, [k // p for k in self.keys],
                           [x // p for x in self.packed], self.coeffs)
 
-    def p_root(self) -> "Polynomial":
-        root = self.try_p_root()
-        if root is None:
-            raise NotPPower(f"{self} is not a p-th power (p={self.ring.p})")
-        return root
-
     def substitute(self, assignments: Mapping[str, "Polynomial | int"]) -> "Polynomial":
         """Simultaneous substitution; variables not listed map to themselves."""
         ring = self.ring
@@ -408,8 +404,9 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# text grammar: terms joined by +/-, a term is coeff, coeff*mono, or mono,
-# a mono is VAR, VAR^k, or products joined by *; coefficients reduced mod p.
+# text grammar: a sum is terms joined by +/-, optionally led by a sign; a term
+# is factors joined by *; a factor is a coefficient, VAR, VAR^k or a
+# parenthesised sum.  Coefficients are reduced mod p.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))")
@@ -432,79 +429,64 @@ def _tokenize(text: str):
     return out
 
 
-def _parse_poly(ring: Ring, text: str) -> Polynomial:
-    tokens = _tokenize(text)
-    if not tokens:
-        raise InputError("empty polynomial", "col 1")
-    pos = 0
+def _parse_sum(ring: Ring, tokens: list, pos: int):
+    """Parse the sum starting at tokens[pos]; return it and the position after it.
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, len(text) + 1)
+    ``tokens`` is the ``_tokenize`` list followed by the end sentinel
+    ``(None, None, len(text) + 1)``, so a lookahead never runs off the end.
 
-    def parse_factor():
-        nonlocal pos
-        kind, value, col = peek()
-        if kind == "int":
-            pos += 1
-            return ring.constant(int(value))
-        if kind == "var":
-            pos += 1
-            if value not in ring._var_index:
-                raise InputError(f"unknown variable {value!r}", f"col {col}")
-            exp = 1
-            k, v, c = peek()
-            if k == "op" and v == "^":
-                pos += 1
-                k, v, c = peek()
-                if k != "int":
-                    raise InputError("expected integer exponent after '^'", f"col {c}")
-                pos += 1
-                exp = int(v)
-                if exp > EXP_LIMIT:
-                    raise ExponentOverflow(f"exponent {exp} exceeds {EXP_LIMIT}")
-            return ring.monomial({value: exp})
-        if kind == "op" and value == "(":
-            pos += 1
-            inner = parse_sum()
-            k, v, c = peek()
-            if not (k == "op" and v == ")"):
-                raise InputError("expected ')'", f"col {c}")
-            pos += 1
-            return inner
-        raise InputError("expected a coefficient, variable or '('", f"col {col}")
-
-    def parse_term():
-        nonlocal pos
-        acc = parse_factor()
+    A term without parentheses is one exponent row and one coefficient; only a
+    parenthesised factor multiplies polynomials.  Exponents are checked as each
+    factor arrives, exactly where a left-to-right product would overflow.
+    """
+    n, p = ring.nvars, ring.p
+    terms = []
+    sign = -1 if tokens[pos][1] == "-" else 1
+    pos += tokens[pos][1] in ("+", "-")
+    while True:
+        row, c, poly, top = [0] * n, sign, None, [0] * n  # top: largest exponents in poly
         while True:
-            k, v, _ = peek()
-            if k == "op" and v == "*":
-                pos += 1
-                acc = acc * parse_factor()
-            else:
-                return acc
-
-    def parse_sum():
-        nonlocal pos
-        k, v, _ = peek()
-        negate = False
-        if k == "op" and v in "+-":
-            negate = v == "-"
+            kind, value, col = tokens[pos]
             pos += 1
-        acc = parse_term()
-        if negate:
-            acc = -acc
-        while True:
-            k, v, c = peek()
-            if k == "op" and v in "+-":
+            if kind == "int":
+                c = c * int(value) % p
+            elif kind == "var":
+                i = ring._var_index.get(value)
+                if i is None:
+                    raise InputError(f"unknown variable {value!r}", f"col {col}")
+                exp = 1
+                if tokens[pos][1] == "^":
+                    kind, value, col = tokens[pos + 1]
+                    if kind != "int":
+                        raise InputError("expected integer exponent after '^'", f"col {col}")
+                    pos += 2
+                    exp = int(value)
+                    if exp > EXP_LIMIT:
+                        raise ExponentOverflow(f"exponent {exp} exceeds {EXP_LIMIT}")
+                row[i] += exp
+                if c and row[i] + top[i] > EXP_LIMIT:
+                    raise ExponentOverflow(f"exponent exceeds {EXP_LIMIT}")
+            elif value == "(":
+                inner, pos = _parse_sum(ring, tokens, pos)
+                kind, value, col = tokens[pos]
+                if value != ")":
+                    raise InputError("expected ')'", f"col {col}")
                 pos += 1
-                term = parse_term()
-                acc = acc - term if v == "-" else acc + term
+                head = ring.monomial(row, c)
+                poly = (head if poly is None else poly * head) * inner
+                row, c = [0] * n, int(not poly.is_zero())
+                top = [max(column) for column in zip(*poly.exps)]
             else:
-                return acc
-
-    result = parse_sum()
-    k, v, c = peek()
-    if k is not None:
-        raise InputError(f"unexpected token {v!r}", f"col {c}")
-    return result
+                raise InputError("expected a coefficient, variable or '('", f"col {col}")
+            if tokens[pos][1] != "*":
+                break
+            pos += 1
+        if poly is not None:
+            terms.extend((poly * ring.monomial(row, c)).terms())
+        elif c:
+            terms.append((row, c))
+        value = tokens[pos][1]
+        if value not in ("+", "-"):
+            return ring.from_terms(terms), pos
+        sign = -1 if value == "-" else 1
+        pos += 1

@@ -392,6 +392,17 @@ def test_perfection_member_reports(demo, capsys):
     assert data["result"]["normalized_body"] == "X^2"
 
 
+@pytest.mark.parametrize("root, member", [(0, True), (1, False)])
+def test_perfection_member_over_a_quotient_ring(root, member, cusp, capsys):
+    """--elem is read in the cover ring: V lies in (U)^F = (U, V) of the cusp,
+    V^(1/2) does not."""
+    code, data = run_json(capsys, "perfection", "member", cusp, "--ideal", "u",
+                          "--elem", "V", "--root", str(root))
+    assert code == 0
+    assert data["result"]["member"] is member
+    assert (data["result"]["normalized_depth"], data["result"]["normalized_body"]) == (root, "V")
+
+
 @pytest.mark.parametrize("extra", [["--ideal", "px"], ["--k", "0"], ["--ideal", "a", "--k", "1"]],
                          ids=["ideal", "k", "both"])
 @pytest.mark.parametrize("command", [["member", "--elem", "X", "--root", "1"], ["decompose"]],

@@ -569,10 +569,15 @@ def test_ring_basis_cache_under_concurrent_threads():
     assert [Ideal(R, g).groebner() for g in gens] == expected  # recalled or computed again
 
 
-def test_ring_basis_cache_adds_no_reference_cycle():
+@pytest.mark.parametrize("make_gens", [
+    lambda R: [R.from_terms([((2, 0), 1), ((0, 1), 1)]), R.from_terms([((1, 2), 1), ((0, 0), 1)])],
+    lambda R: [R.parse("-(X+1)*Y + 3*X^2"), R.parse("X*Y^2 + 1")],
+    lambda R: [R.var("X") * R.one() + R.zero(), R.one() - R.var("Y")],
+], ids=["terms", "text", "zero_one"])
+def test_ring_basis_cache_adds_no_reference_cycle(make_gens):
     """Once its ideals are gone, a ring that computed and recalled bases is
-    freed by reference counting alone.  The generators are built from terms:
-    the text parser leaves a cycle of its own."""
+    freed by reference counting alone, whether its generators were built from
+    terms, parsed from text or built with its zero and one."""
     def rings():
         return sum(isinstance(o, Ring) for o in gc.get_objects())
 
@@ -581,7 +586,7 @@ def test_ring_basis_cache_adds_no_reference_cycle():
     try:
         before = rings()
         R = Ring(2, ["X", "Y"])
-        gens = [R.from_terms([((2, 0), 1), ((0, 1), 1)]), R.from_terms([((1, 2), 1), ((0, 0), 1)])]
+        gens = make_gens(R)
         for _ in range(2):
             Ideal(R, gens).groebner()
         assert rings() == before + 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charp import ExponentOverflow, InputError, NotPPower, PrimeField, Ring
+from charp import ExponentOverflow, InputError, PrimeField, Ring
 from charp.orders import GREVLEX, LEX, elim
 from charp.poly import EXP_LIMIT
 
@@ -65,19 +65,18 @@ def test_frobenius_is_multiplicative_and_additive(rng):
 
 def test_p_root_examples():
     R = Ring(2, ["X", "Y"])
-    assert R.parse("X^2*Y^4 + X^4").p_root() == R.parse("X*Y^2 + X^2")
-    with pytest.raises(NotPPower):
-        R.parse("X+Y").p_root()
+    assert R.parse("X^2*Y^4 + X^4").try_p_root() == R.parse("X*Y^2 + X^2")
+    assert R.parse("X+Y").try_p_root() is None
     R5 = Ring(5, ["X"])
     assert R5.constant(5).is_zero()
-    assert R5.constant(5).p_root().is_zero()
+    assert R5.constant(5).try_p_root().is_zero()
 
 
 def test_p_root_inverts_frobenius(rng):
     R = Ring(3, ["X", "Y"])
     for _ in range(25):
         g = rand_poly(R, rng, 5, 6, allow_zero=True)
-        assert g.frobenius(1).p_root() == g
+        assert g.frobenius(1).try_p_root() == g
 
 
 def test_power_examples():
@@ -239,6 +238,87 @@ def test_parse_errors_carry_location():
         R.parse("X^")
     with pytest.raises(InputError):
         R.parse("")
+
+
+# A sum is (leading sign, first term, [(op, term), ...]); a term is a list of
+# factors; a factor is ("int", n), ("var", name, exponent or None) or
+# ("paren", sum).
+_VARS = ("X", "Y", "Z")
+
+
+def _sums(factors):
+    terms = st.lists(factors, min_size=1, max_size=3)
+    return st.tuples(st.sampled_from(["", "+", "-"]), terms,
+                     st.lists(st.tuples(st.sampled_from(["+", "-"]), terms), max_size=3))
+
+
+_FACTORS = st.recursive(
+    st.one_of(st.tuples(st.just("int"), st.integers(0, 40)),
+              st.tuples(st.just("var"), st.sampled_from(_VARS), st.none() | st.integers(0, 5))),
+    lambda inner: _sums(inner).map(lambda s: ("paren", s)), max_leaves=12)
+
+
+def _tokens(tree):
+    lead, first, rest = tree
+    out = [lead] if lead else []
+    for i, (op, term) in enumerate([("", first)] + rest):
+        if i:
+            out.append(op)
+        for j, factor in enumerate(term):
+            if j:
+                out.append("*")
+            if factor[0] == "int":
+                out.append(str(factor[1]))
+            elif factor[0] == "var":
+                out += [factor[1]] if factor[2] is None else [factor[1], "^", str(factor[2])]
+            else:
+                out += ["(", *_tokens(factor[1]), ")"]
+    return out
+
+
+def _evaluate(R, tree):
+    def factor(f):
+        if f[0] == "int":
+            return R.constant(f[1])
+        if f[0] == "var":
+            return R.var(f[1]) if f[2] is None else R.var(f[1]) ** f[2]
+        return _evaluate(R, f[1])
+
+    def term(factors):
+        acc = factor(factors[0])
+        for f in factors[1:]:
+            acc = acc * factor(f)
+        return acc
+
+    lead, first, rest = tree
+    acc = -term(first) if lead == "-" else term(first)
+    for op, t in rest:
+        acc = acc - term(t) if op == "-" else acc + term(t)
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 5, 32003]), _sums(_FACTORS), st.data())
+def test_parse_matches_the_grammar_evaluated_by_arithmetic(p, tree, data):
+    R = Ring(p, _VARS)
+    tokens = _tokens(tree)
+    spaces = data.draw(st.lists(st.sampled_from(["", " ", "  ", "\t"]),
+                                min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = spaces[0] + "".join(map(str.__add__, tokens, spaces[1:]))
+    f = R.parse(text)
+    assert f == _evaluate(R, tree)
+    assert R.parse(str(f)) == f
+
+
+def test_parse_checks_exponents_where_the_product_overflows():
+    R = Ring(7, ["X", "Y"])
+    assert R.parse(f"X^{EXP_LIMIT}") == R.monomial({"X": EXP_LIMIT})
+    for text in [f"X^{EXP_LIMIT + 1}", f"X^{EXP_LIMIT}*X", f"(X^{EXP_LIMIT} + 1)*X",
+                 f"X*(X^{EXP_LIMIT} + Y)", f"(X^{EXP_LIMIT} + 1)*X*Z"]:
+        with pytest.raises(ExponentOverflow):
+            R.parse(text)
+    assert R.parse(f"0*X^{EXP_LIMIT}*X + 7*X^{EXP_LIMIT}*X").is_zero()
+    assert R.parse(f"(X - X)*X^{EXP_LIMIT}*X + Y") == R.var("Y")
 
 
 def test_printing_is_deterministic_and_descending():
