@@ -1,6 +1,6 @@
 """File-driven command line front end.
 
-Spec files are INI-style::
+Spec files are INI-style UTF-8 text::
 
     [ring]
     p = 2
@@ -10,11 +10,16 @@ Spec files are INI-style::
     reduced = true             ; assertion recorded with the quotient
 
     [ideal a]
-    gens = X^2, X*Y
+    gens = U^2, U*V
 
     [fseq s]
     kind = frobenius-powers    ; or canonical | constant-prime | fg-perfection
     ideal = a                  ;    | table | intersection | localize-contract
+
+Keys are case-insensitive and values stripped; ; or # starts a comment at
+the start of a line or after whitespace; an indented line continues the value
+above it, joined with a newline.  A duplicate section or key, a line without
+=, a key before any section and [DEFAULT] are input errors.
 
 Polynomials use the grammar of the core parser (a sum is terms joined by
 +/-, optionally led by a sign; a term is factors joined by *; a factor is a
@@ -30,7 +35,6 @@ null unless --timing is given, precisely so that reports are byte-stable.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import dataclasses
 import functools
@@ -90,18 +94,57 @@ def _split_list(value: str) -> list:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
-def parse_spec(path: str) -> SpecFile:
-    cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+def _read_spec(path: str) -> dict:
+    """The spec file as {section: {key: value}}, read in one pass: what configparser
+    reads with delimiter = and inline comment marks ; and #, but [DEFAULT] is an error."""
     try:
-        with open(path) as fh:
-            cp.read_file(fh, source=path)
-    except OSError as e:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeError) as e:
         raise InputError(f"cannot read spec file: {e}", path) from None
-    except configparser.Error as e:
-        raise InputError(f"spec parse error: {e}", path) from None
-    if "ring" not in cp:
+    sections: dict = {}
+    values = key = None  # the current section's {key: lines} and its last key
+    indent = 0  # of the last header or key line; deeper lines continue the value
+    for lineno, line in enumerate(lines, 1):
+        # a comment starts at a ; or # that starts the line or follows whitespace;
+        # configparser pairs the n-th ; with the n-th #, lowest n first
+        cut = min(((line.count(ch, 0, i), i) for i, ch in enumerate(line)
+                   if ch in ";#" and (i == 0 or line[i - 1].isspace())),
+                  default=(0, None))[1] if ";" in line or "#" in line else None
+        text = line[:cut].strip()
+        if not text:
+            if cut is None and key:
+                values[key].append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key and depth > indent:
+            values[key].append(text)
+            continue
+        indent = depth
+        if text[0] == "[" and text.rfind("]") > 1:
+            key, name = None, text[1:text.rfind("]")]
+            if name in sections or name == "DEFAULT":
+                raise InputError("[DEFAULT] is not a spec section" if name == "DEFAULT"
+                                 else f"duplicate section [{name}]", f"{path} line {lineno}")
+            values = sections[name] = {}
+            continue
+        if values is None:
+            raise InputError("key before any section", f"{path} line {lineno}")
+        key, eq, value = text.partition("=")
+        key = key.rstrip().lower()
+        if not (eq and key) or key in values:
+            raise InputError(f"duplicate key {key!r}" if eq and key else "expected key = value",
+                             f"{path} line {lineno}")
+        values[key] = [value.strip()]
+    return {name: {k: "\n".join(v).rstrip() for k, v in kv.items()}
+            for name, kv in sections.items()}
+
+
+def parse_spec(path: str) -> SpecFile:
+    sections = _read_spec(path)
+    if "ring" not in sections:
         raise InputError("spec file needs a [ring] section", path)
-    ring_sec = cp["ring"]
+    ring_sec = sections["ring"]
     unknown = set(ring_sec) - _RING_KEYS
     if unknown:
         raise InputError(f"unknown [ring] keys {sorted(unknown)}", path)
@@ -110,99 +153,99 @@ def parse_spec(path: str) -> SpecFile:
     if not vars_:
         raise InputError("ring key 'vars' must list variables", f"{path} [ring]")
     order = parse_order(ring_sec.get("order", "grevlex"))
-    plain = Ring(p, vars_, order)
-    ring = plain
+    ring = plain = Ring(p, vars_, order)
     if "quotient" in ring_sec:
         qgens = [_parse_in(plain, s, f"{path} [ring] quotient") for s in _split_list(ring_sec["quotient"])]
-        try:
-            reduced = ring_sec.getboolean("reduced", fallback=False)
-        except ValueError:
-            raise InputError("ring key 'reduced' must be true or false", f"{path} [ring]") from None
-        ring = Ring(p, vars_, order, quotient=qgens, reduced=reduced)
+        reduced = ring_sec.get("reduced", "false").lower()  # the words of getboolean
+        if reduced not in ("1", "yes", "true", "on", "0", "no", "false", "off"):
+            raise InputError("ring key 'reduced' must be true or false", f"{path} [ring]")
+        ring = Ring(p, vars_, order, quotient=qgens, reduced=reduced in ("1", "yes", "true", "on"))
 
     ideals: dict = {}
     fseq_secs: dict = {}
-    for section in cp.sections():
+    for section, sec in sections.items():
         if section == "ring":
             continue
         if section.startswith("ideal "):
             name = section[len("ideal "):].strip()
-            keys = set(cp[section])
+            keys = set(sec)
             if keys - {"gens"}:
                 raise InputError(f"unknown keys {sorted(keys - {'gens'})}", f"{path} [{section}]")
-            gens = [_parse_in(ring, s, f"{path} [{section}]") for s in _split_list(cp[section].get("gens", ""))]
+            gens = [_parse_in(ring, s, f"{path} [{section}]") for s in _split_list(sec.get("gens", ""))]
             ideals[name] = Ideal(ring, gens)
         elif section.startswith("fseq "):
             name = section[len("fseq "):].strip()
-            unknown = set(cp[section]) - _FSEQ_KEYS
+            unknown = set(sec) - _FSEQ_KEYS
             if unknown:
                 raise InputError(f"unknown keys {sorted(unknown)}", f"{path} [{section}]")
-            fseq_secs[name] = dict(cp[section])
+            fseq_secs[name] = sec
         else:
             raise InputError(f"unknown section [{section}]", path)
 
-    fseqs: dict = {}
-    building: set = set()
-
-    def build_fseq(name: str) -> FSequence:
-        if name in fseqs:
-            return fseqs[name]
-        if name not in fseq_secs:
-            raise InputError(f"unknown fseq {name!r}", path)
-        if name in building:
-            raise InputError(f"fseq {name!r} references itself", path)
-        building.add(name)
-        sec = fseq_secs[name]
-        where = f"{path} [fseq {name}]"
-        kind = sec.get("kind", "").strip()
-
-        def named_ideal(key="ideal"):
-            iname = sec.get(key, "").strip()
-            if iname not in ideals:
-                raise InputError(f"fseq references unknown ideal {iname!r}", where)
-            return ideals[iname]
-
-        if kind == "frobenius-powers":
-            seq = FSequence.frobenius_powers(named_ideal())
-        elif kind == "canonical":
-            seq = FSequence.canonical(named_ideal(), _int_key(sec, "max_e", 10, "fseq", where),
-                                      _int_key(sec, "confirm", 2, "fseq", where))
-        elif kind == "constant-prime":
-            seq = FSequence.constant_prime(named_ideal())
-        elif kind == "fg-perfection":
-            seq = FSequence.finitely_generated(named_ideal(), _int_key(sec, "k", 0, "fseq", where))
-        elif kind == "table":
-            names = _split_list(sec.get("terms", ""))
-            if not names:
-                raise InputError("table fseq needs 'terms'", where)
-            for t in names:
-                if t not in ideals:
-                    raise InputError(f"table references unknown ideal {t!r}", where)
-            seq = FSequence.from_table([ideals[t] for t in names])
-        elif kind == "intersection":
-            names = _split_list(sec.get("of", ""))
-            if not names:
-                raise InputError("intersection fseq needs 'of'", where)
-            seq = FSequence.intersection([build_fseq(t) for t in names])
-        elif kind == "localize-contract":
-            inner = build_fseq(sec.get("inner", "").strip())
-            prime = named_ideal("prime")
-            s_hint = None
-            if sec.get("shint", "").strip():
-                s_hint = _parse_in(ring, sec["shint"], where)
-            from .decomposition import localize_contract
-            seq = FSequence.mapped(
-                inner, lambda t: localize_contract(t, prime, s_hint),
-                "localize-contract", f"localize-contract of {inner.describe}")
-        else:
-            raise InputError(f"unknown fseq kind {kind!r}", where)
-        building.discard(name)
-        fseqs[name] = seq
-        return seq
-
+    spec = SpecFile(ring, ideals, {})
     for name in fseq_secs:
-        build_fseq(name)
-    return SpecFile(ring, ideals, fseqs)
+        _build_fseq(spec, fseq_secs, name, path, set())
+    return spec
+
+
+def _build_fseq(spec: SpecFile, fseq_secs: dict, name: str, path: str, building: set) -> FSequence:
+    """Build the named fseq and those it refers to into spec.fseqs, with no closure cycle."""
+    fseqs, ideals, ring = spec.fseqs, spec.ideals, spec.ring
+    if name in fseqs:
+        return fseqs[name]
+    if name not in fseq_secs:
+        raise InputError(f"unknown fseq {name!r}", path)
+    if name in building:
+        raise InputError(f"fseq {name!r} references itself", path)
+    building.add(name)
+    sec = fseq_secs[name]
+    where = f"{path} [fseq {name}]"
+    kind = sec.get("kind", "").strip()
+
+    def named_ideal(key="ideal"):
+        iname = sec.get(key, "").strip()
+        if iname not in ideals:
+            raise InputError(f"fseq references unknown ideal {iname!r}", where)
+        return ideals[iname]
+
+    if kind == "frobenius-powers":
+        seq = FSequence.frobenius_powers(named_ideal())
+    elif kind == "canonical":
+        seq = FSequence.canonical(named_ideal(), _int_key(sec, "max_e", 10, "fseq", where),
+                                  _int_key(sec, "confirm", 2, "fseq", where))
+    elif kind == "constant-prime":
+        seq = FSequence.constant_prime(named_ideal())
+    elif kind == "fg-perfection":
+        seq = FSequence.finitely_generated(named_ideal(), _int_key(sec, "k", 0, "fseq", where))
+    elif kind == "table":
+        names = _split_list(sec.get("terms", ""))
+        if not names:
+            raise InputError("table fseq needs 'terms'", where)
+        for t in names:
+            if t not in ideals:
+                raise InputError(f"table references unknown ideal {t!r}", where)
+        seq = FSequence.from_table([ideals[t] for t in names])
+    elif kind == "intersection":
+        names = _split_list(sec.get("of", ""))
+        if not names:
+            raise InputError("intersection fseq needs 'of'", where)
+        seq = FSequence.intersection(
+            [_build_fseq(spec, fseq_secs, t, path, building) for t in names])
+    elif kind == "localize-contract":
+        inner = _build_fseq(spec, fseq_secs, sec.get("inner", "").strip(), path, building)
+        prime = named_ideal("prime")
+        s_hint = None
+        if sec.get("shint", "").strip():
+            s_hint = _parse_in(ring, sec["shint"], where)
+        from .decomposition import localize_contract
+        seq = FSequence.mapped(
+            inner, lambda t: localize_contract(t, prime, s_hint),
+            "localize-contract", f"localize-contract of {inner.describe}")
+    else:
+        raise InputError(f"unknown fseq kind {kind!r}", where)
+    building.discard(name)
+    fseqs[name] = seq
+    return seq
 
 
 def _int_key(sec, key: str, default, kind: str, where: str) -> int:
@@ -388,10 +431,7 @@ def _cmd_fseq_growth(args, report: Report, spec: SpecFile) -> int:
     def decomposer(n):
         return decompose_monomial(seq.term(n))
 
-    if args.find_h:
-        h = find_linear_growth_h(decomposer(0))
-    else:
-        h = args.h
+    h = find_linear_growth_h(decomposer(0)) if args.find_h else args.h
     cert = certify_growth(seq, decomposer, h, args.depth)
     report.data["result"] = {
         "fseq": args.fseq, "found_h": args.find_h,
@@ -512,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     ``parse_args`` leaves a parser unchanged, so every ``main`` call shares
     this one; callers must not add to it.  Arguments that several
     subcommands take are declared once, on parent parsers: the common
-    flags, ``spec``, and ``spec`` with ``--ideal``.
+    flags, ``spec``, ``spec`` with ``--ideal``, and the perfection inputs.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -525,6 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
     on_spec.add_argument("spec")
     on_ideal = argparse.ArgumentParser(add_help=False, parents=[on_spec])
     on_ideal.add_argument("--ideal", required=True)
+    on_perfection = argparse.ArgumentParser(add_help=False, parents=[on_spec])
+    on_perfection.add_argument("--fseq")
+    on_perfection.add_argument("--ideal")
+    on_perfection.add_argument("--k", type=int)
 
     ap = argparse.ArgumentParser(prog="charp",
                                  description="exact characteristic-p ideal computations")
@@ -564,18 +608,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = top.add_parser("perfection", help="perfect-closure membership / decomposition")
     psub = perf.add_subparsers(dest="perfection_command", required=True)
-    pm = psub.add_parser("member", parents=[on_spec])
-    pm.add_argument("--fseq")
-    pm.add_argument("--ideal")
-    pm.add_argument("--k", type=int)
+    pm = psub.add_parser("member", parents=[on_perfection])
     pm.add_argument("--elem", required=True)
     pm.add_argument("--root", type=int, required=True,
                     help="depth M: the element is elem^(1/p^M)")
     pm.set_defaults(run=_cmd_perfection_member)
-    pd = psub.add_parser("decompose", parents=[on_spec])
-    pd.add_argument("--fseq")
-    pd.add_argument("--ideal")
-    pd.add_argument("--k", type=int)
+    pd = psub.add_parser("decompose", parents=[on_perfection])
     pd.add_argument("--depth", type=int, default=3)
     pd.set_defaults(run=_cmd_perfection_decompose)
 

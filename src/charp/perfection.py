@@ -12,6 +12,7 @@ members of depth n.  Sequence terms are produced lazily and memoised.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -185,11 +186,12 @@ class FSequence:
         seq = cls(gens.ring, "fg-perfection", None,
                   f"perfection ideal of {gens!r} at depth {k}")
         seq.meta = {"gens": gens, "k": k}
+        seq_ref = weakref.ref(seq)  # seq holds fn: a strong reference would be a cycle
 
         def fn(n):
             if n >= k:
                 return f_closure(frob_power(gens, n - k)).closure
-            return frob_root(seq.term(k), k - n)
+            return frob_root(seq_ref().term(k), k - n)
 
         seq._term_fn = fn
         return seq

@@ -37,7 +37,7 @@ class Ring:
     """F_p[vars] with a fixed monomial order, optionally modulo quotient generators."""
 
     __slots__ = ("field", "vars", "order", "quotient", "reduced_assertion",
-                 "_key_units", "_exp_units", "_var_index", "_bases")
+                 "_key_units", "_exp_units", "_var_index", "_bases", "__weakref__")
 
     def __init__(self, p: int, vars: Sequence[str], order: MonomialOrder = GREVLEX,
                  quotient: Sequence["Polynomial"] = (), reduced: Optional[bool] = None):
