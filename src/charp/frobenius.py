@@ -15,8 +15,10 @@ the first of three routes that applies:
   always take this route: the preimage carries the quotient generators, and
   the Frobenius need not be flat there (the cusp).
 
-The routes are cross-checked against each other in the tests.  The e-fold
-root {r : r^(p^e) in I} is e single roots in a row.
+The input picks the route; nothing pins one.  The tests call the route
+functions (``_frob_root_monomial``, ``_p_roots``, ``_frob_root_elimination``)
+directly and cross-check them against each other.  The e-fold root
+{r : r^(p^e) in I} is e single roots in a row.
 
 The F-closure of b is the union over n of the n-fold roots of b^[p^n]; the
 chain of those ideals ascends, and we stop after a configurable number of
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CharpError, DepthExceeded, InputError, NotContainingQuotient
-from .ideals import Ideal, _check_method, _eliminate, _fresh_names, _map_poly
+from .ideals import Ideal, _eliminate, _fresh_names, _map_poly
 from .orders import elim
 from .poly import Ring
 
@@ -44,7 +46,7 @@ def frob_power(I: Ideal, e: int) -> Ideal:
     return Ideal(I.ring, [g.frobenius(e) for g in I.generators])
 
 
-def frob_root(I: Ideal, e: int = 1, method: str = "auto") -> Ideal:
+def frob_root(I: Ideal, e: int = 1) -> Ideal:
     """The e-fold root {r : r^(p^e) in I}, taken as e single roots.
 
     Each step takes the first route that applies to its ideal: the
@@ -52,36 +54,34 @@ def frob_root(I: Ideal, e: int = 1, method: str = "auto") -> Ideal:
     roots when the ring is a polynomial ring and every generator is a p-th
     power (flatness of the Frobenius, Kunz), and a p-power elimination
     otherwise.  A p^e-th power is a p-th power at every step, so the root of
-    I^[p^e] in a polynomial ring computes no basis.  ``method``
-    ("monomial" / "flat" / "elimination") pins the route of every step for
-    cross-checking; a pinned route that does not apply raises InputError.
+    I^[p^e] in a polynomial ring computes no basis.  In a quotient ring
+    every step is an elimination, and the ideal must contain the quotient
+    generators (NotContainingQuotient otherwise).
     """
-    _check_method(method, ("auto", "monomial", "flat", "elimination"))
     if e < 0:
         raise InputError(f"Frobenius root wants e >= 0, got {e}")
     for _ in range(e):
-        I = _frob_root_once(I, method)
+        I = _frob_root_once(I)
     return I
 
 
-def _frob_root_once(I: Ideal, method: str) -> Ideal:
-    ring = I.ring
-    if ring.is_quotient():
-        for g in ring.quotient:
-            if not I.contains(g):
-                raise NotContainingQuotient(
-                    "ideal does not contain the quotient generators")
-    if method == "monomial" or (method == "auto" and I.is_monomial()):
-        if not I.is_monomial():
-            raise InputError("monomial root shortcut on a non-monomial ideal")
+def _frob_root_once(I: Ideal) -> Ideal:
+    """One root by the first route that applies: monomial, flat, elimination."""
+    if I.is_monomial():
         return _frob_root_monomial(I)
-    if method in ("auto", "flat"):
-        roots = None if ring.is_quotient() else _p_roots(I.generators)
-        if roots is not None:
-            return Ideal(ring, roots)
-        if method == "flat":
-            raise InputError("flat root on a quotient ring or a generator "
-                             "that is not a p-th power")
+    roots = None if I.ring.is_quotient() else _p_roots(I.generators)
+    if roots is not None:
+        return Ideal(I.ring, roots)
+    return _frob_root_elimination(I)
+
+
+def _frob_root_elimination(I: Ideal) -> Ideal:
+    """The root by eliminating X from I + (fresh_i - X_i^p), in plain and
+    quotient rings alike."""
+    ring = I.ring
+    for g in ring.quotient:
+        if not I.contains(g):
+            raise NotContainingQuotient("ideal does not contain the quotient generators")
     d = ring.nvars
     fresh = _fresh_names(set(ring.vars), d, "r_")
     ext = Ring(ring.p, ring.vars + tuple(fresh), elim(d))

@@ -7,8 +7,9 @@ computation implicitly, which keeps Frobenius roots and membership uniform
 across plain and quotient rings.
 
 Monomial ideals get dedicated fast paths (membership by divisibility,
-intersection by lcm, quotient by exponent subtraction); the test suite
-cross-checks them against the Buchberger route.
+intersection by lcm, quotient by exponent subtraction).  The input picks the
+route; the test suite cross-checks each fast path against the Buchberger
+route, calling ``normal_form``, ``_intersection`` and ``_colon`` directly.
 
 One auxiliary-variable ring serves intersection, colon, saturation and
 radical membership: the cover of the ring with a variable T in front,
@@ -24,8 +25,9 @@ it for its term and degree limits.  Outside any scope the active budget is
 DEFAULT_BUDGET.
 
 Each Ring keeps the last _BASES_KEPT reduced bases it computed, keyed by
-generators and budget.  A recalled basis charges pair_count the pairs it cost,
-so counts do not depend on what the ring computed before.
+generators and budget.  A recalled basis charges pair_count the pairs its own
+computation processed, so counts do not depend on what the ring, or another
+thread sharing it, computed before.
 """
 
 from __future__ import annotations
@@ -76,11 +78,6 @@ def using_budget(budget: GroebnerBudget):
         yield
     finally:
         _budget.reset(token)
-
-
-def _check_method(method: str, routes: tuple):
-    if method not in routes:
-        raise InputError(f"unknown method {method!r}; expected one of {', '.join(routes)}")
 
 
 def reset_pair_count():
@@ -215,7 +212,8 @@ class _Buchberger:
             self._push_pair(i, t)
         self._packed = [self.divisors[i] for i in self._scan_order()]
 
-    def run(self, gens: Sequence[Polynomial]) -> list[Polynomial]:
+    def run(self, gens: Sequence[Polynomial]) -> tuple:
+        """The reduced basis of gens and the number of pairs processed."""
         global pair_count
         for g in gens:
             if g.is_zero():
@@ -236,7 +234,7 @@ class _Buchberger:
             h = _nf_packed(s, self._packed)
             if not h.is_zero():
                 self.add(_monic(h))
-        return self._reduce_final()
+        return tuple(self._reduce_final()), processed
 
     def _reduce_final(self) -> list[Polynomial]:
         # minimal generating leads, then tail-reduce for the unique reduced
@@ -252,9 +250,9 @@ class _Buchberger:
 
 
 def groebner_basis(gens: Sequence[Polynomial], ring: Ring) -> tuple:
-    """The unique reduced Groebner basis, sorted ascending by lead monomial."""
-    engine = _Buchberger(ring)
-    return tuple(engine.run(list(gens)))
+    """The unique reduced Groebner basis, sorted ascending by lead monomial,
+    and the number of pairs its computation processed."""
+    return _Buchberger(ring).run(list(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +290,8 @@ def _project(g: Polynomial, k: int, target: Ring) -> Polynomial:
 def _eliminate(gens: Sequence[Polynomial], ext: Ring, k: int, target: Ring) -> "Ideal":
     """The basis elements of gens in ext (an elim(k) ring) that are free of
     ext's first k variables, read in target through ext's remaining ones."""
-    return Ideal(target, [_project(g, k, target) for g in groebner_basis(gens, ext)
+    basis, _ = groebner_basis(gens, ext)
+    return Ideal(target, [_project(g, k, target) for g in basis
                           if not any(any(vec[:k]) for vec in g.exps)])
 
 
@@ -348,10 +347,9 @@ class Ideal:
             ring, key = self.ring, (_term_data(self.generators), _budget.get())
             hit = ring._bases.get(key)
             if hit is None:
-                before = pair_count
-                self._gb_cache = groebner_basis(self.effective_generators(), ring)
+                self._gb_cache, pairs = groebner_basis(self.effective_generators(), ring)
                 ring._bases[key] = ([(g.keys, g.packed, g.coeffs) for g in self._gb_cache],
-                                    pair_count - before)
+                                    pairs)
                 if len(ring._bases) > _BASES_KEPT:
                     ring._bases.popitem(last=False)
             else:
@@ -402,19 +400,13 @@ class Ideal:
             self._min_exps = _sorted_minimal([g.exps[0] for g in self.generators])
         return self._min_exps
 
-    def contains(self, g, method: str = "auto") -> bool:
-        """Membership by normal form; monomial ideals use divisibility.
-
-        ``method`` forces a route ("monomial" or "groebner"); the default
-        picks the fast path when the generators allow it.
-        """
-        _check_method(method, ("auto", "monomial", "groebner"))
+    def contains(self, g) -> bool:
+        """Membership by divisibility for a monomial ideal, otherwise by the
+        normal form modulo the reduced basis."""
         g = self.ring.coerce(g)
         if g.is_zero():
             return True
-        if method == "monomial" or (method == "auto" and self.is_monomial()):
-            if not self.is_monomial():
-                raise InputError("monomial membership on a non-monomial ideal")
+        if self.is_monomial():
             mins = self.minimal_monomial_exps()
             return all(any(_mono_divides(m, vec) for m in mins) for vec in g.exps)
         return _nf_packed(g, self._packed_gb()).is_zero()
@@ -425,55 +417,35 @@ class Ideal:
 
     # -- ideal operations --------------------------------------------------------
 
-    def intersect(self, other: "Ideal", method: str = "auto") -> "Ideal":
+    def intersect(self, other: "Ideal") -> "Ideal":
         """self cap other; pairwise lcms when both are monomial, otherwise the
         one-auxiliary-variable elimination construction."""
-        _check_method(method, ("auto", "monomial", "elimination"))
         if other.ring != self.ring:
             raise InputError("intersection across rings")
-        if method == "monomial" or (method == "auto" and self.is_monomial() and other.is_monomial()):
+        if self.is_monomial() and other.is_monomial():
             a = self.minimal_monomial_exps()
             b = other.minimal_monomial_exps()
             gens = [self.ring.monomial(_lcm(r, s)) for r in a for s in b]
             return Ideal(self.ring, gens)
-        if method == "auto" and self.is_unit():
+        if self.is_unit():
             return other
-        if method == "auto" and other.is_unit():
+        if other.is_unit():
             return self
         return _intersection(self.effective_generators(), other.effective_generators(),
                              _aux_cover(self.ring), self.ring)
 
-    def quotient(self, g, method: str = "auto") -> "Ideal":
-        """(self : g) for a nonzero polynomial g.
-
-        Monomial route: exponent subtraction.  General route: (I cap (g)) / g
-        in the covering polynomial ring; in a quotient ring the preimage
-        convention makes the cover-level colon the right answer.  Each basis
-        element h of I cap (g) is divided by g as the normal form of T*h
-        modulo T*g - 1: T*h - q*(T*g - 1) = q, and no term of q is divisible
-        by the lead T*lt(g), so the remainder is the quotient q.
-        """
-        _check_method(method, ("auto", "monomial", "colon"))
+    def quotient(self, g) -> "Ideal":
+        """(self : g) for a nonzero polynomial g: exponent subtraction when
+        the ideal and g are monomial, otherwise the colon (``_colon``)."""
         g = self.ring.coerce(g)
         if g.is_zero():
             raise InputError("quotient by the zero polynomial")
-        if method == "monomial" or (method == "auto" and self.is_monomial() and g.is_monomial()):
-            if not (self.is_monomial() and g.is_monomial()):
-                raise InputError("monomial quotient on non-monomial input")
+        if self.is_monomial() and g.is_monomial():
             vec = g.exps[0]
             gens = [self.ring.monomial([max(e - v, 0) for e, v in zip(r, vec)])
                     for r in self.minimal_monomial_exps()]
             return Ideal(self.ring, gens)
-        aux = ext, t, lift = _aux_cover(self.ring)
-        inter = _intersection(self.effective_generators(), [g], aux, self.ring.cover())
-        divisor = [t * lift(g) - ext.one()]
-        gens = []
-        for h in inter.groebner():
-            q = normal_form(t * lift(h), divisor)
-            if any(vec[0] for vec in q.exps):
-                raise InputError("internal error: colon generator not divisible")
-            gens.append(_project(q, 1, self.ring))
-        return Ideal(self.ring, gens)
+        return _colon(self, g)
 
     def saturate(self, g) -> "Ideal":
         """(self : g^inf) = (self + (1 - T*g)) cap R, one elimination of T
@@ -485,21 +457,6 @@ class Ideal:
         gens = [lift(h) for h in self.effective_generators()]
         gens.append(ext.one() - t * lift(g))
         return _eliminate(gens, ext, 1, self.ring)
-
-    def eliminate(self, first_k: int) -> "Ideal":
-        """Intersection with the subring dropping the first k variables."""
-        ring = self.ring
-        if ring.is_quotient():
-            raise InputError("eliminate expects a polynomial ring")
-        if not 0 <= first_k <= ring.nvars:
-            raise InputError(f"cannot eliminate {first_k} of {ring.nvars} variables")
-        if first_k == 0:
-            return self
-        if first_k == ring.nvars:
-            raise InputError("eliminating every variable leaves no ring")
-        ext = Ring(ring.p, ring.vars, elim(first_k))
-        small = Ring(ring.p, ring.vars[first_k:], ring.order)
-        return _eliminate([g._rebind(ext) for g in self.generators], ext, first_k, small)
 
     def in_radical(self, g) -> bool:
         """Rabinowitsch test: g in sqrt(I) iff 1 in I + (1 - T*g), that is,
@@ -519,6 +476,25 @@ class Ideal:
         if h < 1:
             raise InputError("ideal power wants h >= 1")
         return Ideal(self.ring, _power_products(self.generators, h))
+
+
+def _colon(I: Ideal, g: Polynomial) -> Ideal:
+    """(I : g) for a nonzero g of I's ring, as (I cap (g)) / g in the covering
+    polynomial ring; in a quotient ring the preimage convention makes the
+    cover-level colon the right answer.  Each basis element h of I cap (g) is
+    divided by g as the normal form of T*h modulo T*g - 1:
+    T*h - q*(T*g - 1) = q, and no term of q is divisible by the lead T*lt(g),
+    so the remainder is the quotient q."""
+    aux = ext, t, lift = _aux_cover(I.ring)
+    inter = _intersection(I.effective_generators(), [g], aux, I.ring.cover())
+    divisor = [t * lift(g) - ext.one()]
+    gens = []
+    for h in inter.groebner():
+        q = normal_form(t * lift(h), divisor)
+        if any(vec[0] for vec in q.exps):
+            raise InputError("internal error: colon generator not divisible")
+        gens.append(_project(q, 1, I.ring))
+    return Ideal(I.ring, gens)
 
 
 def _power_products(gens: Sequence[Polynomial], h: int):

@@ -245,9 +245,6 @@ class Polynomial:
         """Single-term polynomial (any coefficient)."""
         return len(self.coeffs) == 1
 
-    def nterms(self) -> int:
-        return len(self.coeffs)
-
     def lead_coeff(self) -> int:
         if self.is_zero():
             raise ValueError("zero polynomial has no lead term")

@@ -5,7 +5,8 @@ membership is a plain double loop over exponent tuples, intersections are
 compared point-by-point over a finite exponent box that decides membership,
 Frobenius roots are recomputed by exponent ceilings or by brute-force
 enumeration of small polynomials, and saturations by iterating colons until
-the chain stops.
+the chain stops.  The Buchberger routes that the fast paths are checked
+against are the library's own route functions, called directly.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import random
 import pytest
 
 from charp import Ideal, Ring
+from charp.ideals import _aux_cover, _intersection, normal_form
 
 
 @pytest.fixture
@@ -124,6 +126,24 @@ def oracle_saturate(I, g):
         if nxt == current:
             return current
         current = nxt
+
+
+def groebner_member(I, g):
+    """g in I by the normal form modulo I's reduced basis."""
+    return normal_form(g, I.groebner()).is_zero()
+
+
+def elimination_intersection(I, J):
+    """I cap J by eliminating T from T*I + (1 - T)*J."""
+    return _intersection(I.effective_generators(), J.effective_generators(),
+                         _aux_cover(I.ring), I.ring)
+
+
+def chained_root(I, e, step):
+    """e single Frobenius roots in a row, each taken by ``step``."""
+    for _ in range(e):
+        I = step(I)
+    return I
 
 
 def assert_same_ideal_on_box(I, J, pad=1):

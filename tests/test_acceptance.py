@@ -13,10 +13,13 @@ import pytest
 from charp import Ideal, Ring
 from charp.decomposition import (decompose_monomial, decompose_perfection_ideal,
                                  ex8_build, find_linear_growth_h, lg2_decompose)
-from charp.frobenius import f_closure, frob_power, frob_root, is_f_closed
+from charp.frobenius import (_frob_root_elimination, _frob_root_monomial, f_closure,
+                             frob_power, frob_root, is_f_closed)
+from charp.ideals import _colon
 from charp.perfection import FSequence, PerfectionElement, PerfectionIdeal
 
-from conftest import rand_ideal, rand_monomial_ideal, rand_poly
+from conftest import (chained_root, elimination_intersection, groebner_member,
+                      rand_ideal, rand_monomial_ideal, rand_poly)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -73,11 +76,11 @@ def test_criterion_02_regular_f_closedness():
 
 
 def test_criteria_01_02_corpora_by_elimination():
-    """Criteria 1 and 2 take the flat root; pin the elimination route on
+    """Criteria 1 and 2 take the flat root; run the elimination route on
     their corpora so the Kunz identity keeps checking it too."""
     for I in _corpus() + _corpus(seed=13):
         for n in (1, 2):
-            assert frob_root(frob_power(I, n), n, method="elimination") == I
+            assert chained_root(frob_power(I, n), n, _frob_root_elimination) == I
 
 
 def test_criterion_03_cusp_counterexample():
@@ -180,10 +183,10 @@ def test_criterion_09_fast_path_oracle_equivalence():
             K = rand_monomial_ideal(R, rng, 3, 5)
             g = rand_poly(R, rng, 3, 6, allow_zero=True)
             m = rand_monomial_ideal(R, rng, 1, 3).generators[0]
-            assert I.contains(g, method="monomial") == I.contains(g, method="groebner")
-            assert I.intersect(K, method="monomial") == I.intersect(K, method="elimination")
-            assert I.quotient(m, method="monomial") == I.quotient(m, method="colon")
-            assert frob_root(I, method="monomial") == frob_root(I, method="elimination")
+            assert I.contains(g) == groebner_member(I, g)
+            assert I.intersect(K) == elimination_intersection(I, K)
+            assert I.quotient(m) == _colon(I, m)
+            assert _frob_root_monomial(I) == _frob_root_elimination(I)
 
 
 def test_criterion_10_negative_control():

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charp import DepthExceeded, Ideal, InputError, Ring, ideals
-from charp.frobenius import f_closure, frob_power, frob_root, is_f_closed
+from charp.frobenius import (_frob_root_elimination, _frob_root_monomial, _p_roots,
+                             f_closure, frob_power, frob_root, is_f_closed)
 from charp.orders import GREVLEX, LEX
 
-from conftest import (all_polys_up_to_degree, cusp_ring, monomial_gen_exps,
-                      oracle_ceiling_root, rand_ideal, rand_monomial_ideal)
+from conftest import (all_polys_up_to_degree, chained_root, cusp_ring,
+                      monomial_gen_exps, oracle_ceiling_root, rand_ideal,
+                      rand_monomial_ideal)
 
 
 @pytest.fixture
@@ -57,7 +59,7 @@ def test_frob_root_brute_force_oracle():
     """r^2 in (X) iff X divides r, over every polynomial of degree <= 3."""
     R = Ring(2, ["X", "Y"])
     I = Ideal(R, ["X"])
-    root = frob_root(I, method="elimination")
+    root = _frob_root_elimination(I)
     for r in all_polys_up_to_degree(R, 3):
         expect = I.contains(r.frobenius(1))
         assert root.contains(r) == expect
@@ -68,8 +70,8 @@ def test_frob_root_monomial_vs_elimination(rng):
         R = Ring(p, ["X", "Y"])
         for _ in range(10):
             I = rand_monomial_ideal(R, rng, max_gens=3, max_exp=6)
-            fast = frob_root(I, method="monomial")
-            slow = frob_root(I, method="elimination")
+            fast = _frob_root_monomial(I)
+            slow = _frob_root_elimination(I)
             assert fast == slow
             ceilings = oracle_ceiling_root(monomial_gen_exps(I), p)
             want = sorted(v for v in ceilings
@@ -104,18 +106,15 @@ def test_frob_root_in_quotient_ring():
 # -- e-fold roots ------------------------------------------------------------------
 
 
-def chained_root(I, e, method="auto"):
-    for _ in range(e):
-        I = frob_root(I, method=method)
-    return I
-
-
-def assert_root_is_chain(I, method="auto"):
+def assert_root_is_chain(I, step=frob_root):
+    """frob_root(I, e) is e steps in a row; an elimination step gives the
+    same ideal from other generators, every other step the same generators."""
     for e in range(4):
-        got = frob_root(I, e, method)
-        want = chained_root(I, e, method)
+        got = frob_root(I, e)
+        want = chained_root(I, e, step)
         assert got == want
-        assert got.generators == want.generators
+        if step is not _frob_root_elimination:
+            assert got.generators == want.generators
 
 
 def test_frob_root_e_fold_matches_chain_monomial(rng):
@@ -123,8 +122,8 @@ def test_frob_root_e_fold_matches_chain_monomial(rng):
         R = Ring(p, ["X", "Y"])
         for _ in range(6):
             I = rand_monomial_ideal(R, rng, max_gens=3, max_exp=20)
-            for method in ("auto", "monomial", "elimination"):
-                assert_root_is_chain(I, method)
+            for step in (frob_root, _frob_root_monomial, _frob_root_elimination):
+                assert_root_is_chain(I, step)
 
 
 def test_frob_root_e_fold_matches_chain_non_monomial(rng):
@@ -167,11 +166,21 @@ def _is_power(g, q):
     return not any(e % q for vec in g.exps for e in vec)
 
 
+def _flat_root(I, e):
+    """e flat steps in a row, or None at the first generator without a p-th root."""
+    for _ in range(e):
+        roots = _p_roots(I.generators)
+        if roots is None:
+            return None
+        I = Ideal(I.ring, roots)
+    return I
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_flat_route_matches_elimination_and_chain(data):
     """In a polynomial ring every route agrees; roots of a Frobenius power
-    give the ideal back (Kunz), and a non-power generator bars the flat pin."""
+    give the ideal back (Kunz), and a non-power generator bars the flat route."""
     p = data.draw(st.sampled_from((2, 3)), label="p")
     order = data.draw(st.sampled_from((GREVLEX, LEX)), label="order")
     e = data.draw(st.integers(0, 3), label="e")
@@ -181,28 +190,16 @@ def test_flat_route_matches_elimination_and_chain(data):
     mixed = data.draw(st.booleans(), label="mixed")
     if mixed:
         I = Ideal(R, I.generators + (data.draw(_polys(R), label="extra"),))
-    want = frob_root(I, e, "elimination")
+    want = chained_root(I, e, _frob_root_elimination)
     got = frob_root(I, e)
     assert got == want
-    assert got.generators == chained_root(I, e).generators
+    assert got.generators == chained_root(I, e, frob_root).generators
     if not mixed:
         assert want == base
     if e == 0 or all(_is_power(g, p ** e) for g in I.generators):
-        assert frob_root(I, e, "flat") == want
+        assert _flat_root(I, e) == want
     else:
-        with pytest.raises(InputError):
-            frob_root(I, e, "flat")
-
-
-def test_flat_pin_rejects_quotient_rings_and_non_powers():
-    R = cusp_ring()
-    P = frob_power(Ideal(R, ["U"]), 1)
-    assert all(_is_power(g, 2) for g in P.generators)
-    with pytest.raises(InputError):
-        frob_root(P, method="flat")
-    R2 = Ring(2, ["X", "Y"])
-    with pytest.raises(InputError):
-        frob_root(Ideal(R2, ["X^2", "X + Y"]), method="flat")
+        assert _flat_root(I, e) is None
 
 
 def test_root_of_frobenius_power_computes_no_basis(monkeypatch):

@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from charp import (GroebnerBudget, GroebnerBudgetExceeded, Ideal, InputError,
                    Ring, ideals, using_budget)
-from charp.frobenius import frob_root
-from charp.ideals import _minimal, normal_form
+from charp.frobenius import frob_power, frob_root
+from charp.ideals import _colon, _minimal, normal_form
 from charp.orders import GREVLEX, LEX, elim, parse_order
 from charp.poly import EXP_LIMIT
 
-from conftest import (assert_same_ideal_on_box, cusp_ring,
-                      monomial_gen_exps, oracle_mono_member, oracle_saturate,
+from conftest import (assert_same_ideal_on_box, cusp_ring, elimination_intersection,
+                      groebner_member, monomial_gen_exps, oracle_mono_member, oracle_saturate,
                       oracle_poly_member_monomial, rand_ideal,
                       rand_monomial_ideal, rand_poly)
 
@@ -153,7 +153,7 @@ def test_contains_agrees_with_divisibility_oracle_full_box(rng):
             mono = R.monomial(dict(zip(R.vars, vec)))
             expect = oracle_mono_member(gens, vec)
             assert I.contains(mono) == expect
-            assert I.contains(mono, method="groebner") == expect
+            assert groebner_member(I, mono) == expect
 
 
 def test_contains_random_monomial_ideals_vs_oracle(rng):
@@ -164,7 +164,7 @@ def test_contains_random_monomial_ideals_vs_oracle(rng):
         g = rand_poly(R, rng, 4, 8, allow_zero=True)
         expect = oracle_poly_member_monomial(gens, g)
         assert I.contains(g) == expect
-        assert I.contains(g, method="groebner") == expect
+        assert groebner_member(I, g) == expect
 
 
 @settings(max_examples=30, deadline=None)
@@ -189,8 +189,7 @@ def test_contains_routes_agree_in_64_variables_up_to_exp_limit(data):
             lo = data.draw(st.sampled_from([0, -EXP_LIMIT]), label="lo")
             shift = data.draw(vectors(lo), label="shift")
             query = R.monomial([min(max(b + s, 0), EXP_LIMIT) for b, s in zip(base, shift)])
-            assert (I.contains(query, method="groebner")
-                    == I.contains(query, method="monomial"))
+            assert groebner_member(I, query) == I.contains(query)
 
 
 def test_normal_form_is_zero_only_on_members(R2, rng):
@@ -218,8 +217,8 @@ def test_intersect_monomial_vs_elimination(rng):
     for _ in range(12):
         I = rand_monomial_ideal(R, rng)
         K = rand_monomial_ideal(R, rng)
-        fast = I.intersect(K, method="monomial")
-        slow = I.intersect(K, method="elimination")
+        fast = I.intersect(K)
+        slow = elimination_intersection(I, K)
         assert fast == slow
         assert_same_ideal_on_box(fast, slow)
 
@@ -252,7 +251,7 @@ def test_quotient_monomial_vs_colon(rng):
     for _ in range(12):
         I = rand_monomial_ideal(R, rng)
         m = rand_monomial_ideal(R, rng, max_gens=1, max_exp=3).generators[0]
-        assert I.quotient(m, method="monomial") == I.quotient(m, method="colon")
+        assert I.quotient(m) == _colon(I, m)
 
 
 def test_quotient_membership_characterisation(rng):
@@ -302,7 +301,7 @@ def test_colon_membership_in_lex_and_quotient_rings(name, rng):
         g = rand_poly(R, rng, 2, 2)
         if g.is_zero():
             continue
-        Q = I.quotient(g, method="colon")
+        Q = _colon(I, g)
         for _ in range(10):
             r = rand_poly(R, rng, 2, 3, allow_zero=True)
             assert Q.contains(r) == I.contains(r * g)
@@ -349,25 +348,6 @@ def test_saturate_computes_one_basis(name, gens, g, monkeypatch):
 
 
 # -- elimination and radical membership ----------------------------------------------
-
-
-def test_eliminate_examples():
-    R = Ring(2, ["X", "U"])
-    assert gb_strs(Ideal(R, ["X", "U+X^2"]).eliminate(1)) == ["U"]
-    R2 = Ring(2, ["X", "Y"])
-    assert Ideal(R2, ["X*Y"]).eliminate(1).is_zero()
-    got = Ideal(R2, ["Y+1"]).eliminate(1)
-    assert gb_strs(got) == ["Y + 1"]
-
-
-def test_eliminate_bounds():
-    R = Ring(2, ["X", "Y"])
-    I = Ideal(R, ["X"])
-    assert I.eliminate(0) is I
-    with pytest.raises(InputError):
-        I.eliminate(2)
-    with pytest.raises(InputError):
-        I.eliminate(3)
 
 
 def test_in_radical_examples(R2):
@@ -436,11 +416,11 @@ def test_budget_fields_positive():
 
 
 def _spied_bases(calls):
-    """Patch ideals.groebner_basis with a wrapper that logs each call."""
+    """Patch ideals.groebner_basis with a wrapper that logs the ring of each call."""
     real = ideals.groebner_basis
 
     def spy(gens, ring):
-        calls.append(tuple(gens))
+        calls.append(ring)
         return real(gens, ring)
 
     return mock.patch.object(ideals, "groebner_basis", spy)
@@ -569,6 +549,51 @@ def test_ring_basis_cache_under_concurrent_threads():
     assert [Ideal(R, g).groebner() for g in gens] == expected  # recalled or computed again
 
 
+def test_ring_basis_cache_charges_each_basis_its_own_pairs_across_threads():
+    """Threads that fill one ring store the pairs each computation processed,
+    not pairs other threads processed meanwhile, so every later recall
+    charges pair_count what the same basis costs in a fresh ring."""
+    import random
+    import sys
+    import threading
+
+    rng = random.Random(7)
+    R = Ring(3, ["X", "Y"])
+    nthreads, per_thread = 4, 30
+    gens = list(dict.fromkeys(tuple(str(g) for g in rand_ideal(R, rng, 3, 3).generators)
+                              for _ in range(nthreads * per_thread)))
+
+    def charged(ring, g):
+        before = ideals.pair_count
+        Ideal(ring, g).groebner()
+        return ideals.pair_count - before
+
+    fresh = [charged(Ring(3, ["X", "Y"]), g) for g in gens]
+    assert sum(fresh) > 0
+
+    def worker(t):
+        for g in gens[t::nthreads]:
+            Ideal(R, g).groebner()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(nthreads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(R._bases) == len(gens)
+    calls = []
+    with _spied_bases(calls):
+        recalled = [charged(R, g) for g in gens]
+    assert calls == []
+    assert recalled == fresh
+
+
 @pytest.mark.parametrize("make_gens", [
     lambda R: [R.from_terms([((2, 0), 1), ((0, 1), 1)]), R.from_terms([((1, 2), 1), ((0, 0), 1)])],
     lambda R: [R.parse("-(X+1)*Y + 3*X^2"), R.parse("X*Y^2 + 1")],
@@ -599,37 +624,34 @@ def test_ring_basis_cache_adds_no_reference_cycle(make_gens):
 # -- routes and powers ---------------------------------------------------------------
 
 
-ROUTES = {
-    "contains": (("auto", "monomial", "groebner"), lambda I, J, m: I.contains("X", method=m)),
-    "intersect": (("auto", "monomial", "elimination"), lambda I, J, m: I.intersect(J, method=m)),
-    "quotient": (("auto", "monomial", "colon"), lambda I, J, m: I.quotient("X", method=m)),
-    "frob_root": (("auto", "monomial", "flat", "elimination"), lambda I, J, m: frob_root(I, method=m)),
-}
-# typos, near misses, and the routes of the other operations
-NEAR_MISSES = ["", "Auto", " auto", "auto ", "Monomial", "groebner", "elimination", "colon",
-               "flat"]
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-@pytest.mark.parametrize("op, method", [
-    ("contains", "monomail"), ("contains", "elimination"),
-    ("intersect", "bogus"), ("intersect", "colon"),
-    ("quotient", "x"), ("quotient", "groebner"),
-    ("frob_root", "typo"), ("frob_root", "groebner"),
-], ids=["contains-typo", "contains-foreign", "intersect-typo", "intersect-foreign",
-        "quotient-typo", "quotient-foreign", "frob_root-typo", "frob_root-foreign"])
-def test_unknown_method_is_rejected(op, method, data):
-    accepted, call = ROUTES[op]
-    drawn = data.draw(st.one_of(st.sampled_from(NEAR_MISSES), st.text(max_size=12))
-                      .filter(lambda m: m not in accepted), label="method")
-    R = Ring(2, ["X", "Y"])
-    I = Ideal(R, ["X^2", "X*Y + Y^2"])
-    J = Ideal(R, ["Y^3"])
-    for m in (method, drawn):
-        with pytest.raises(InputError):
-            call(I, J, m)
-
+def test_route_follows_the_input(rng):
+    """Monomial ideals of a polynomial ring take the monomial route of every
+    operation and compute no basis; a non-monomial input computes one; the
+    root of a cusp ideal runs one elimination per step."""
+    for p, order in [(2, GREVLEX), (3, LEX)]:
+        R = Ring(p, ["X", "Y", "Z"], order)
+        for _ in range(10):
+            I = rand_monomial_ideal(R, rng, max_gens=3, max_exp=6)
+            K = rand_monomial_ideal(R, rng, max_gens=3, max_exp=6)
+            m = rand_monomial_ideal(R, rng, max_gens=1, max_exp=3).generators[0]
+            g = rand_poly(R, rng, 3, 6)
+            calls = []
+            with _spied_bases(calls):
+                I.contains(g)
+                I.intersect(K)
+                I.quotient(m)
+                frob_root(I, 3)
+            assert calls == []
+        calls = []
+        with _spied_bases(calls):
+            Ideal(R, ["X + Y"]).contains("X")
+        assert calls == [R]
+    R = cusp_ring()
+    for e in (1, 2, 3):
+        calls = []
+        with _spied_bases(calls):
+            frob_root(frob_power(Ideal(R, ["U"]), e), e)
+        assert len([ring for ring in calls if ring != R]) == e
 
 def _power_oracle(gens, h):
     """Nested products of h generators, first occurrences kept in order."""
@@ -730,9 +752,8 @@ def test_minimal_generators_are_memoised(p, order, gens, probes):
     for _ in range(2):
         for terms in probes:
             f = R.from_terms([(e, c % (p - 1) + 1) for e, c in terms])
-            expect = I.contains(f, method="groebner")
+            expect = groebner_member(I, f)
             assert I.contains(f) == expect
-            assert I.contains(f, method="monomial") == expect
             assert oracle_poly_member_monomial(gens, f) == expect
     assert I.minimal_monomial_exps() is mins
 
