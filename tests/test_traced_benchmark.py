@@ -62,7 +62,7 @@ def test_workload_warmup_passes_its_check(name, monkeypatch):
 
 
 # critical pairs of one pass at the reference seed, as ``ideals.pairs_per_pass``
-PAIRS_PER_PASS = {"frobenius_closure": 7747, "cli_specs": 3942}
+PAIRS_PER_PASS = {"gb_dense": 10663, "frobenius_closure": 7747, "cli_specs": 3942}
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS_PER_PASS))
