@@ -23,23 +23,33 @@ The kernels below do the work that dominates Groebner-basis runtime:
 * ``combine``      -- sort raw terms, merge duplicates mod p, drop zeros;
 * ``axpy``         -- merge A + scale*B for two sorted term lists;
 * ``mul``          -- full product of two term lists;
-* ``normal_form``  -- complete division of a term list by a packed basis.
+* ``normal_form``  -- complete division of a term list by a packed basis;
+* ``s_normal_form``-- the same for the S-polynomial of two basis elements.
 
 Polynomials here have few terms, so the kernels are plain loops over the
 lists: a dict merges equal keys and ``sorted`` orders them.  Division
 works one term at a time with a heap and a dict, so a reduction step is a
 few integer operations per reducer term.  ``divisor`` prepares a basis
-element once, so a basis in use is passed in that form.
+element once, so a basis in use is passed in that form, and an
+S-polynomial is formed from two such encodings inside the kernel that
+reduces it.  If a divides b, then key(a) <= key(b) in every monomial order,
+so a term is tested only against the leads before the first suffix minimum
+of the lead keys that exceeds its key; every lead from there on has a
+larger key.  That bound holds for any basis order, so the first dividing
+lead is still the one found.
 """
 
 import struct
+from bisect import bisect_right
 from functools import cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from itertools import accumulate
 
 _FIELD = 64
 _MASK = (1 << _FIELD) - 1
 # bit 63 of each field of a ring of up to 64 variables (the degree and 64 exponents)
 _GUARD = sum(1 << (_FIELD * j + 63) for j in range(65))
+DEGREE = _MASK  # a packed exponent int & DEGREE is its total degree
 
 
 def backend() -> str:
@@ -54,6 +64,11 @@ def units(rows):
     width = len(rows[0])
     keys = [sum(m << _FIELD * (width - 1 - j) for j, m in enumerate(row)) for row in rows]
     return keys, [1 | 1 << _FIELD * (i + 1) for i in range(len(rows))]
+
+
+def guard_bits(nvars):
+    """The guard bits of the fields of packed exponent ints in nvars variables."""
+    return _GUARD & ((1 << _FIELD * (nvars + 1)) - 1)
 
 
 @cache
@@ -98,25 +113,50 @@ def normal_form(kf, ef, cf, basis, p, max_terms, max_degree):
     Returns ``(keys, exps, coeffs, status)`` with status 0 on success, 1 when
     the intermediate term count passed ``max_terms``, 2 when a reduction step
     would pass ``max_degree``.
-
-    Pending terms live in a dict from packed key to coefficient, ordered by a
-    max-heap of packed keys; a key whose term cancelled stays in the heap and
-    is skipped when it comes up.  A reduction step costs one integer
-    addition per reducer term for the key, one for the exponents and one
-    multiply-add for the coefficient.
     """
     if not kf or not basis:
         return kf, ef, cf, 0
+    heap = [-q for q in kf]  # ascending, so already a heap
+    return _divide(dict(zip(kf, cf)), dict(zip(kf, ef)), heap, basis, p, max_terms, max_degree)
+
+
+def s_normal_form(f, g, key, exp, basis, p, max_terms, max_degree):
+    """``normal_form`` of the S-polynomial of the ``divisor`` encodings f
+    and g, whose leads have the lcm of packed key ``key`` and packed
+    exponents ``exp``: f's tail shifted to that lcm, minus g's tail shifted
+    to it.  The leads cancel, so neither is formed.  As for any input, the
+    term count is checked only after a reduction step."""
+    dk, de = key - f[0], exp - f[1]
+    shifted = [tk + dk for tk in f[3]]
+    coef, expo = dict(zip(shifted, f[5])), dict(zip(shifted, [te + de for te in f[4]]))
+    dk, de = key - g[0], exp - g[1]
+    for tk, te, tc in zip(g[3], g[4], g[5]):
+        r = tk + dk
+        c = (coef.get(r, 0) - tc) % p
+        if c:
+            coef[r] = c
+            expo[r] = te + de
+        else:
+            del coef[r]
+    heap = [-q for q in coef]
+    heapify(heap)
+    return _divide(coef, expo, heap, basis, p, max_terms, max_degree)
+
+
+def _divide(coef, expo, heap, basis, p, max_terms, max_degree):
+    """The division loop of both entries.  Pending terms live in a dict
+    from packed key to coefficient, ordered by a max-heap of negated keys;
+    a key whose term cancelled stays in the heap and is skipped when it
+    comes up.  A reduction step costs one integer addition per reducer term
+    for the key, one for the exponents and one multiply-add for the
+    coefficient."""
     leads = [d[1] for d in basis]
+    bound = list(accumulate(reversed([d[0] for d in basis]), min))[::-1]  # suffix minima
     # guard the fields up to the top one any lead uses: every lead is zero
     # above it, so the test stays exact, and short ints keep it cheap
     nfields = -(-max(leads).bit_length() // _FIELD)
     guard = _GUARD & ((1 << _FIELD * nfields) - 1)
-    coef = dict(zip(kf, cf))
-    expo = dict(zip(kf, ef))
-    heap = [-q for q in kf]  # ascending, so already a heap
     rem_k, rem_e, rem_c = [], [], []
-    stepped = False
     while heap:
         q = -heappop(heap)
         c = coef.pop(q, None)
@@ -124,8 +164,8 @@ def normal_form(kf, ef, cf, basis, p, max_terms, max_degree):
             continue
         e = expo[q]
         probe = e | guard
-        for g, lead_e in enumerate(leads):
-            if (probe - lead_e) & guard == guard:
+        for g in range(bisect_right(bound, q)):
+            if (probe - leads[g]) & guard == guard:
                 break
         else:
             rem_k.append(q)
@@ -149,11 +189,8 @@ def normal_form(kf, ef, cf, basis, p, max_terms, max_degree):
                     coef[r] = old
                 else:
                     del coef[r]
-        stepped = True
         if len(rem_c) + len(coef) > max_terms:
             return [], [], [], 1
-    if not stepped:
-        return kf, ef, cf, 0
     return rem_k, rem_e, rem_c, 0
 
 

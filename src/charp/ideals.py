@@ -32,12 +32,13 @@ thread sharing it, computed before.
 
 from __future__ import annotations
 
+import bisect
 import contextvars
 import heapq
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import le
+from operator import itemgetter, le
 from typing import Iterable, Sequence
 
 from . import _kernels as K
@@ -103,37 +104,28 @@ def _pack(polys: Sequence[Polynomial]) -> list:
     return [K.divisor(f.keys, f.packed, f.coeffs) for f in polys]
 
 
+def _remainder(out, budget: GroebnerBudget) -> list:
+    """The remainder terms of a normal-form kernel result; a budget status raises."""
+    *terms, status = out
+    if status:
+        which = "max_poly_terms" if status == 1 else "max_degree"
+        raise GroebnerBudgetExceeded(which, getattr(budget, which))
+    return terms
+
+
 def _nf_packed(f: Polynomial, packed) -> Polynomial:
     if f.is_zero() or not packed:
         return f
     budget = _budget.get()
-    *terms, status = K.normal_form(f.keys, f.packed, f.coeffs, packed, f.ring.p,
-                                   budget.max_poly_terms, budget.max_degree)
-    if status == 1:
-        raise GroebnerBudgetExceeded("max_poly_terms", budget.max_poly_terms)
-    if status == 2:
-        raise GroebnerBudgetExceeded("max_degree", budget.max_degree)
-    return Polynomial(f.ring, *terms)
+    return Polynomial(f.ring, *_remainder(K.normal_form(
+        f.keys, f.packed, f.coeffs, packed, f.ring.p, budget.max_poly_terms, budget.max_degree),
+        budget))
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Complete remainder of f under division by (monic-normalised) basis."""
     reducers = [_monic(g) for g in basis if not g.is_zero()]
     return _nf_packed(f, _pack(reducers))
-
-
-def _shifted(f: Polynomial, key: int, exp: int) -> tuple:
-    """The terms of f times the monomial that takes its lead to the packed
-    key ``key`` and packed exponents ``exp``."""
-    dk, de = key - f.keys[0], exp - f.packed[0]
-    return [k + dk for k in f.keys], [e + de for e in f.packed], f.coeffs
-
-
-def _spoly(f: Polynomial, g: Polynomial, key: int, exp: int) -> Polynomial:
-    """S-polynomial of two monic polynomials whose leads have the lcm of
-    packed key ``key`` and packed exponents ``exp``."""
-    p = f.ring.p
-    return Polynomial(f.ring, *K.axpy(*_shifted(f, key, exp), *_shifted(g, key, exp), p - 1, p))
 
 
 def _mono_divides(a: tuple, b: tuple) -> bool:
@@ -162,65 +154,66 @@ class _Buchberger:
     """One basis computation; deterministic normal strategy with
     Gebauer-Moeller pair pruning and first-match-in-sorted-basis reducers.
 
-    Beside each basis element it keeps the lead's exponent tuple, the
-    lead's packed key (ints compare in the monomial order) and the
-    element's kernel encoding, so pair bookkeeping is plain tuple work and
-    a repack only reorders encodings."""
+    Each element is kept as its kernel encoding (``K.divisor``) beside its
+    lead's exponent tuple, from which the lcms come; insertion keeps the
+    encodings in scan order, ascending by lead key.  A pair is (lcm degree,
+    lcm key, i, j, packed lcm).  The kernel forms and reduces each
+    S-polynomial from the two encodings, and the criteria test divisibility
+    of packed lcms by the kernel's guard-bit subtraction."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
         self.budget = _budget.get()
-        self.G: list[Polynomial] = []
-        self.leads: list[tuple] = []
-        self.lead_keys: list[tuple] = []
-        self.divisors: list[tuple] = []
-        self.pairs: list[tuple] = []  # heap of (lcm degree, lcm key, i, j, lcm)
-        self._packed = []
+        self.limits = ring.p, self.budget.max_poly_terms, self.budget.max_degree
+        self.guard = K.guard_bits(ring.nvars)
+        self.leads: list[tuple] = []  # lead exponent tuples, in insertion order
+        self.divisors: list[tuple] = []  # in insertion order, as pairs index them
+        self.pairs: list[tuple] = []  # heap
+        self._packed: list[tuple] = []  # the divisors in scan order
 
-    def _push_pair(self, i: int, j: int):
-        lcm = _lcm(self.leads[i], self.leads[j])
-        heapq.heappush(self.pairs, (sum(lcm), self.ring.key_of(lcm), i, j, lcm))
-
-    def _scan_order(self) -> list[int]:
-        return sorted(range(len(self.G)), key=lambda i: (self.lead_keys[i], i))
-
-    def add(self, h: Polynomial):
-        """Install a new monic element, updating the pair set (Gebauer-Moeller)."""
-        t = len(self.G)
-        lt = self.ring.unpack(h.packed[0])
-        lcm_with = [_lcm(li, lt) for li in self.leads]
-        first = {}
-        for i, li in enumerate(lcm_with):
-            first.setdefault(li, i)  # criterion F: one pair per distinct lcm
-        lcms = list(first)
-        final = []
-        for k in _minimal(lcms):  # criterion M: no other lcm divides this one
-            i = first[lcms[k]]
-            if any(map(min, self.leads[i], lt)):  # criterion B drops coprime leads
-                final.append(i)
-        # prune old pairs now covered through h; the survivors keep their order
+    def add(self, keys: list, exps: list, coeffs: list):
+        """Install the monic multiple of a remainder unless it is zero,
+        updating the pair set (Gebauer-Moeller)."""
+        if not keys:
+            return
+        ring, guard, t, lt_e = self.ring, self.guard, len(self.leads), exps[0]
+        if coeffs[0] != 1:
+            inv = ring.field.inv(coeffs[0])
+            coeffs = [c * inv % ring.p for c in coeffs]
+        lt = ring.unpack(lt_e)
+        lcm_t = [_lcm(li, lt) for li in self.leads]
+        lcm_with = list(map(ring.pack, lcm_t))
+        # prune old pairs now covered through the new lead
         self.pairs = [pair for pair in self.pairs
-                      if not (_mono_divides(lt, pair[4])
+                      if not ((pair[4] | guard) - lt_e & guard == guard
                               and lcm_with[pair[2]] != pair[4]
                               and lcm_with[pair[3]] != pair[4])]
         heapq.heapify(self.pairs)
-        self.G.append(h)
+        first = {}
+        for i, m in enumerate(lcm_with):
+            first.setdefault(m, i)  # criterion F: one pair per distinct lcm
+        # criterion M drops an lcm another one divides: they are distinct,
+        # so only one of lower degree can.  Criterion B drops coprime leads.
+        by_degree = sorted(first, key=K.DEGREE.__and__)
+        lower = deg = 0
+        for k, m in enumerate(by_degree):
+            if m & K.DEGREE != deg:
+                lower, deg = k, m & K.DEGREE
+            i = first[m]
+            if (m != self.divisors[i][1] + lt_e
+                    and not any((m | guard) - s & guard == guard for s in by_degree[:lower])):
+                heapq.heappush(self.pairs, (deg, ring.key_of(lcm_t[i]), i, t, m))
         self.leads.append(lt)
-        self.lead_keys.append(h.keys[0])
-        self.divisors.append(K.divisor(h.keys, h.packed, h.coeffs))
-        for i in final:
-            self._push_pair(i, t)
-        self._packed = [self.divisors[i] for i in self._scan_order()]
+        self.divisors.append(K.divisor(keys, exps, coeffs))
+        self._packed.insert(bisect.bisect(self._packed, keys[0], key=itemgetter(0)),
+                            self.divisors[t])
 
     def run(self, gens: Sequence[Polynomial]) -> tuple:
         """The reduced basis of gens and the number of pairs processed."""
         global pair_count
         for g in gens:
-            if g.is_zero():
-                continue
             h = _nf_packed(g, self._packed)
-            if not h.is_zero():
-                self.add(_monic(h))
+            self.add(h.keys, h.packed, h.coeffs)
         processed = 0
         while self.pairs:
             deg, key, i, j, lcm = heapq.heappop(self.pairs)
@@ -230,22 +223,22 @@ class _Buchberger:
                 raise GroebnerBudgetExceeded("max_pairs", self.budget.max_pairs)
             if deg > self.budget.max_degree:
                 raise GroebnerBudgetExceeded("max_degree", self.budget.max_degree)
-            s = _spoly(self.G[i], self.G[j], key, self.ring.pack(lcm))
-            h = _nf_packed(s, self._packed)
-            if not h.is_zero():
-                self.add(_monic(h))
+            self.add(*_remainder(K.s_normal_form(self.divisors[i], self.divisors[j], key, lcm,
+                                                 self._packed, *self.limits), self.budget))
         return tuple(self._reduce_final()), processed
 
     def _reduce_final(self) -> list[Polynomial]:
-        # minimal generating leads, then tail-reduce for the unique reduced
-        # basis; no lead divides another, so tail reduction keeps every lead
-        # and the basis stays sorted ascending by lead
-        order = self._scan_order()
-        chosen = [order[k] for k in _minimal([self.leads[i] for i in order])]
-        reduced = []
-        for k, i in enumerate(chosen):
-            others = [self.divisors[j] for j in chosen[:k] + chosen[k + 1:]]
-            reduced.append(_nf_packed(self.G[i], others))
+        # keep the minimal leads, ascending: a lead's divisors come before it,
+        # and a kept one divides it whenever any does.  Each is reduced by the
+        # kept ones before it, already reduced: a tail term lies below its
+        # lead, so no later lead divides it.  The reduced basis is unique.
+        guard, reduced, reducers = self.guard, [], []
+        for lead_k, lead_e, _, tail_k, tail_e, tail_c in self._packed:
+            if not any((lead_e | guard) - r[1] & guard == guard for r in reducers):
+                h = _nf_packed(Polynomial(self.ring, [lead_k] + tail_k, [lead_e] + tail_e,
+                                          [1] + tail_c), reducers)
+                reducers.append(K.divisor(h.keys, h.packed, h.coeffs))
+                reduced.append(h)
         return reduced
 
 

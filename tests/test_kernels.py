@@ -6,12 +6,14 @@ strictly descending in the ring's order.  The expected order comes from the
 key-matrix rows, not from the packed keys under test.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charp import Ring
 from charp import _kernels as K
 from charp.orders import GREVLEX, LEX, elim
 from charp.poly import EXP_LIMIT
+
+from conftest import cusp_ring
 
 P = 5
 VARS = ["X", "Y", "Z"]
@@ -145,10 +147,20 @@ def _normal_form(ring, f, basis, max_terms, max_degree):
     return status
 
 
+# X*Y under (X^2 + 2*Z, X + 3*Y): X^2 has a larger key than X*Y in every
+# order here, and the X after it divides X*Y, so a scan that stops at the
+# first lead with a larger key than the term leaves X*Y unreduced
+SCAN_PAST_A_LARGER_LEAD = ({(1, 1, 0): 1}, [{(2, 0, 0): 1, (0, 0, 1): 2},
+                                            {(1, 0, 0): 1, (0, 1, 0): 3}])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(RINGS), term_dicts(max_size=6),
        st.lists(term_dicts(min_size=1, max_size=3), min_size=1, max_size=3),
        st.integers(0, 12), st.integers(0, 8))
+@example(RINGS[0], *SCAN_PAST_A_LARGER_LEAD, 12, 8)
+@example(RINGS[1], *SCAN_PAST_A_LARGER_LEAD, 12, 8)
+@example(RINGS[2], *SCAN_PAST_A_LARGER_LEAD, 12, 8)
 def test_normal_form_matches_oracle(ring, f, basis, max_terms, max_degree):
     _normal_form(ring, f, basis, max_terms, max_degree)
     _normal_form(ring, f, basis, 10**6, 10**6)
@@ -170,6 +182,56 @@ def test_normal_form_matches_oracle_on_exponents_up_to_2_40(ring, f, basis, scal
     f, basis = scaled(f), [scaled(g) for g in basis]
     _normal_form(ring, f, basis, max_terms, max_degree)
     _normal_form(ring, f, basis, 10**6, 2**62)
+
+
+def _monic_polys(ring):
+    """Monic polynomials of ring with up to four terms, exponents at most 2."""
+    exps = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    terms = st.dictionaries(exps, st.integers(1, ring.p - 1), min_size=1, max_size=4)
+
+    def monic(d):
+        f = ring.from_terms(d.items())
+        inv = pow(f.coeffs[0], -1, ring.p)
+        return ring.from_terms((e, c * inv) for e, c in f.terms())
+
+    return terms.map(monic)
+
+
+def _shifted(f, key, exp):
+    dk, de = key - f.keys[0], exp - f.packed[0]
+    return [k + dk for k in f.keys], [e + de for e in f.packed], f.coeffs
+
+
+def test_s_normal_form_matches_axpy_then_normal_form():
+    """The S-pair entry against the path it replaces: the S-polynomial as
+    the axpy of the two shifted polynomials, then ``normal_form``.  The
+    basis holds f and g, as the engine's does, in any order, and in the
+    cusp ring its quotient generator too.  The limits are drawn so that
+    every status occurs."""
+    statuses = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(RINGS + [cusp_ring()]), st.data(), st.integers(0, 12),
+           st.integers(0, 8))
+    def check(ring, data, max_terms, max_degree):
+        polys = _monic_polys(ring)
+        f, g = data.draw(polys, label="f"), data.draw(polys, label="g")
+        others = data.draw(st.lists(polys, max_size=2), label="others")
+        basis = data.draw(st.permutations([f, g, *others, *ring.quotient]), label="basis")
+        lcm = tuple(map(max, f.exps[0], g.exps[0]))
+        key, exp = ring.key_of(lcm), ring.pack(lcm)
+        packed = [K.divisor(h.keys, h.packed, h.coeffs) for h in basis]
+        s = K.axpy(*_shifted(f, key, exp), *_shifted(g, key, exp), ring.p - 1, ring.p)
+        for limits in ((max_terms, max_degree), (10**6, 10**6)):
+            want = K.normal_form(*s, packed, ring.p, *limits)
+            got = K.s_normal_form(K.divisor(f.keys, f.packed, f.coeffs),
+                                  K.divisor(g.keys, g.packed, g.coeffs),
+                                  key, exp, packed, ring.p, *limits)
+            assert got == want
+            statuses.add(got[3])
+
+    check()
+    assert statuses == {0, 1, 2}
 
 
 def test_normal_form_budget_statuses():
