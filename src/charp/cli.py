@@ -38,9 +38,9 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import ideals as ideals_mod
 from .decomposition import (Decomposition, GrowthCertificate, certify_growth,
@@ -154,11 +154,12 @@ def parse_spec(path: str) -> SpecFile:
         raise InputError("ring key 'vars' must list variables", f"{path} [ring]")
     order = parse_order(ring_sec.get("order", "grevlex"))
     ring = plain = Ring(p, vars_, order)
+    qgens = [_parse_in(plain, s, f"{path} [ring] quotient")
+             for s in _split_list(ring_sec.get("quotient", ""))]
+    reduced = ring_sec.get("reduced", "false").lower()  # the words of getboolean
+    if reduced not in ("1", "yes", "true", "on", "0", "no", "false", "off"):
+        raise InputError("ring key 'reduced' must be true or false", f"{path} [ring]")
     if "quotient" in ring_sec:
-        qgens = [_parse_in(plain, s, f"{path} [ring] quotient") for s in _split_list(ring_sec["quotient"])]
-        reduced = ring_sec.get("reduced", "false").lower()  # the words of getboolean
-        if reduced not in ("1", "yes", "true", "on", "0", "no", "false", "off"):
-            raise InputError("ring key 'reduced' must be true or false", f"{path} [ring]")
         ring = Ring(p, vars_, order, quotient=qgens, reduced=reduced in ("1", "yes", "true", "on"))
 
     ideals: dict = {}
@@ -267,17 +268,22 @@ def _parse_in(ring: Ring, text: str, where: str) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def _strs(polys) -> list:
+    return [str(g) for g in polys]
+
+
+def _tuple_text(strs) -> str:
+    return "(" + ", ".join(strs) + ")"
+
+
 def _ideal_json(I: Ideal) -> dict:
-    return {
-        "generators": [str(g) for g in I.generators],
-        "groebner": [str(g) for g in I.groebner()],
-    }
+    return {"generators": _strs(I.generators), "groebner": _strs(I.groebner())}
 
 
 def _ring_json(ring: Ring) -> dict:
     out = {"p": ring.p, "vars": list(ring.vars), "order": str(ring.order)}
     if ring.is_quotient():
-        out["quotient"] = [str(g) for g in ring.quotient]
+        out["quotient"] = _strs(ring.quotient)
         out["reduced_assertion"] = bool(ring.reduced_assertion)
     return out
 
@@ -287,8 +293,8 @@ def _decomposition_json(d: Decomposition) -> dict:
         "minimal": d.minimal,
         "components": [
             {
-                "component_gens": [str(g) for g in c.ideal.groebner()],
-                "radical_gens": [str(g) for g in c.radical.groebner()],
+                "component_gens": _strs(c.ideal.groebner()),
+                "radical_gens": _strs(c.radical.groebner()),
                 "shift": {v: int(b) for v, b in (c.shift or ())} or None,
                 "verified_primary": c.verified_primary,
             }
@@ -323,13 +329,34 @@ class Report:
         self.lines.append(line)
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """The bytes of ``json.dumps(value, indent=2)`` for the JSON types a report
+    holds.  With an indent the stdlib encoder is built from nested functions
+    that refer to each other, so every call would leave a reference cycle."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, (int, float)):
+        return repr(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in value.items()]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _json_text(v, inner) for v in value]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"{type(value).__name__} is not a report type")
+
+
 def _emit(report: Report, args, started: float, code: int) -> int:
     report.data["exit_status"] = code
     report.data["budget"]["pairs_used"] = ideals_mod.pair_count
     if getattr(args, "timing", False):
         report.data["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     if getattr(args, "json", False):
-        print(json.dumps(report.data, indent=2))
+        print(_json_text(report.data))
     else:
         for line in report.lines:
             print(line)
@@ -342,9 +369,8 @@ def _emit(report: Report, args, started: float, code: int) -> int:
 
 
 def _cmd_gb(args, report: Report, spec: SpecFile) -> int:
-    I = spec.ideal(args.ideal)
-    basis = I.groebner()
-    report.data["result"] = {"ideal": args.ideal, "groebner": [str(g) for g in basis]}
+    basis = _strs(spec.ideal(args.ideal).groebner())
+    report.data["result"] = {"ideal": args.ideal, "groebner": basis}
     report.say(f"reduced groebner basis of {args.ideal} "
                f"({len(basis)} generators):")
     for g in basis:
@@ -354,17 +380,17 @@ def _cmd_gb(args, report: Report, spec: SpecFile) -> int:
 
 def _cmd_frob_power(args, report: Report, spec: SpecFile) -> int:
     I = spec.ideal(args.ideal)
-    res = frob_power(I, args.e)
-    report.data["result"] = {"ideal": args.ideal, "e": args.e, **_ideal_json(res)}
-    report.say(f"{args.ideal}^[p^{args.e}] = ({', '.join(str(g) for g in res.groebner())})")
+    res = _ideal_json(frob_power(I, args.e))
+    report.data["result"] = {"ideal": args.ideal, "e": args.e, **res}
+    report.say(f"{args.ideal}^[p^{args.e}] = {_tuple_text(res['groebner'])}")
     return EXIT_OK
 
 
 def _cmd_frob_root(args, report: Report, spec: SpecFile) -> int:
     I = spec.ideal(args.ideal)
-    res = frob_root(I)
-    report.data["result"] = {"ideal": args.ideal, **_ideal_json(res)}
-    report.say(f"frobenius root of {args.ideal} = ({', '.join(str(g) for g in res.groebner())})")
+    res = _ideal_json(frob_root(I))
+    report.data["result"] = {"ideal": args.ideal, **res}
+    report.say(f"frobenius root of {args.ideal} = {_tuple_text(res['groebner'])}")
     return EXIT_OK
 
 
@@ -372,21 +398,22 @@ def _cmd_frob_closure(args, report: Report, spec: SpecFile) -> int:
     I = spec.ideal(args.ideal)
     res = f_closure(I, args.max_e, args.confirm)
     closed = res.closure == I
+    closure = _strs(res.closure.groebner())
     report.data["result"] = {
         "ideal": args.ideal,
-        "closure": [str(g) for g in res.closure.groebner()],
+        "closure": closure,
         "stabilized_at": res.stabilized_at,
         "certified": res.certified,
         "is_f_closed": closed,
-        "steps": [[str(g) for g in s.groebner()] for s in res.steps],
+        "steps": [_strs(s.groebner()) for s in res.steps],
     }
-    report.data["witnesses"] = [
+    report.data["witnesses"] = witnesses = [
         {"element": str(w["element"]), "exponent": w["exponent"]} for w in res.witnesses
     ]
-    report.say(f"F-closure of {args.ideal} = ({', '.join(str(g) for g in res.closure.groebner())})")
+    report.say(f"F-closure of {args.ideal} = {_tuple_text(closure)}")
     report.say(f"stabilized_at = {res.stabilized_at}, certified = {res.certified}, "
                f"is_f_closed = {closed}")
-    for w in res.witnesses:
+    for w in witnesses:
         report.say(f"witness: ({w['element']})^(p^{w['exponent']}) lies in the "
                    f"matching Frobenius power")
     return EXIT_OK
@@ -394,12 +421,12 @@ def _cmd_frob_closure(args, report: Report, spec: SpecFile) -> int:
 
 def _cmd_decompose(args, report: Report, spec: SpecFile) -> int:
     I = spec.ideal(args.ideal)
-    deco = decompose_monomial(I)
-    report.data["result"] = {"ideal": args.ideal, **_decomposition_json(deco)}
+    deco = _decomposition_json(decompose_monomial(I))
+    report.data["result"] = {"ideal": args.ideal, **deco}
     report.say(f"minimal primary decomposition of {args.ideal}:")
-    for c in deco.components:
-        report.say(f"  ({', '.join(str(g) for g in c.ideal.groebner())})"
-                   f"   radical ({', '.join(str(g) for g in c.radical.groebner())})")
+    for c in deco["components"]:
+        report.say(f"  {_tuple_text(c['component_gens'])}"
+                   f"   radical {_tuple_text(c['radical_gens'])}")
     return EXIT_OK
 
 
@@ -413,15 +440,12 @@ def _cmd_fseq_verify(args, report: Report, spec: SpecFile) -> int:
     if res.ok:
         report.say(f"fseq {args.fseq} satisfies the root law to depth {args.depth}")
         return EXIT_OK
+    expected, got = _strs(res.expected.groebner()), _strs(res.got.groebner())
     report.data["witnesses"] = [{
-        "index": res.failed_at,
-        "reason": res.reason,
-        "expected": [str(g) for g in res.expected.groebner()],
-        "got": [str(g) for g in res.got.groebner()],
+        "index": res.failed_at, "reason": res.reason, "expected": expected, "got": got,
     }]
     report.say(f"fseq {args.fseq} FAILS at index {res.failed_at}: {res.reason}")
-    report.say(f"  expected ({', '.join(str(g) for g in res.expected.groebner())})"
-               f" but got ({', '.join(str(g) for g in res.got.groebner())})")
+    report.say(f"  expected {_tuple_text(expected)} but got {_tuple_text(got)}")
     return EXIT_FAILED
 
 
@@ -456,50 +480,45 @@ def _cmd_perfection_member(args, report: Report, spec: SpecFile) -> int:
     A = _perfection_ideal(args, spec)
     body = _parse_in(spec.ring.cover(), args.elem, "--elem")
     e = PerfectionElement(args.root, body)
-    ok = A.member(e)
+    ok, text = A.member(e), str(e)
     report.data["result"] = {
-        "element": str(e), "normalized_depth": e.depth,
+        "element": text, "normalized_depth": e.depth,
         "normalized_body": str(e.body), "member": ok,
     }
-    report.say(f"{e} {'is' if ok else 'is NOT'} a member")
+    report.say(f"{text} {'is' if ok else 'is NOT'} a member")
     return EXIT_OK
 
 
 def _cmd_perfection_decompose(args, report: Report, spec: SpecFile) -> int:
     A = _perfection_ideal(args, spec)
     seqs = decompose_perfection_ideal(A, args.depth)
-    report.data["result"] = {
-        "components": [
-            {
-                "radical_gens": [str(g) for g in s.meta["radical"].groebner()],
-                "terms": [[str(g) for g in s.term(n).groebner()] for n in range(args.depth + 1)],
-            }
-            for s in seqs
-        ],
-        "depth": args.depth,
-    }
+    components = [
+        {
+            "radical_gens": _strs(s.meta["radical"].groebner()),
+            "terms": [_strs(s.term(n).groebner()) for n in range(args.depth + 1)],
+        }
+        for s in seqs
+    ]
+    report.data["result"] = {"components": components, "depth": args.depth}
     report.say(f"primary decomposition into {len(seqs)} sequences, verified to depth {args.depth}:")
-    for s in seqs:
-        rad = ", ".join(str(g) for g in s.meta["radical"].groebner())
-        terms = "; ".join("(" + ", ".join(str(g) for g in s.term(n).groebner()) + ")"
-                          for n in range(args.depth + 1))
-        report.say(f"  radical ({rad}): {terms}")
+    for c in components:
+        terms = "; ".join(map(_tuple_text, c["terms"]))
+        report.say(f"  radical {_tuple_text(c['radical_gens'])}: {terms}")
     return EXIT_OK
 
 
 def _cmd_lg2(args, report: Report, spec: SpecFile) -> int:
     a = spec.ideal(args.ideal)
     primes = [spec.ideal(n) for n in _split_list(args.primes)]
-    deco = lg2_decompose(a, primes, args.h, args.n, args.mode)
+    deco = _decomposition_json(lg2_decompose(a, primes, args.h, args.n, args.mode))
     report.data["result"] = {
-        "ideal": args.ideal, "h": args.h, "n": args.n, "mode": args.mode,
-        **_decomposition_json(deco),
+        "ideal": args.ideal, "h": args.h, "n": args.n, "mode": args.mode, **deco,
     }
     report.say(f"localized-component decomposition verified (mode {args.mode}, "
                f"h={args.h}, n={args.n}):")
-    for c in deco.components:
-        report.say(f"  ({', '.join(str(g) for g in c.ideal.groebner())})"
-                   f"   at ({', '.join(str(g) for g in c.radical.groebner())})")
+    for c in deco["components"]:
+        report.say(f"  {_tuple_text(c['component_gens'])}"
+                   f"   at {_tuple_text(c['radical_gens'])}")
     return EXIT_OK
 
 
@@ -510,11 +529,13 @@ def _cmd_ex8(args, report: Report) -> int:
         raise InputError(f"--t must list integers, got {args.t!r}") from None
     rep = ex8_build(args.p, args.l, t_list, args.depth)
     report.data["ring"] = _ring_json(rep.seq.ring)
+    # each prime is one string, its generators joined by " , " (a printed
+    # polynomial has no comma, so the text lines split it back)
+    ass = [[" , ".join(_strs(prime.groebner())) for prime in level] for level in rep.ass]
     report.data["result"] = {
         "p": rep.p, "l": rep.l, "t": list(rep.t), "depth": rep.depth,
         "ass_sizes": rep.ass_sizes,
-        "ass": [[" , ".join(str(g) for g in prime.groebner()) for prime in level]
-                for level in rep.ass],
+        "ass": ass,
         "fseq_verified": rep.verify.ok if rep.verify else True,
         "certificate": _certificate_json(rep.certificate),
         "no_primary_decomposition": rep.no_primary_decomposition,
@@ -528,9 +549,8 @@ def _cmd_ex8(args, report: Report) -> int:
     report.say(f"escalating-primes family at p={rep.p}, l={rep.l}, t={list(rep.t)}, "
                f"depth {rep.depth}")
     report.say(f"ass sizes per level: {rep.ass_sizes}")
-    for m, level in enumerate(rep.ass):
-        pretty = ", ".join("(" + ", ".join(str(g) for g in prime.groebner()) + ")"
-                           for prime in level)
+    for m, level in enumerate(ass):
+        pretty = ", ".join(_tuple_text(prime.split(" , ")) for prime in level)
         report.say(f"  level {m}: {pretty}")
     report.say(f"root law verified: {rep.verify.ok if rep.verify else True}")
     report.say(f"growth certificate: h={rep.certificate.h} over depth {rep.certificate.depth}")
@@ -666,7 +686,7 @@ def main(argv=None) -> int:
             code, prefix = next((c, t) for types, c, t in _FAILURES if isinstance(e, types))
             report.data["result"] = {"error": str(e), "error_kind": type(e).__name__}
             if isinstance(e, DepthExceeded):
-                report.data["result"]["partial_steps"] = [[str(g) for g in s.groebner()]
+                report.data["result"]["partial_steps"] = [_strs(s.groebner())
                                                           for s in e.partial]
             elif isinstance(e, CertificateFailure):
                 report.data["witnesses"] = [{"n": e.n, "i": e.i}]

@@ -47,15 +47,6 @@ class PrimaryComponent:
         if not self.radical.contains_ideal(self.ideal):
             raise InputError("component does not lie inside its radical")
 
-    def shift_map(self) -> dict:
-        return dict(self.shift) if self.shift else {}
-
-    def radical_key(self):
-        rad = apply_shift(self.radical, self.shift_map())
-        vars_ = tuple(sorted(v for g in rad.minimal_monomial_exps()
-                             for v, e in zip(rad.ring.vars, g) if e))
-        return (vars_, self.shift or ())
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -169,13 +160,6 @@ def _redundant_index(ideals: list) -> Optional[int]:
         if I.contains_ideal(intersect_all(ideals[:i] + ideals[i + 1:])):
             return i
     return None
-
-
-def ass_monomial(I: Ideal) -> tuple:
-    """Associated primes of a proper monomial ideal, canonically sorted."""
-    deco = decompose_monomial(I)
-    rads = sorted(deco.components, key=PrimaryComponent.radical_key)
-    return tuple(c.radical for c in rads)
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +282,6 @@ def certify_growth(seq: FSequence, decomposer: Callable[[int], Decomposition],
 # ---------------------------------------------------------------------------
 # decompositions of Frobenius powers through localised components
 # ---------------------------------------------------------------------------
-
-
-def frobenius_decompositions(deco: Decomposition) -> Callable[[int], Decomposition]:
-    """n -> the component-wise Frobenius power of a minimal decomposition
-    (primary with the same radicals; the Frobenius is flat here)."""
-    def decomposer(n: int) -> Decomposition:
-        if n == 0:
-            return deco
-        comps = []
-        for c in deco.components:
-            shifted = frob_power(c.ideal, n)
-            comps.append(PrimaryComponent(
-                ideal=shifted, radical=c.radical,
-                verified_primary=_primary_in_frame(shifted, c.shift), shift=c.shift))
-        return Decomposition(tuple(comps), minimal=deco.minimal)
-    return decomposer
 
 
 def lg2_decompose(a: Ideal, primes: Sequence[Ideal], h: int, n: int,

@@ -40,9 +40,6 @@ class PrimeField:
     def reduce(self, a: int) -> int:
         return a % self.p
 
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")

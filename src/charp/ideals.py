@@ -11,12 +11,11 @@ intersection by lcm, quotient by exponent subtraction).  The input picks the
 route; the test suite cross-checks each fast path against the Buchberger
 route, calling ``normal_form``, ``_intersection`` and ``_colon`` directly.
 
-One auxiliary-variable ring serves intersection, colon, saturation and
-radical membership: the cover of the ring with a variable T in front,
-under elim(1) (``_aux_cover``).  Intersection eliminates T from
-T*I + (1 - T)*J, saturation eliminates T from I + (1 - T*g), radical
-membership asks whether that saturation is the unit ideal, and the colon
-divides by g as a normal form modulo T*g - 1.
+One auxiliary-variable ring serves intersection, colon and saturation:
+the cover of the ring with a variable T in front, under elim(1)
+(``_aux_cover``).  Intersection eliminates T from T*I + (1 - T)*J,
+saturation eliminates T from I + (1 - T*g), and the colon divides by g as
+a normal form modulo T*g - 1.
 
 The Groebner budget lives here and nowhere else.  Callers enter a scope
 with ``using_budget(budget)``; each basis computation reads the active
@@ -450,12 +449,6 @@ class Ideal:
         gens = [lift(h) for h in self.effective_generators()]
         gens.append(ext.one() - t * lift(g))
         return _eliminate(gens, ext, 1, self.ring)
-
-    def in_radical(self, g) -> bool:
-        """Rabinowitsch test: g in sqrt(I) iff 1 in I + (1 - T*g), that is,
-        iff I : g^inf is the unit ideal."""
-        g = self.ring.coerce(g)
-        return g.is_zero() or self.saturate(g).is_unit()
 
     # -- monomial-only helpers -----------------------------------------------
 

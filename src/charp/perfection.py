@@ -16,7 +16,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import CharpError, InputError, NonMonomial
+from .errors import InputError
 from .frobenius import f_closure, frob_power, frob_root
 from .ideals import Ideal, intersect_all
 from .poly import Polynomial, Ring
@@ -230,28 +230,6 @@ class FSequence:
         """Term-wise image of another sequence (used for localise-contract)."""
         return cls(inner.ring, kind, lambda n: fn(inner.term(n)),
                    describe or f"{kind} of {inner.describe}")
-
-    @classmethod
-    def radical_of(cls, inner: "FSequence") -> "FSequence":
-        """Term-wise monomial radical; an f-sequence of a radical ideal is
-        constant, and that constancy is checked across the queried depths."""
-        state = {}
-
-        def fn(n):
-            t = inner.term(n)
-            if not t.is_monomial():
-                raise NonMonomial("radical sequence needs monomial terms")
-            rad = t.monomial_radical()
-            ref = state.get("ref")
-            if ref is None:
-                state["ref"] = rad
-            elif ref != rad:
-                raise CharpError(
-                    f"radical sequence is not constant: term {n} gives {rad!r}, "
-                    f"earlier terms gave {ref!r}")
-            return rad
-
-        return cls(inner.ring, "radical", fn, f"radical of {inner.describe}")
 
     # -- verification -----------------------------------------------------------
 

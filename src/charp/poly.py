@@ -36,7 +36,7 @@ def _check_exps(rows) -> None:
 class Ring:
     """F_p[vars] with a fixed monomial order, optionally modulo quotient generators."""
 
-    __slots__ = ("field", "vars", "order", "quotient", "reduced_assertion",
+    __slots__ = ("field", "vars", "order", "_quotient", "reduced_assertion",
                  "_key_units", "_exp_units", "_var_index", "_bases", "__weakref__")
 
     def __init__(self, p: int, vars: Sequence[str], order: MonomialOrder = GREVLEX,
@@ -56,12 +56,12 @@ class Ring:
         self.order = order
         self._key_units, self._exp_units = K.units(order.key_matrix(len(vars)))
         self._var_index = {v: i for i, v in enumerate(vars)}
-        self.quotient: tuple = ()
         self.reduced_assertion = reduced
         self._bases = OrderedDict()  # reduced bases of this ring's ideals (charp.ideals)
-        if quotient:
-            gens = tuple(g._rebind(self) for g in quotient if not g.is_zero())
-            self.quotient = gens
+        # term lists, as in _bases: Polynomials would refer back to the ring
+        # and leave it, with its bases, to the cycle collector
+        self._quotient = tuple((g.keys, g.packed, g.coeffs)
+                               for g in (q._rebind(self) for q in quotient) if not g.is_zero())
 
     # -- basic properties ---------------------------------------------------
 
@@ -73,12 +73,17 @@ class Ring:
     def nvars(self) -> int:
         return len(self.vars)
 
+    @property
+    def quotient(self) -> tuple:
+        """The quotient generators, built from their term lists on each read."""
+        return tuple(Polynomial(self, *terms) for terms in self._quotient)
+
     def is_quotient(self) -> bool:
-        return bool(self.quotient)
+        return bool(self._quotient)
 
     def cover(self) -> "Ring":
         """The covering polynomial ring (self if there is no quotient)."""
-        if not self.quotient:
+        if not self._quotient:
             return self
         return Ring(self.p, self.vars, self.order)
 
@@ -89,14 +94,17 @@ class Ring:
             return NotImplemented
         return (self.p == other.p and self.vars == other.vars
                 and self.order == other.order
-                and _term_data(self.quotient) == _term_data(other.quotient))
+                and self._quotient_data() == other._quotient_data())
 
     def __hash__(self):
-        return hash((self.p, self.vars, self.order, _term_data(self.quotient)))
+        return hash((self.p, self.vars, self.order, self._quotient_data()))
+
+    def _quotient_data(self) -> tuple:
+        return tuple((tuple(packed), tuple(coeffs)) for _, packed, coeffs in self._quotient)
 
     def __repr__(self):
         base = f"F_{self.p}[{', '.join(self.vars)}]"
-        if self.quotient:
+        if self._quotient:
             base += " / (" + ", ".join(str(g) for g in self.quotient) + ")"
         return base
 

@@ -7,6 +7,10 @@ Frobenius roots are recomputed by exponent ceilings or by brute-force
 enumeration of small polynomials, and saturations by iterating colons until
 the chain stops.  The Buchberger routes that the fast paths are checked
 against are the library's own route functions, called directly.
+
+Radical membership, radical sequences, associated primes and component-wise
+Frobenius powers of a decomposition live here too: no command needs them,
+and the tests use them to check the objects the library builds.
 """
 
 import itertools
@@ -14,8 +18,12 @@ import random
 
 import pytest
 
-from charp import Ideal, Ring
+from charp import CharpError, Ideal, NonMonomial, Ring
+from charp.decomposition import (Decomposition, PrimaryComponent, _primary_in_frame,
+                                 decompose_monomial)
+from charp.frobenius import frob_power
 from charp.ideals import _aux_cover, _intersection, normal_form
+from charp.perfection import FSequence
 
 
 @pytest.fixture
@@ -152,3 +160,55 @@ def assert_same_ideal_on_box(I, J, pad=1):
     gj = monomial_gen_exps(J)
     for vec in membership_box(I, J, pad=pad):
         assert oracle_mono_member(gi, vec) == oracle_mono_member(gj, vec), vec
+
+
+def in_radical(I, g):
+    """Rabinowitsch test: g in sqrt(I) iff I : g^inf is the unit ideal."""
+    g = I.ring.coerce(g)
+    return g.is_zero() or I.saturate(g).is_unit()
+
+
+def radical_sequence(inner):
+    """The term-wise monomial radical of an f-sequence; a radical ideal's
+    f-sequence is constant, and that constancy is checked across the queried
+    depths."""
+    state = {}
+
+    def fn(n):
+        t = inner.term(n)
+        if not t.is_monomial():
+            raise NonMonomial("radical sequence needs monomial terms")
+        rad = t.monomial_radical()
+        ref = state.setdefault("ref", rad)
+        if ref != rad:
+            raise CharpError(f"radical sequence is not constant: term {n} gives {rad!r}, "
+                             f"earlier terms gave {ref!r}")
+        return rad
+
+    return FSequence(inner.ring, "radical", fn, f"radical of {inner.describe}")
+
+
+def ass_monomial(I):
+    """The associated primes of a proper monomial ideal, sorted by the
+    variables of each prime."""
+    def variables(c):
+        return sorted(v for g in c.radical.minimal_monomial_exps()
+                      for v, e in zip(I.ring.vars, g) if e)
+
+    return tuple(c.radical for c in sorted(decompose_monomial(I).components, key=variables))
+
+
+def frobenius_decompositions(deco):
+    """n -> the component-wise Frobenius power of a minimal decomposition
+    (primary with the same radicals; the Frobenius is flat here)."""
+    def decomposer(n):
+        if n == 0:
+            return deco
+        comps = []
+        for c in deco.components:
+            shifted = frob_power(c.ideal, n)
+            comps.append(PrimaryComponent(
+                ideal=shifted, radical=c.radical,
+                verified_primary=_primary_in_frame(shifted, c.shift), shift=c.shift))
+        return Decomposition(tuple(comps), minimal=deco.minimal)
+    return decomposer

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -12,9 +13,12 @@ import shlex
 
 import pytest
 
-from charp import InputError, ideals
+from charp import Ideal, InputError, ideals
 from charp.cli import build_parser, main, parse_spec
+from charp.frobenius import f_closure
 from charp.ideals import GroebnerBudget
+
+from conftest import cusp_ring
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README_REPORTS = ROOT / "tests" / "data" / "readme_reports.json"
@@ -162,9 +166,11 @@ def test_parse_spec_rejects_non_integer_fseq_keys(tmp_path, key, value):
         parse_spec(str(f))
 
 
-def test_parse_spec_rejects_non_boolean_reduced(tmp_path):
+@pytest.mark.parametrize("quotient", ["quotient = V^2 + U^3\n", ""],
+                         ids=["with-quotient", "without-quotient"])
+def test_parse_spec_rejects_non_boolean_reduced(quotient, tmp_path):
     f = tmp_path / "bad.ini"
-    f.write_text("[ring]\np = 2\nvars = U, V\nquotient = V^2 + U^3\nreduced = maybe\n")
+    f.write_text(f"[ring]\np = 2\nvars = U, V\n{quotient}reduced = maybe\n")
     with pytest.raises(InputError, match=r"'reduced' must be true or false.*\[ring\]"):
         parse_spec(str(f))
 
@@ -490,6 +496,23 @@ def test_readme_reports_match_recorded_hashes(monkeypatch):
     recorded = json.loads(README_REPORTS.read_text())
     assert len(recorded) >= 10
     assert _readme_report_hashes() == recorded
+
+
+def test_commands_leave_no_cyclic_garbage(monkeypatch):
+    """The README commands with --json, and an F-closure in a quotient ring,
+    free what they build by reference counting alone."""
+    monkeypatch.chdir(ROOT)
+    build_parser()  # built once per process; argparse leaves its help formatters in cycles
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in _readme_commands():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv + ["--json"]) == 0, argv
+        f_closure(Ideal(cusp_ring(), ["U"]))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- the shared parser ------------------------------------------------------------

@@ -5,18 +5,16 @@ import pytest
 
 from charp import (CertificateFailure, Ideal, IdentityFailure, InputError,
                    NonMonomial, Ring)
-from charp.decomposition import (apply_shift, ass_monomial,
-                                 certify_growth, decompose_monomial,
+from charp.decomposition import (apply_shift, certify_growth, decompose_monomial,
                                  decompose_perfection_ideal, ex8_build,
-                                 find_linear_growth_h,
-                                 frobenius_decompositions, is_primary_monomial,
+                                 find_linear_growth_h, is_primary_monomial,
                                  lg2_decompose, localize_contract)
 from charp.errors import DistinctLambdaExhausted
 from charp.frobenius import frob_power
 from charp.perfection import FSequence, PerfectionElement, PerfectionIdeal
 
-from conftest import (cusp_ring, membership_box, monomial_gen_exps,
-                      oracle_mono_member, rand_monomial_ideal)
+from conftest import (ass_monomial, cusp_ring, frobenius_decompositions, membership_box,
+                      monomial_gen_exps, oracle_mono_member, rand_monomial_ideal)
 
 
 @pytest.fixture
@@ -120,7 +118,7 @@ def test_decompose_with_shift():
     assert rads == {("X",), ("X", "Y + 4")}
     assert deco.intersection() == I
     for c in deco.components:
-        assert apply_shift(c.ideal, c.shift_map()).is_monomial()
+        assert apply_shift(c.ideal, dict(c.shift)).is_monomial()
 
 
 # -- associated primes ------------------------------------------------------------

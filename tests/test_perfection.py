@@ -8,7 +8,7 @@ from charp import CharpError, Ideal, InputError, NonMonomial, Ring
 from charp.frobenius import frob_root
 from charp.perfection import FSequence, PerfectionElement, PerfectionIdeal
 
-from conftest import rand_monomial_ideal, rand_poly
+from conftest import ass_monomial, radical_sequence, rand_monomial_ideal, rand_poly
 
 
 @pytest.fixture
@@ -175,7 +175,6 @@ def test_verify_catches_non_descending():
 
 
 def test_ass_monotone_along_monomial_fseq(rng):
-    from charp.decomposition import ass_monomial
     R = Ring(2, ["X", "Y"])
     for _ in range(6):
         I = rand_monomial_ideal(R, rng, 3, 4)
@@ -193,14 +192,14 @@ def test_ass_monotone_along_monomial_fseq(rng):
 
 def test_radical_sequence_constant(R2):
     seq = FSequence.frobenius_powers(Ideal(R2, ["X^2", "X*Y"]))
-    rad = FSequence.radical_of(seq)
+    rad = radical_sequence(seq)
     for n in range(4):
         assert rad.term(n) == Ideal(R2, ["X"])
 
 
 def test_radical_of_prime_is_itself(R2):
     P = FSequence.constant_prime(Ideal(R2, ["X", "Y"]))
-    rad = FSequence.radical_of(P)
+    rad = radical_sequence(P)
     assert rad.term(0) == Ideal(R2, ["X", "Y"])
     assert rad.term(3) == Ideal(R2, ["X", "Y"])
 
@@ -208,7 +207,7 @@ def test_radical_of_prime_is_itself(R2):
 def test_radical_of_pure_power_tower():
     R = Ring(2, ["X"])
     seq = FSequence.from_table([Ideal(R, [f"X^{2 ** n}"]) for n in range(5)])
-    rad = FSequence.radical_of(seq)
+    rad = radical_sequence(seq)
     for n in range(4):
         assert rad.term(n) == Ideal(R, ["X"])
 
@@ -216,13 +215,13 @@ def test_radical_of_pure_power_tower():
 def test_radical_rejects_non_monomial(R2):
     seq = FSequence.frobenius_powers(Ideal(R2, ["X^2+Y"]))
     with pytest.raises(NonMonomial):
-        FSequence.radical_of(seq).term(0)
+        radical_sequence(seq).term(0)
 
 
 def test_radical_detects_nonconstancy():
     R = Ring(2, ["X", "Y"])
     seq = FSequence.from_table([Ideal(R, ["X"]), Ideal(R, ["Y"])])
-    rad = FSequence.radical_of(seq)
+    rad = radical_sequence(seq)
     rad.term(0)
     with pytest.raises(CharpError):
         rad.term(1)
