@@ -9,7 +9,6 @@ from .errors import (CertificateFailure, CharpError, DepthExceeded,
                      DistinctLambdaExhausted, ExponentOverflow,
                      GroebnerBudgetExceeded, IdentityFailure, InputError,
                      NonMonomial, NotContainingQuotient)
-from .field import PrimeField
 from .orders import GREVLEX, LEX, MonomialOrder, elim
 from .poly import Polynomial, Ring
 
@@ -17,7 +16,7 @@ __all__ = [
     "CertificateFailure", "CharpError", "DepthExceeded",
     "DistinctLambdaExhausted", "ExponentOverflow", "GroebnerBudgetExceeded",
     "IdentityFailure", "InputError", "NonMonomial", "NotContainingQuotient",
-    "PrimeField", "MonomialOrder", "GREVLEX", "LEX", "elim",
+    "MonomialOrder", "GREVLEX", "LEX", "elim",
     "Polynomial", "Ring", "Ideal", "GroebnerBudget", "using_budget",
 ]
 

@@ -169,6 +169,8 @@ def parse_spec(path: str) -> SpecFile:
             continue
         if section.startswith("ideal "):
             name = section[len("ideal "):].strip()
+            if name in ideals:
+                raise InputError(f"duplicate ideal {name!r}", f"{path} [{section}]")
             keys = set(sec)
             if keys - {"gens"}:
                 raise InputError(f"unknown keys {sorted(keys - {'gens'})}", f"{path} [{section}]")
@@ -176,6 +178,8 @@ def parse_spec(path: str) -> SpecFile:
             ideals[name] = Ideal(ring, gens)
         elif section.startswith("fseq "):
             name = section[len("fseq "):].strip()
+            if name in fseq_secs:
+                raise InputError(f"duplicate fseq {name!r}", f"{path} [{section}]")
             unknown = set(sec) - _FSEQ_KEYS
             if unknown:
                 raise InputError(f"unknown keys {sorted(unknown)}", f"{path} [{section}]")
@@ -239,9 +243,7 @@ def _build_fseq(spec: SpecFile, fseq_secs: dict, name: str, path: str, building:
         if sec.get("shint", "").strip():
             s_hint = _parse_in(ring, sec["shint"], where)
         from .decomposition import localize_contract
-        seq = FSequence.mapped(
-            inner, lambda t: localize_contract(t, prime, s_hint),
-            "localize-contract", f"localize-contract of {inner.describe}")
+        seq = FSequence(inner.ring, lambda n: localize_contract(inner.term(n), prime, s_hint))
     else:
         raise InputError(f"unknown fseq kind {kind!r}", where)
     building.discard(name)
@@ -536,7 +538,7 @@ def _cmd_ex8(args, report: Report) -> int:
         "p": rep.p, "l": rep.l, "t": list(rep.t), "depth": rep.depth,
         "ass_sizes": rep.ass_sizes,
         "ass": ass,
-        "fseq_verified": rep.verify.ok if rep.verify else True,
+        "fseq_verified": rep.verify is None or rep.verify.ok,
         "certificate": _certificate_json(rep.certificate),
         "no_primary_decomposition": rep.no_primary_decomposition,
         "notes": rep.notes,
@@ -552,7 +554,7 @@ def _cmd_ex8(args, report: Report) -> int:
     for m, level in enumerate(ass):
         pretty = ", ".join(_tuple_text(prime.split(" , ")) for prime in level)
         report.say(f"  level {m}: {pretty}")
-    report.say(f"root law verified: {rep.verify.ok if rep.verify else True}")
+    report.say(f"root law verified: {rep.verify is None or rep.verify.ok}")
     report.say(f"growth certificate: h={rep.certificate.h} over depth {rep.certificate.depth}")
     report.say(f"no primary decomposition upstairs: {rep.no_primary_decomposition}")
     for n in rep.notes:

@@ -362,12 +362,11 @@ def decompose_perfection_ideal(A: PerfectionIdeal, check_depth: int = 3) -> list
     if check_depth < 0:
         raise InputError(f"check depth must be >= 0, got {check_depth}")
     seq = A.seq
-    meta = getattr(seq, "meta", None)
-    if seq.kind != "fg-perfection" or not meta:
+    if "k" not in seq.meta:
         raise InputError("decompose_perfection_ideal needs a finitely generated ideal")
     if seq.ring.is_quotient():
         raise InputError("perfection decomposition needs a polynomial ambient ring")
-    k = meta["k"]
+    k = seq.meta["k"]
     anchor = seq.term(k)
     deco = decompose_monomial(anchor)
     out = []
@@ -387,9 +386,8 @@ def _primary_sequence(comp: PrimaryComponent, k: int) -> FSequence:
             return frob_power(comp.ideal, n - k)
         return frob_root(comp.ideal, k - n)
 
-    seq = FSequence(comp.ideal.ring, "primary-frobenius", fn,
-                    f"{comp.radical!r}-primary sequence from depth {k}")
-    seq.meta = {"radical": comp.radical, "k": k}
+    seq = FSequence(comp.ideal.ring, fn)
+    seq.meta = {"radical": comp.radical}
     return seq
 
 
@@ -450,16 +448,16 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
         lam = j % p
         t_j = t_list[j - 1]
         if n >= j:
-            xgen = ring.monomial({"X": l * p ** (n - j)})
+            xgen = ring.monomial((l * p ** (n - j), 0))
             ygen = (Y - lam).power(t_j).frobenius(n)
             return Ideal(ring, [xgen, ygen])
-        top = Ideal(ring, [ring.monomial({"X": l}), ring.monomial({"Y": t_j * p ** j})])
+        top = Ideal(ring, [ring.monomial((l, 0)), ring.monomial((0, t_j * p ** j))])
         return unapply_shift(frob_root(top, j - n), {"Y": lam})
 
     def a_term(m: int) -> Ideal:
         return intersect_all(q_term(j, m) for j in range(m + 1))
 
-    seq = FSequence(ring, "intersection", a_term, "escalating-primes family")
+    seq = FSequence(ring, a_term)
 
     decos = []
     ass = []

@@ -94,7 +94,8 @@ def _monic(f: Polynomial) -> Polynomial:
     lc = f.lead_coeff()
     if lc == 1:
         return f
-    inv, p = f.ring.field.inv(lc), f.ring.p
+    p = f.ring.p
+    inv = pow(lc, p - 2, p)
     return Polynomial(f.ring, f.keys, f.packed, [c * inv % p for c in f.coeffs])
 
 
@@ -177,7 +178,7 @@ class _Buchberger:
             return
         ring, guard, t, lt_e = self.ring, self.guard, len(self.leads), exps[0]
         if coeffs[0] != 1:
-            inv = ring.field.inv(coeffs[0])
+            inv = pow(coeffs[0], ring.p - 2, ring.p)
             coeffs = [c * inv % ring.p for c in coeffs]
         lt = ring.unpack(lt_e)
         lcm_t = [_lcm(li, lt) for li in self.leads]

@@ -122,19 +122,13 @@ class VerifyResult:
     expected: Optional[Ideal] = None
     got: Optional[Ideal] = None
 
-    def __bool__(self):
-        return self.ok
-
 
 class FSequence:
     """Lazily evaluated, memoised sequence n -> Ideal subject to the
     Frobenius-root law; the data of an ideal of the perfect closure."""
 
-    def __init__(self, ring: Ring, kind: str, term_fn: Callable[[int], Ideal],
-                 describe: str = ""):
+    def __init__(self, ring: Ring, term_fn: Callable[[int], Ideal]):
         self.ring = ring
-        self.kind = kind
-        self.describe = describe or kind
         self.meta: dict = {}
         self._term_fn = term_fn
         self._memo: dict[int, Ideal] = {}
@@ -151,30 +145,26 @@ class FSequence:
         with self._lock:
             return self._memo.setdefault(n, value)
 
-    def __repr__(self):
-        return f"FSequence[{self.describe}]"
-
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def frobenius_powers(cls, a: Ideal) -> "FSequence":
         """n -> a^[p^n]; an f-sequence whenever those powers are F-closed
         (always in polynomial rings, where the Frobenius is flat)."""
-        return cls(a.ring, "frobenius-powers", lambda n: frob_power(a, n),
-                   f"frobenius-powers of {a!r}")
+        return cls(a.ring, lambda n: frob_power(a, n))
 
     @classmethod
     def canonical(cls, b: Ideal, max_e: int = 10, confirm: int = 2) -> "FSequence":
         """n -> F-closure of b^[p^n] (the canonical sequence attached to b)."""
         def fn(n):
             return f_closure(frob_power(b, n), max_e, confirm).closure
-        return cls(b.ring, "canonical", fn, f"canonical sequence of {b!r}")
+        return cls(b.ring, fn)
 
     @classmethod
     def constant_prime(cls, p: Ideal) -> "FSequence":
         """The constant sequence of a prime ideal (primality is the caller's
         assertion; verify() will reject non-primes that break the root law)."""
-        return cls(p.ring, "constant-prime", lambda n: p, f"constant prime {p!r}")
+        return cls(p.ring, lambda n: p)
 
     @classmethod
     def finitely_generated(cls, gens: Ideal, k: int = 0) -> "FSequence":
@@ -183,9 +173,8 @@ class FSequence:
         unique downward extension by iterated Frobenius roots."""
         if k < 0:
             raise InputError("depth k must be >= 0")
-        seq = cls(gens.ring, "fg-perfection", None,
-                  f"perfection ideal of {gens!r} at depth {k}")
-        seq.meta = {"gens": gens, "k": k}
+        seq = cls(gens.ring, None)
+        seq.meta = {"k": k}
         seq_ref = weakref.ref(seq)  # seq holds fn: a strong reference would be a cycle
 
         def fn(n):
@@ -209,7 +198,7 @@ class FSequence:
                 return table[n]
             raise InputError(f"table sequence has no term {n}")
 
-        return cls(ring, "table", fn, f"table of {len(table)} terms")
+        return cls(ring, fn)
 
     @classmethod
     def intersection(cls, seqs: Sequence["FSequence"]) -> "FSequence":
@@ -221,15 +210,7 @@ class FSequence:
         def fn(n):
             return intersect_all(s.term(n) for s in seqs)
 
-        return cls(ring, "intersection", fn,
-                   "intersection of " + ", ".join(s.describe for s in seqs))
-
-    @classmethod
-    def mapped(cls, inner: "FSequence", fn: Callable[[Ideal], Ideal],
-               kind: str, describe: str = "") -> "FSequence":
-        """Term-wise image of another sequence (used for localise-contract)."""
-        return cls(inner.ring, kind, lambda n: fn(inner.term(n)),
-                   describe or f"{kind} of {inner.describe}")
+        return cls(ring, fn)
 
     # -- verification -----------------------------------------------------------
 
@@ -271,10 +252,6 @@ class PerfectionIdeal:
         """The ideal generated by the p^k-th roots of the given generators."""
         return cls(FSequence.finitely_generated(gens, k))
 
-    @property
-    def ring(self) -> Ring:
-        return self.seq.ring
-
     def term(self, n: int) -> Ideal:
         """The ideal of depth-n member bodies."""
         return self.seq.term(n)
@@ -285,10 +262,8 @@ class PerfectionIdeal:
         Element bodies always live in a polynomial ring; over a quotient
         the body is read as a preimage representative.
         """
-        if e.ring != self.ring.cover() and e.ring != self.ring:
+        ring = self.seq.ring
+        if e.ring != ring.cover() and e.ring != ring:
             raise InputError("element from a different ring")
-        body = e.body if e.ring == self.ring else e.body._rebind(self.ring)
+        body = e.body if e.ring == ring else e.body._rebind(ring)
         return self.term(e.depth).contains(body)
-
-    def __repr__(self):
-        return f"PerfectionIdeal[{self.seq.describe}]"

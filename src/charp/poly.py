@@ -3,6 +3,8 @@
 A Ring fixes the characteristic p, the ordered variable names, the active
 monomial order and (optionally) quotient generators J, in which case the
 ring denotes F_p[vars]/J and all ideal-level code works with full preimages.
+The ring checks that p is a prime below 2**31, so that a product of two
+coefficients in [0, p) fits in a signed 64-bit integer.
 
 Polynomials are immutable.  Term data lives in the parallel lists of packed
 ints described in _kernels.py, always sorted strictly descending under the
@@ -20,12 +22,28 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import _kernels as K
 from .errors import ExponentOverflow, InputError
-from .field import PrimeField
 from .orders import GREVLEX, MonomialOrder
 
 EXP_LIMIT = 2**56
+P_MAX = 2**31
 
 _VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def is_prime(n: int) -> bool:
+    """Trial division; fine for n < 2**31."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def _check_exps(rows) -> None:
@@ -36,12 +54,16 @@ def _check_exps(rows) -> None:
 class Ring:
     """F_p[vars] with a fixed monomial order, optionally modulo quotient generators."""
 
-    __slots__ = ("field", "vars", "order", "_quotient", "reduced_assertion",
+    __slots__ = ("p", "vars", "order", "_quotient", "reduced_assertion",
                  "_key_units", "_exp_units", "_var_index", "_bases", "__weakref__")
 
     def __init__(self, p: int, vars: Sequence[str], order: MonomialOrder = GREVLEX,
                  quotient: Sequence["Polynomial"] = (), reduced: Optional[bool] = None):
-        self.field = PrimeField(p)
+        if not isinstance(p, int) or not 2 <= p < P_MAX:
+            raise InputError(f"characteristic must be an integer in [2, 2^31), got {p!r}")
+        if not is_prime(p):
+            raise InputError(f"characteristic must be prime, got {p}")
+        self.p = p
         vars = tuple(vars)
         if not vars:
             raise InputError("a ring needs at least one variable")
@@ -64,10 +86,6 @@ class Ring:
                                for g in (q._rebind(self) for q in quotient) if not g.is_zero())
 
     # -- basic properties ---------------------------------------------------
-
-    @property
-    def p(self) -> int:
-        return self.field.p
 
     @property
     def nvars(self) -> int:
@@ -126,7 +144,7 @@ class Ring:
         return Polynomial(self, [], [], [])
 
     def constant(self, c: int) -> "Polynomial":
-        c = self.field.reduce(c)
+        c %= self.p
         if c == 0:
             return self.zero()
         return Polynomial(self, [0], [0], [c])
@@ -145,22 +163,13 @@ class Ring:
         return Polynomial(self, [self._key_units[i]], [self._exp_units[i]], [1])
 
     def monomial(self, exps, coeff: int = 1) -> "Polynomial":
-        """Single term; exps is a var->exponent mapping or an exponent vector."""
-        if isinstance(exps, Mapping):
-            vec = [0] * self.nvars
-            for v, e in exps.items():
-                if v not in self._var_index:
-                    raise InputError(f"unknown variable {v!r}")
-                if e < 0:
-                    raise InputError("negative exponent")
-                vec[self._var_index[v]] = e
-        else:
-            vec = [int(e) for e in exps]
-            if len(vec) != self.nvars:
-                raise InputError(f"exponent vector must have length {self.nvars}")
-            if min(vec) < 0:
-                raise InputError("negative exponent")
-        c = self.field.reduce(coeff)
+        """Single term with the given exponent vector."""
+        vec = [int(e) for e in exps]
+        if len(vec) != self.nvars:
+            raise InputError(f"exponent vector must have length {self.nvars}")
+        if min(vec) < 0:
+            raise InputError("negative exponent")
+        c = coeff % self.p
         if c == 0:
             return self.zero()
         _check_exps([vec])
@@ -175,7 +184,7 @@ class Ring:
             if len(row) != self.nvars:
                 raise InputError(f"exponent vector must have length {self.nvars}")
             rows.append(row)
-            coeffs.append(self.field.reduce(c))
+            coeffs.append(c % self.p)
         if not rows:
             return self.zero()
         if min(map(min, rows)) < 0:

@@ -47,7 +47,7 @@ def rand_poly(ring, rng, max_terms=3, max_total_deg=4, allow_zero=False):
             remaining -= e
         rng.shuffle(degs)
         coeff = rng.randint(1, ring.p - 1)
-        out = out + ring.monomial(dict(zip(ring.vars, degs)), coeff)
+        out = out + ring.monomial(degs, coeff)
     return out
 
 
@@ -73,7 +73,7 @@ def rand_monomial_ideal(ring, rng, max_gens=4, max_exp=6):
             vec = [rng.randint(0, max_exp) for _ in ring.vars]
             if sum(vec) == 0:
                 vec[rng.randrange(len(vec))] = rng.randint(1, max_exp)
-            gens.append(ring.monomial(dict(zip(ring.vars, vec))))
+            gens.append(ring.monomial(vec))
     return Ideal(ring, gens)
 
 
@@ -185,7 +185,7 @@ def radical_sequence(inner):
                              f"earlier terms gave {ref!r}")
         return rad
 
-    return FSequence(inner.ring, "radical", fn, f"radical of {inner.describe}")
+    return FSequence(inner.ring, fn)
 
 
 def ass_monomial(I):

@@ -17,6 +17,7 @@ from charp import Ideal, InputError, ideals
 from charp.cli import build_parser, main, parse_spec
 from charp.frobenius import f_closure
 from charp.ideals import GroebnerBudget
+from charp.perfection import FSequence, VerifyResult
 
 from conftest import cusp_ring
 
@@ -173,6 +174,20 @@ def test_parse_spec_rejects_non_boolean_reduced(quotient, tmp_path):
     f.write_text(f"[ring]\np = 2\nvars = U, V\n{quotient}reduced = maybe\n")
     with pytest.raises(InputError, match=r"'reduced' must be true or false.*\[ring\]"):
         parse_spec(str(f))
+
+
+@pytest.mark.parametrize("kind, body", [("ideal", "gens = X"),
+                                        ("fseq", "kind = constant-prime\nideal = a")],
+                         ids=["ideal", "fseq"])
+def test_parse_spec_rejects_duplicate_names(kind, body, tmp_path, capsys):
+    f = tmp_path / "dup.ini"
+    f.write_text(f"[ring]\np = 2\nvars = X, Y\n\n[ideal a]\ngens = Y\n\n"
+                 f"[{kind} s]\n{body}\n\n[{kind}  s]\n{body}\n")
+    with pytest.raises(InputError, match=rf"duplicate {kind} 's'.*dup.ini \[{kind}  s\]"):
+        parse_spec(str(f))
+    code, data = run_json(capsys, "gb", str(f), "--ideal", "a")
+    assert code == 2
+    assert data["result"]["error_kind"] == "InputError"
 
 
 # -- exit code matrix --------------------------------------------------------------
@@ -460,6 +475,19 @@ def test_ex8_report(capsys):
     code = main(["ex8", "--p", "3", "--l", "2", "--t", "1,1,1", "--depth", "3"])
     assert code == 2  # field too small for 3 distinct constants
     capsys.readouterr()
+
+
+def test_ex8_reports_a_failed_root_law(monkeypatch, capsys):
+    def failing(self, depth):
+        return VerifyResult(False, 0, "frobenius root mismatch")
+
+    monkeypatch.setattr(FSequence, "verify", failing)
+    argv = ["ex8", "--p", "5", "--l", "2", "--t", "1,1", "--depth", "2"]
+    code, data = run_json(capsys, *argv)
+    assert code == 0
+    assert data["result"]["fseq_verified"] is False
+    main(argv)
+    assert "root law verified: False" in capsys.readouterr().out.splitlines()
 
 
 # -- determinism ----------------------------------------------------------------------

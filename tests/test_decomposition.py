@@ -369,6 +369,12 @@ def test_decompose_perfection_rejects_negative_depth(R2):
         decompose_perfection_ideal(A, check_depth=-1)
 
 
+def test_decompose_perfection_rejects_sequences_without_generators(R2):
+    A = PerfectionIdeal(FSequence.constant_prime(Ideal(R2, ["X"])))
+    with pytest.raises(InputError, match="needs a finitely generated ideal"):
+        decompose_perfection_ideal(A)
+
+
 def test_member_agrees_with_componentwise(R2, rng):
     A = PerfectionIdeal.finitely_generated(Ideal(R2, ["X^2", "X*Y"]), k=0)
     comps = [PerfectionIdeal(s) for s in decompose_perfection_ideal(A, check_depth=3)]

@@ -150,7 +150,7 @@ def test_contains_agrees_with_divisibility_oracle_full_box(rng):
         I = rand_monomial_ideal(R, rng, max_gens=4, max_exp=6)
         gens = monomial_gen_exps(I)
         for vec in box:
-            mono = R.monomial(dict(zip(R.vars, vec)))
+            mono = R.monomial(vec)
             expect = oracle_mono_member(gens, vec)
             assert I.contains(mono) == expect
             assert groebner_member(I, mono) == expect

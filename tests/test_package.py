@@ -1,4 +1,5 @@
-"""The package's surface: every function and class it defines has a caller."""
+"""The package's surface: every function and class it defines has a caller,
+and every name it exports exists."""
 
 import ast
 import pathlib
@@ -31,3 +32,9 @@ def test_every_definition_has_a_caller():
               and not (node.name.startswith("__") and node.name.endswith("__"))
               and node.name not in used]
     assert unused == []
+
+
+def test_every_export_resolves():
+    import charp
+    assert [name for name in charp.__all__ if not hasattr(charp, name)] == []
+    exec("from charp import *", {})

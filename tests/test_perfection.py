@@ -127,7 +127,7 @@ def test_member_depth_consistency(R2):
     A = PerfectionIdeal.finitely_generated(Ideal(R2, ["X^2", "X*Y"]), k=0)
     for n in range(3):
         for vec in itertools.product(range(2 ** 3 + 1), repeat=2):
-            m = R2.monomial(dict(zip(R2.vars, vec)))
+            m = R2.monomial(vec)
             low = A.member(PerfectionElement(n, m))
             high = A.member(PerfectionElement(n + 1, m.frobenius(1)))
             assert low == high
