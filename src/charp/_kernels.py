@@ -71,6 +71,25 @@ def guard_bits(nvars):
     return _GUARD & ((1 << _FIELD * (nvars + 1)) - 1)
 
 
+def spread(value, nvars):
+    """value in every exponent field of nvars variables, 0 in the degree field."""
+    return value * (((1 << _FIELD * nvars) - 1) // _MASK) << _FIELD
+
+
+def lcms(leads, e, nvars):
+    """The packed lcm of e with each packed exponent int in leads.  The
+    guard bit of a field of (a | guard) - e is set where a's exponent is the
+    larger, which masks the field maximum out of a and e; the degree field
+    is then the field sum, read off one multiply by a 1 in every field."""
+    guard, ones, shift = guard_bits(nvars), spread(1, nvars), _FIELD * (nvars + 1)
+    out = []
+    for a in leads:
+        t = ((a | guard) - e) & guard
+        m = (e ^ (a ^ e) & (t - (t >> 63))) >> _FIELD << _FIELD
+        out.append(m | ((m * ones) >> shift) & _MASK)
+    return out
+
+
 @cache
 def _fields(nvars):
     return struct.Struct(f"<{nvars + 1}Q")

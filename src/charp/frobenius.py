@@ -18,7 +18,8 @@ the first of three routes that applies:
 The input picks the route; nothing pins one.  The tests call the route
 functions (``_frob_root_monomial``, ``_p_roots``, ``_frob_root_elimination``)
 directly and cross-check them against each other.  The e-fold root
-{r : r^(p^e) in I} is e single roots in a row.
+{r : r^(p^e) in I} takes one route per step, and a flat step roots as many
+times at once as every generator allows.
 
 The F-closure of b is the union over n of the n-fold roots of b^[p^n]; the
 chain of those ideals ascends, and we stop after a configurable number of
@@ -28,6 +29,7 @@ us, so results carry certified=False.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,32 +49,28 @@ def frob_power(I: Ideal, e: int) -> Ideal:
 
 
 def frob_root(I: Ideal, e: int = 1) -> Ideal:
-    """The e-fold root {r : r^(p^e) in I}, taken as e single roots.
+    """The e-fold root {r : r^(p^e) in I}.
 
     Each step takes the first route that applies to its ideal: the
-    exponent-ceiling shortcut when it is monomial, the generator-wise p-th
-    roots when the ring is a polynomial ring and every generator is a p-th
-    power (flatness of the Frobenius, Kunz), and a p-power elimination
-    otherwise.  A p^e-th power is a p-th power at every step, so the root of
-    I^[p^e] in a polynomial ring computes no basis.  In a quotient ring
-    every step is an elimination, and the ideal must contain the quotient
-    generators (NotContainingQuotient otherwise).
+    exponent-ceiling shortcut when it is monomial, the generator-wise roots
+    when the ring is a polynomial ring and every generator is a p-th power
+    (flatness of the Frobenius, Kunz), and a p-power elimination otherwise.
+    A flat step roots k times at once, for the largest k up to the steps
+    left at which every generator is a p^k-th power, so the root of I^[p^e]
+    in a polynomial ring is one step and computes no basis.  In a quotient
+    ring every step is an elimination, and the ideal must contain the
+    quotient generators (NotContainingQuotient otherwise).
     """
-    if e < 0:
+    if operator.index(e) < 0:  # an int, so the countdown below ends at 0
         raise InputError(f"Frobenius root wants e >= 0, got {e}")
-    for _ in range(e):
-        I = _frob_root_once(I)
+    while e:
+        monomial = I.is_monomial()
+        k, roots = (0, None) if monomial or I.ring.is_quotient() else _p_roots(I.generators, e)
+        if k:
+            I, e = Ideal(I.ring, roots), e - k
+        else:
+            I, e = (_frob_root_monomial if monomial else _frob_root_elimination)(I), e - 1
     return I
-
-
-def _frob_root_once(I: Ideal) -> Ideal:
-    """One root by the first route that applies: monomial, flat, elimination."""
-    if I.is_monomial():
-        return _frob_root_monomial(I)
-    roots = None if I.ring.is_quotient() else _p_roots(I.generators)
-    if roots is not None:
-        return Ideal(I.ring, roots)
-    return _frob_root_elimination(I)
 
 
 def _frob_root_elimination(I: Ideal) -> Ideal:
@@ -91,15 +89,14 @@ def _frob_root_elimination(I: Ideal) -> Ideal:
     return _eliminate(gens, ext, d, ring)
 
 
-def _p_roots(gens) -> Optional[list]:
-    """The p-th root of every generator, or None at the first that has none."""
-    roots = []
-    for g in gens:
-        r = g.try_p_root()
-        if r is None:
-            return None
-        roots.append(r)
-    return roots
+def _p_roots(gens, e: int) -> tuple:
+    """The largest k <= e at which every generator is a p^k-th power, with
+    the p^k-th roots; (0, None) when some generator is no p-th power."""
+    for k in range(e, 0, -1):
+        roots = [g.try_p_root(k) for g in gens]
+        if all(r is not None for r in roots):
+            return k, roots
+    return 0, None
 
 
 def _frob_root_monomial(I: Ideal) -> Ideal:

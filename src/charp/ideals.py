@@ -155,7 +155,7 @@ class _Buchberger:
     Gebauer-Moeller pair pruning and first-match-in-sorted-basis reducers.
 
     Each element is kept as its kernel encoding (``K.divisor``) beside its
-    lead's exponent tuple, from which the lcms come; insertion keeps the
+    packed lead, from which ``K.lcms`` forms the lcms; insertion keeps the
     encodings in scan order, ascending by lead key.  A pair is (lcm degree,
     lcm key, i, j, packed lcm).  The kernel forms and reduces each
     S-polynomial from the two encodings, and the criteria test divisibility
@@ -166,7 +166,7 @@ class _Buchberger:
         self.budget = _budget.get()
         self.limits = ring.p, self.budget.max_poly_terms, self.budget.max_degree
         self.guard = K.guard_bits(ring.nvars)
-        self.leads: list[tuple] = []  # lead exponent tuples, in insertion order
+        self.leads: list[int] = []  # packed lead exponents, in insertion order
         self.divisors: list[tuple] = []  # in insertion order, as pairs index them
         self.pairs: list[tuple] = []  # heap
         self._packed: list[tuple] = []  # the divisors in scan order
@@ -180,9 +180,7 @@ class _Buchberger:
         if coeffs[0] != 1:
             inv = pow(coeffs[0], ring.p - 2, ring.p)
             coeffs = [c * inv % ring.p for c in coeffs]
-        lt = ring.unpack(lt_e)
-        lcm_t = [_lcm(li, lt) for li in self.leads]
-        lcm_with = list(map(ring.pack, lcm_t))
+        lcm_with = K.lcms(self.leads, lt_e, ring.nvars)
         # prune old pairs now covered through the new lead
         self.pairs = [pair for pair in self.pairs
                       if not ((pair[4] | guard) - lt_e & guard == guard
@@ -202,8 +200,8 @@ class _Buchberger:
             i = first[m]
             if (m != self.divisors[i][1] + lt_e
                     and not any((m | guard) - s & guard == guard for s in by_degree[:lower])):
-                heapq.heappush(self.pairs, (deg, ring.key_of(lcm_t[i]), i, t, m))
-        self.leads.append(lt)
+                heapq.heappush(self.pairs, (deg, ring.key_of(ring.unpack(m)), i, t, m))
+        self.leads.append(lt_e)
         self.divisors.append(K.divisor(keys, exps, coeffs))
         self._packed.insert(bisect.bisect(self._packed, keys[0], key=itemgetter(0)),
                             self.divisors[t])
@@ -395,13 +393,17 @@ class Ideal:
 
     def contains(self, g) -> bool:
         """Membership by divisibility for a monomial ideal, otherwise by the
-        normal form modulo the reduced basis."""
+        normal form modulo the reduced basis.  The basis is read first (a recalled
+        one charges its pairs); its elements and the effective generators are
+        members without division."""
         g = self.ring.coerce(g)
         if g.is_zero():
             return True
         if self.is_monomial():
             mins = self.minimal_monomial_exps()
             return all(any(_mono_divides(m, vec) for m in mins) for vec in g.exps)
+        if g in self.groebner() or g in self.effective_generators():
+            return True
         return _nf_packed(g, self._packed_gb()).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:

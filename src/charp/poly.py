@@ -342,19 +342,29 @@ class Polynomial:
             raise InputError("negative Frobenius exponent")
         if e == 0 or self.is_zero():
             return self
-        scale = self.ring.p ** e
-        if max(map(max, self.exps)) * scale > EXP_LIMIT:
+        scale, guard = self.ring.p ** e, K.guard_bits(self.ring.nvars)
+        # no exponent field above EXP_LIMIT // scale, any degree field
+        top = K.spread(EXP_LIMIT // scale, self.ring.nvars) | K.DEGREE >> 1 | guard
+        if any((top - x) & guard != guard for x in self.packed):
             raise ExponentOverflow(f"Frobenius scaling by p^{e} exceeds {EXP_LIMIT}")
         return Polynomial(self.ring, [k * scale for k in self.keys],
                           [x * scale for x in self.packed], self.coeffs)
 
-    def try_p_root(self) -> Optional["Polynomial"]:
-        """The unique p-th root, or None when some exponent is not divisible by p."""
-        p = self.ring.p
-        if any(e % p for vec in self.exps for e in vec):
+    def try_p_root(self, e: int = 1) -> Optional["Polynomial"]:
+        """The unique p^e-th root, or None when some exponent is not divisible by p^e.
+
+        With y = x // p^e for each packed int x, that holds when y * p^e == x
+        and no field of y exceeds (2^63 - 1) // p^e, so no field carries into
+        the next; divisibility of x alone is wrong (X*Y^2 over F_3 packs to a
+        multiple of 3)."""
+        q, guard = self.ring.p ** e, K.guard_bits(self.ring.nvars)
+        bound = (K.DEGREE >> 1) // q
+        top = K.spread(bound, self.ring.nvars) | bound | guard
+        roots = [x // q for x in self.packed]
+        if any(y * q != x or y & guard or (top - y) & guard != guard
+               for x, y in zip(self.packed, roots)):
             return None
-        return Polynomial(self.ring, [k // p for k in self.keys],
-                          [x // p for x in self.packed], self.coeffs)
+        return Polynomial(self.ring, [k // q for k in self.keys], roots, self.coeffs)
 
     def substitute(self, assignments: Mapping[str, "Polynomial | int"]) -> "Polynomial":
         """Simultaneous substitution; variables not listed map to themselves."""

@@ -147,6 +147,9 @@ def test_frob_root_e_zero_and_negative(R2):
     assert frob_root(I, 0) is I
     with pytest.raises(InputError):
         frob_root(I, -1)
+    for J in (I, Ideal(R2, ["X^2"])):  # a fractional countdown would pass 0
+        with pytest.raises(TypeError):
+            frob_root(J, 1.5)
     with pytest.raises(InputError):
         frob_power(I, -1)
 
@@ -169,8 +172,8 @@ def _is_power(g, q):
 def _flat_root(I, e):
     """e flat steps in a row, or None at the first generator without a p-th root."""
     for _ in range(e):
-        roots = _p_roots(I.generators)
-        if roots is None:
+        k, roots = _p_roots(I.generators, 1)
+        if not k:
             return None
         I = Ideal(I.ring, roots)
     return I
@@ -218,6 +221,47 @@ def test_root_of_frobenius_power_computes_no_basis(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert root.generators == I.generators
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_partly_flat_root_matches_the_chain(data):
+    """Generators that are p^j-th powers for one j < e, none a p^(j+1)-th
+    power: the e-fold root takes j flat steps at once and eliminates after
+    them, and its generators are those of e single roots."""
+    p = data.draw(st.sampled_from((2, 3)), label="p")
+    e = data.draw(st.integers(2, 3), label="e")
+    j = data.draw(st.integers(1, e - 1), label="j")
+    R = Ring(p, ["X", "Y"])
+    roots = data.draw(st.lists(_polys(R).filter(lambda g: not _is_power(g, p)),
+                               min_size=1, max_size=2), label="roots")
+    I = frob_power(Ideal(R, roots), j)
+    assert all(_is_power(g, p) and not _is_power(g, p ** e) for g in I.generators)
+    assert _p_roots(I.generators, e) == (j, list(Ideal(R, roots).generators))
+    assert frob_root(I, e).generators == chained_root(I, e, frob_root).generators
+
+
+def test_f_closure_of_a_computed_ideal_divides_nothing(monkeypatch, rng):
+    """Once a polynomial-ring ideal's basis is known, its F-closure tests
+    membership of generators and basis elements only, by lookup."""
+    R = Ring(3, ["X", "Y", "Z"])
+    ideals_seen = [Ideal(R, ["X^2 + Y*Z", "Y^3 - Z", "X*Y + 2"])]
+    ideals_seen += [I for I in (rand_ideal(R, rng, 3, 4) for _ in range(8))
+                    if not I.is_monomial()]
+    calls = []
+    normal_form = ideals.K.normal_form
+
+    def spy(*args):
+        calls.append(args)
+        return normal_form(*args)
+
+    for I in ideals_seen:
+        I.groebner()
+        monkeypatch.setattr(ideals.K, "normal_form", spy)
+        res = f_closure(I)
+        monkeypatch.undo()
+        assert calls == []
+        assert res.closure == I and res.witnesses == []
 
 
 # -- F-closure ---------------------------------------------------------------------

@@ -621,6 +621,39 @@ def test_ring_basis_cache_adds_no_reference_cycle(make_gens):
         gc.enable()
 
 
+# -- membership by lookup ------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(_CACHE_RINGS), data=st.data())
+def test_contains_matches_the_normal_form(kind, data):
+    """Membership agrees with the normal form modulo the reduced basis for
+    generators, basis elements, quotient generators, their multiples and
+    random polynomials, whether the lookup or the division decides it."""
+    ring = _cache_ring(kind)
+    I = Ideal(ring, [ring.from_terms(t) for t in data.draw(_GENS, label="gens")])
+    known = st.sampled_from((ring.one(),) + I.generators + I.groebner() + ring.quotient)
+    g = data.draw(known | st.tuples(known, st.integers(1, ring.p - 1)).map(lambda t: t[0] * t[1])
+                  | st.lists(_TERM, max_size=3).map(ring.from_terms), label="g")
+    assert I.contains(g) == normal_form(g, I.groebner()).is_zero()
+
+
+def test_contains_charges_a_recalled_basis_once():
+    """A fresh ideal equal to a computed one charges that basis's pairs on
+    its first membership test and on none after, lookup or division."""
+    R = Ring(3, ["X", "Y"])
+    gens = ["X^2 + Y", "X*Y + 1"]
+    before = ideals.pair_count
+    Ideal(R, gens).groebner()
+    pairs = ideals.pair_count - before
+    assert pairs > 0
+    fresh = Ideal(R, gens)
+    before = ideals.pair_count
+    assert all(fresh.contains(g) for g in fresh.generators + fresh.generators)
+    assert not fresh.contains("X")
+    assert ideals.pair_count - before == pairs
+
+
 # -- routes and powers ---------------------------------------------------------------
 
 

@@ -281,3 +281,16 @@ def test_packed_keys_follow_key_rows_up_to_64_variables(data):
         assert (ring.key_of(u) < ring.key_of(v)) == (_key(ring, u) < _key(ring, v))
     assert (ring.key_of(a) == ring.key_of(b)) == (a == b)
     assert ring.unpack(ring.pack(a)) == tuple(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lcms_match_exponent_maxima_up_to_64_variables(data):
+    """The packed lcms are the packed exponent-wise maxima, degree included,
+    in rings of up to 64 variables with exponents up to EXP_LIMIT."""
+    n = data.draw(st.sampled_from([1, 2, 3, 64]), label="nvars")
+    ring = Ring(P, [f"x{i}" for i in range(n)])
+    leads = data.draw(st.lists(_exponent_vectors(n), max_size=4), label="leads")
+    e = data.draw(_exponent_vectors(n), label="e")
+    assert K.lcms([ring.pack(a) for a in leads], ring.pack(e), n) == [
+        ring.pack(list(map(max, a, e))) for a in leads]

@@ -78,6 +78,77 @@ def test_p_root_inverts_frobenius(rng):
         assert g.frobenius(1).try_p_root() == g
 
 
+def test_p_root_is_not_integer_divisibility():
+    """X*Y^2 over F_3 packs to a multiple of 3, but has no cube root."""
+    R = Ring(3, ["X", "Y"])
+    g = R.parse("X*Y^2")
+    assert g.packed[0] % 3 == 0
+    assert g.try_p_root() is None
+    assert g.frobenius(1).try_p_root() == g
+
+
+# -- the packed Frobenius tests against the exponent tuples ----------------------
+
+_PACKED_PRIMES = (2, 3, 5, 7, 2**31 - 1)
+
+
+def _packed_ring(data, p):
+    n = data.draw(st.sampled_from([1, 2, 3, 4, 64]), label="nvars")
+    return Ring(p, [f"x{i}" for i in range(n)])
+
+
+def _terms(data, ring, exponent):
+    rows = st.lists(exponent, min_size=ring.nvars, max_size=ring.nvars)
+    terms = st.lists(st.tuples(rows, st.integers(1, ring.p - 1)), min_size=1, max_size=3)
+    return data.draw(terms, label="terms")
+
+
+@pytest.mark.parametrize("e", (1, 2))
+@pytest.mark.parametrize("p", _PACKED_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_try_p_root_matches_exponent_tuples(p, e, data):
+    """The root exists exactly when every exponent is a multiple of p^e, and
+    then it divides every exponent; exponents lie near multiples of p^e and at
+    EXP_LIMIT."""
+    q = p ** e
+    R = _packed_ring(data, p)
+    near = st.builds(lambda m, d: min(max(m * q + d, 0), EXP_LIMIT),
+                     st.integers(0, 3) | st.integers(0, EXP_LIMIT // q), st.integers(-1, 1))
+    g = R.from_terms(_terms(data, R, near | st.sampled_from([0, EXP_LIMIT - 1, EXP_LIMIT])))
+    root = g.try_p_root(e)
+    if any(x % q for vec in g.exps for x in vec):
+        assert root is None
+    else:
+        assert root == R.from_terms(([x // q for x in vec], c) for vec, c in g.terms())
+        assert root.frobenius(e) == g
+
+
+@pytest.mark.parametrize("e", (1, 2))
+@pytest.mark.parametrize("p", _PACKED_PRIMES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_frobenius_overflow_matches_exponent_tuples(p, e, data):
+    """frobenius(e) raises exactly when the largest exponent times p^e passes
+    EXP_LIMIT, with that exponent at EXP_LIMIT // p^e - 1, +0 or +1; the
+    degree field may pass the limit without an exponent doing so."""
+    q = p ** e
+    R = _packed_ring(data, p)
+    top = max(EXP_LIMIT // q + data.draw(st.sampled_from([-1, 0, 1]), label="offset"), 0)
+    terms = _terms(data, R, st.integers(0, top) | st.just(top))
+    if data.draw(st.booleans(), label="all at top"):
+        terms.append(([top] * R.nvars, 1))
+    g = R.from_terms(terms)
+    if g.is_zero():
+        return
+    if max(map(max, g.exps)) * q > EXP_LIMIT:
+        with pytest.raises(ExponentOverflow):
+            g.frobenius(e)
+    else:
+        assert g.frobenius(e) == R.from_terms(([x * q for x in vec], c)
+                                              for vec, c in g.terms())
+
+
 def test_power_examples():
     R = Ring(2, ["X", "Y"])
     assert R.parse("X").power(3) == R.parse("X^3")

@@ -17,7 +17,9 @@ import sys
 
 import pytest
 
+import charp._kernels
 import charp.cli
+import charp.poly
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -63,6 +65,11 @@ def test_workload_warmup_passes_its_check(name, monkeypatch):
 
 # critical pairs of one pass at the reference seed, as ``ideals.pairs_per_pass``
 PAIRS_PER_PASS = {"gb_dense": 10663, "frobenius_closure": 7747, "cli_specs": 3942}
+# ceilings on the division-kernel calls and exponent decodings of one
+# frobenius_closure pass at the reference seed: generators and basis elements
+# are members without division, and Frobenius powers and roots are tested on
+# packed ints
+CALLS_PER_PASS = {"normal_form": 1801, "unpack": 3205}
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS_PER_PASS))
@@ -86,3 +93,22 @@ def test_reference_pass_matches_pinned_digest(name, monkeypatch):
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     assert checker.digest() == reference["sha256"][name]
     assert sum(checker.pairs.values()) == PAIRS_PER_PASS[name]
+
+
+def test_frobenius_closure_pass_divides_and_decodes_no_more(monkeypatch):
+    """One frobenius_closure pass at the reference seed calls the division
+    kernel and decodes exponent tuples at most as often as CALLS_PER_PASS."""
+    monkeypatch.chdir(ROOT)
+    workload = workloads.WORKLOADS["frobenius_closure"]()
+    instances = workload.generate(bench.DEFAULT_SEED)
+    calls = dict.fromkeys(CALLS_PER_PASS, 0)
+    for owner, name in ((charp._kernels, "normal_form"), (charp.poly.Ring, "unpack")):
+        def spy(*args, real=getattr(owner, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    for inst in instances:
+        workload.run(inst)
+    monkeypatch.undo()
+    assert all(calls[name] <= bound for name, bound in CALLS_PER_PASS.items()), calls
