@@ -1,6 +1,11 @@
 """Primary decomposition, associated primes, growth certificates, the
 localized-component constructions, and the escalating-primes family."""
 
+import hashlib
+import json
+import pathlib
+import random
+
 import pytest
 
 from charp import (CertificateFailure, Ideal, IdentityFailure, InputError,
@@ -119,6 +124,41 @@ def test_decompose_with_shift():
     assert deco.intersection() == I
     for c in deco.components:
         assert apply_shift(c.ideal, dict(c.shift)).is_monomial()
+
+
+DECOMPOSITIONS = pathlib.Path(__file__).resolve().parent / "data" / "decompose_monomial.json"
+
+
+def _monomial_corpus(seed=4057, counts=((3, 240), (4, 160), (5, 120))):
+    """Seeded monomial ideals over F_3 in 3 to 5 variables: up to 6
+    generators with exponents up to 4 (all-zero rows dropped)."""
+    rng = random.Random(seed)
+    for nvars, count in counts:
+        ring = Ring(3, "XYZWV"[:nvars])
+        for _ in range(count):
+            rows = [tuple(rng.randint(0, 4) for _ in range(nvars))
+                    for _ in range(rng.randint(1, 6))]
+            rows = [r for r in rows if any(r)]
+            if rows:
+                yield Ideal(ring, [ring.monomial(r) for r in rows])
+
+
+def _decomposition_record(deco):
+    return [deco.minimal, [[[str(g) for g in c.ideal.generators],
+                            [str(g) for g in c.radical.generators],
+                            c.verified_primary, c.shift] for c in deco.components]]
+
+
+def _corpus_digest():
+    records = [_decomposition_record(decompose_monomial(I)) for I in _monomial_corpus()]
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def test_decompose_monomial_corpus_matches_recorded_digest():
+    """Components, generator lists, radicals, flags and order over a seeded
+    3-5-variable corpus hash as recorded in tests/data/decompose_monomial.json
+    (PYTHONPATH=src python tests/test_decomposition.py writes it)."""
+    assert _corpus_digest() == json.loads(DECOMPOSITIONS.read_text())["sha256"]
 
 
 # -- associated primes ------------------------------------------------------------
@@ -439,3 +479,7 @@ def test_is_primary_monomial_criterion(R2):
     assert is_primary_monomial(Ideal(R2, ["X^2"]))
     assert not is_primary_monomial(Ideal(R2, ["X^2", "X*Y"]))
     assert not is_primary_monomial(Ideal(R2, ["X*Y"]))
+
+
+if __name__ == "__main__":
+    DECOMPOSITIONS.write_text(json.dumps({"sha256": _corpus_digest()}, indent=2) + "\n")
