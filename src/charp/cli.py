@@ -44,8 +44,8 @@ from json.encoder import encode_basestring_ascii
 
 from . import ideals as ideals_mod
 from .decomposition import (Decomposition, GrowthCertificate, certify_growth,
-                            decompose_monomial, decompose_perfection_ideal,
-                            ex8_build, find_linear_growth_h, lg2_decompose)
+                            decompose_monomial, decompose_perfection_ideal, ex8_build,
+                            find_linear_growth_h, lg2_decompose, localize_contract)
 from .errors import (CertificateFailure, CharpError, DepthExceeded,
                      DistinctLambdaExhausted, ExponentOverflow,
                      GroebnerBudgetExceeded, IdentityFailure, InputError,
@@ -242,7 +242,6 @@ def _build_fseq(spec: SpecFile, fseq_secs: dict, name: str, path: str, building:
         s_hint = None
         if sec.get("shint", "").strip():
             s_hint = _parse_in(ring, sec["shint"], where)
-        from .decomposition import localize_contract
         seq = FSequence(inner.ring, lambda n: localize_contract(inner.term(n), prime, s_hint))
     else:
         raise InputError(f"unknown fseq kind {kind!r}", where)

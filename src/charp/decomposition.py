@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 from .errors import (CertificateFailure, DistinctLambdaExhausted,
                      IdentityFailure, InputError, NonMonomial)
 from .frobenius import f_closure, frob_power, frob_root
-from .ideals import Ideal, _minimal, _power_products, intersect_all
+from .ideals import Ideal, _minimal, _mono_divides, _power_products, intersect_all
 from .perfection import FSequence, PerfectionIdeal
 from .poly import Polynomial, Ring
 
@@ -110,6 +110,12 @@ def _split_irreducible(rows: Sequence[tuple]) -> list:
 def decompose_monomial(I: Ideal, shift: Optional[dict] = None) -> Decomposition:
     """Minimal primary decomposition of a proper monomial ideal.
 
+    The splitter writes I as an intersection of irreducible leaves.  A
+    radical is kept iff one of its leaves contains no other leaf, and its
+    component is the intersection of all its leaves.  An irreducible monomial
+    ideal containing I cap J contains I or J (a pure power dividing lcm(m, n)
+    divides m or n), so the other radicals are exactly the redundant ones.
+
     With a shift given, the ideal is decomposed in the shifted (monomial)
     frame and the components are translated back, carrying the shift.
     """
@@ -123,28 +129,24 @@ def decompose_monomial(I: Ideal, shift: Optional[dict] = None) -> Decomposition:
     if not all(any(r) for r in mins):
         raise InputError("cannot decompose an improper ideal")
     ring = I.ring
-    by_radical: dict = {}  # the distinct irreducible components, by radical
-    for rows in dict.fromkeys(tuple(sorted(irr)) for irr in _split_irreducible(mins)):
-        supp = tuple(sorted({_support(r)[0] for r in rows}))
-        by_radical.setdefault(supp, []).append(rows)
-    comps = [(supp, intersect_all(Ideal(ring, [ring.monomial(r) for r in rows])
-                                  for rows in by_radical[supp]))
-             for supp in sorted(by_radical)]
-    while len(comps) > 1:
-        i = _redundant_index([c for _, c in comps])
-        if i is None:
-            break
-        del comps[i]
+    leaves = list(dict.fromkeys(tuple(sorted(irr)) for irr in _split_irreducible(mins)))
+    by_radical: dict = {}  # the distinct leaves, by radical
+    kept = set()
+    for a in leaves:
+        supp = tuple(sorted(_support(r)[0] for r in a))
+        by_radical.setdefault(supp, []).append(a)
+        # leaf a contains leaf b iff a row of a divides each row of b
+        if not any(b != a and all(any(_mono_divides(r, s) for r in a) for s in b)
+                   for b in leaves):
+            kept.add(supp)
     out = []
     shift_t = tuple(sorted(shift.items())) if shift else None
-    for supp, comp in comps:
+    for supp in sorted(kept):
+        comp = intersect_all(Ideal(ring, [ring.monomial(r) for r in rows])
+                             for rows in by_radical[supp])
         radical = Ideal(ring, [ring.var(ring.vars[i]) for i in supp])
-        out.append(PrimaryComponent(
-            ideal=unapply_shift(comp, shift),
-            radical=unapply_shift(radical, shift),
-            verified_primary=is_primary_monomial(comp),
-            shift=shift_t,
-        ))
+        out.append(PrimaryComponent(unapply_shift(comp, shift), unapply_shift(radical, shift),
+                                    is_primary_monomial(comp), shift_t))
     deco = Decomposition(tuple(out), minimal=True)
     if deco.intersection() != I:
         raise IdentityFailure(I, "monomial decomposition does not intersect back")
@@ -225,9 +227,7 @@ def find_linear_growth_h(deco: Decomposition) -> int:
     for comp in deco.components:
         gens = comp.radical.generators
         h = 1
-        while True:
-            if all(comp.ideal.contains(g) for g in _power_products(gens, h)):
-                break
+        while not all(comp.ideal.contains(g) for g in _power_products(gens, h)):
             h += 1
             if h > _H_CAP:
                 raise InputError("no linear-growth exponent below the search cap")
@@ -329,11 +329,8 @@ def lg2_decompose(a: Ideal, primes: Sequence[Ideal], h: int, n: int,
 
 def _is_minimal(comps: Sequence[PrimaryComponent]) -> bool:
     rads = [c.radical for c in comps]
-    for i in range(len(rads)):
-        for j in range(i + 1, len(rads)):
-            if rads[i] == rads[j]:
-                return False
-    return _redundant_index([c.ideal for c in comps]) is None
+    return (not any(a == b for i, a in enumerate(rads) for b in rads[i + 1:])
+            and _redundant_index([c.ideal for c in comps]) is None)
 
 
 def _containment_witness(left: Ideal, right: Ideal):
@@ -369,9 +366,7 @@ def decompose_perfection_ideal(A: PerfectionIdeal, check_depth: int = 3) -> list
     k = seq.meta["k"]
     anchor = seq.term(k)
     deco = decompose_monomial(anchor)
-    out = []
-    for comp in deco.components:
-        out.append(_primary_sequence(comp, k))
+    out = [_primary_sequence(comp, k) for comp in deco.components]
     for n in range(check_depth + 1):
         acc = intersect_all(s.term(n) for s in out)
         if acc != seq.term(n):

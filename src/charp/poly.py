@@ -245,6 +245,15 @@ class Polynomial:
         keys = [ring.key_of(vec) for vec in self.exps]
         return Polynomial(ring, *K.combine(keys, self.packed, self.coeffs, ring.p))
 
+    def _check_fields(self, bound: int, what: str) -> None:
+        """Raise ExponentOverflow when an exponent exceeds bound.  Every field
+        is below 2^63 (a product of polynomials within EXP_LIMIT has fields up
+        to 2^57), so top - x keeps each guard bit iff no field of x exceeds bound."""
+        guard = K.guard_bits(self.ring.nvars)
+        top = K.spread(bound, self.ring.nvars) | K.DEGREE >> 1 | guard  # any degree field
+        if any((top - x) & guard != guard for x in self.packed):
+            raise ExponentOverflow(f"{what} exceeds {EXP_LIMIT}")
+
     # -- inspection ----------------------------------------------------------
 
     @property
@@ -314,7 +323,7 @@ class Polynomial:
             return NotImplemented
         out = Polynomial(self.ring, *K.mul(self.keys, self.packed, self.coeffs, other.keys,
                                            other.packed, other.coeffs, self.ring.p))
-        _check_exps(out.exps)
+        out._check_fields(EXP_LIMIT, "exponent")
         return out
 
     __rmul__ = __mul__
@@ -342,11 +351,8 @@ class Polynomial:
             raise InputError("negative Frobenius exponent")
         if e == 0 or self.is_zero():
             return self
-        scale, guard = self.ring.p ** e, K.guard_bits(self.ring.nvars)
-        # no exponent field above EXP_LIMIT // scale, any degree field
-        top = K.spread(EXP_LIMIT // scale, self.ring.nvars) | K.DEGREE >> 1 | guard
-        if any((top - x) & guard != guard for x in self.packed):
-            raise ExponentOverflow(f"Frobenius scaling by p^{e} exceeds {EXP_LIMIT}")
+        scale = self.ring.p ** e
+        self._check_fields(EXP_LIMIT // scale, f"Frobenius scaling by p^{e}")
         return Polynomial(self.ring, [k * scale for k in self.keys],
                           [x * scale for x in self.packed], self.coeffs)
 

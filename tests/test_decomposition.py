@@ -10,12 +10,15 @@ import pytest
 
 from charp import (CertificateFailure, Ideal, IdentityFailure, InputError,
                    NonMonomial, Ring)
-from charp.decomposition import (apply_shift, certify_growth, decompose_monomial,
+from charp import decomposition
+from charp.decomposition import (_redundant_index, _split_irreducible, _support, apply_shift,
+                                 certify_growth, decompose_monomial,
                                  decompose_perfection_ideal, ex8_build,
                                  find_linear_growth_h, is_primary_monomial,
                                  lg2_decompose, localize_contract)
 from charp.errors import DistinctLambdaExhausted
 from charp.frobenius import frob_power
+from charp.ideals import intersect_all
 from charp.perfection import FSequence, PerfectionElement, PerfectionIdeal
 
 from conftest import (ass_monomial, cusp_ring, frobenius_decompositions, membership_box,
@@ -159,6 +162,56 @@ def test_decompose_monomial_corpus_matches_recorded_digest():
     3-5-variable corpus hash as recorded in tests/data/decompose_monomial.json
     (PYTHONPATH=src python tests/test_decomposition.py writes it)."""
     assert _corpus_digest() == json.loads(DECOMPOSITIONS.read_text())["sha256"]
+
+
+@pytest.mark.parametrize("gens, leaves, distinct, components", [
+    (["X*Y", "Y*Z", "Z*W", "X*W"], 6, 4, ["(Z, X)", "(W, Y)"]),
+    (["X*Y*Z", "Y*Z*W", "X*Z*W", "X*Y*W"], 12, 8,
+     ["(Y, X)", "(Z, X)", "(W, X)", "(Z, Y)", "(W, Y)", "(W, Z)"]),
+])
+def test_decompose_keeps_the_radicals_of_minimal_leaves(gens, leaves, distinct, components,
+                                                         monkeypatch):
+    """The splitter's leaves with three variables each contain a leaf with
+    two, so their radicals go, and no redundancy search runs."""
+    R = Ring(2, ["X", "Y", "Z", "W"])
+    I = Ideal(R, gens)
+    split = _split_irreducible(I.minimal_monomial_exps())
+    assert len(split) == leaves
+    assert len({tuple(sorted(rows)) for rows in split}) == distinct
+    monkeypatch.setattr(decomposition, "_redundant_index", None)
+    deco = decompose_monomial(I)
+    assert [str(c.ideal) for c in deco.components] == components
+    assert all(c.ideal == c.radical and c.verified_primary for c in deco.components)
+    _box_check_decomposition(I, deco)
+
+
+def _searched_decomposition(I):
+    """The components a redundancy search keeps: every radical of the
+    distinct leaves, dropping the first redundant component until none is."""
+    ring = I.ring
+    by_radical = {}
+    for rows in dict.fromkeys(tuple(sorted(irr))
+                              for irr in _split_irreducible(I.minimal_monomial_exps())):
+        by_radical.setdefault(tuple(sorted({_support(r)[0] for r in rows})), []).append(rows)
+    comps = [(supp, intersect_all(Ideal(ring, [ring.monomial(r) for r in rows])
+                                  for rows in by_radical[supp]))
+             for supp in sorted(by_radical)]
+    while (i := _redundant_index([c for _, c in comps])) is not None:
+        del comps[i]
+    record = [True, [[[str(g) for g in comp.generators], [ring.vars[i] for i in supp],
+                      is_primary_monomial(comp), None] for supp, comp in comps]]
+    return record, len(by_radical) - len(comps)
+
+
+def test_decompose_matches_the_redundancy_search():
+    """Components, generator lists, radicals, flags and order agree with the
+    search over seeded 3-5-variable ideals, some of which it prunes."""
+    pruned = 0
+    for I in _monomial_corpus(seed=19, counts=((3, 60), (4, 40), (5, 20))):
+        expected, dropped = _searched_decomposition(I)
+        assert _decomposition_record(decompose_monomial(I)) == expected, I
+        pruned += dropped > 0
+    assert pruned >= 50
 
 
 # -- associated primes ------------------------------------------------------------
@@ -361,6 +414,11 @@ def test_lg2_modes_agree_in_regular_rings(R2):
         d_fc = lg2_decompose(a, primes, 2, n, "fclosure")
         d_seq = lg2_decompose(a, primes, 2, n, "seqterm")
         assert d_plain.intersection() == d_fc.intersection() == d_seq.intersection()
+
+
+def test_lg2_repeated_prime_is_not_minimal(R2):
+    X = Ideal(R2, ["X"])
+    assert not lg2_decompose(X, [X, X], 1, 0).minimal
 
 
 def test_lg2_identity_failure_has_witness(R2):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charp import ExponentOverflow, InputError, Ring
+from charp import _kernels as K
 from charp.ideals import _monic
 from charp.orders import GREVLEX, LEX, elim
-from charp.poly import EXP_LIMIT
+from charp.poly import EXP_LIMIT, Polynomial, _check_exps
 
 from conftest import rand_poly
 
@@ -192,6 +193,47 @@ def test_exponent_overflow_checked():
         big.frobenius(2)
     with pytest.raises(ExponentOverflow):
         big * big * R.var("X")
+
+
+@pytest.mark.parametrize("top", (EXP_LIMIT - 1, EXP_LIMIT, EXP_LIMIT + 1))
+@pytest.mark.parametrize("nvars", (1, 4, 64))
+def test_product_overflow_matches_exponent_tuples(nvars, top):
+    """A product raises exactly when _check_exps rejects the exponent tuples
+    of the kernel's product, with one or every exponent of a term at top."""
+    R = Ring(3, [f"x{i}" for i in range(nvars)])
+    cases = []
+    for a in sorted({max(top - EXP_LIMIT, 0), top // 2, min(top, EXP_LIMIT)}):
+        for i in sorted({0, nvars // 2, nvars - 1}):
+            cases.append(([a if j == i else j % 3 for j in range(nvars)],
+                          [top - a if j == i else 1 for j in range(nvars)]))
+        cases.append(([a] * nvars, [top - a] * nvars))
+    raised = 0
+    for u, v in cases:
+        f = R.from_terms([(u, 1), ([0] * nvars, 2)])
+        g = R.from_terms([(v, 1), ([0] * nvars, 1)])
+        raw = Polynomial(R, *K.mul(f.keys, f.packed, f.coeffs, g.keys, g.packed, g.coeffs, R.p))
+        try:
+            _check_exps(raw.exps)
+        except ExponentOverflow:
+            raised += 1
+            for x, y in ((f, g), (g, f)):
+                with pytest.raises(ExponentOverflow):
+                    x * y
+        else:
+            assert f * g == g * f == raw
+    assert raised == (len(cases) if top > EXP_LIMIT else 0)
+
+
+def test_quotient_generators_rebind_across_orders():
+    """A lex quotient ring given its generator in grevlex equals the one given
+    it in lex, down to the sort keys of its terms."""
+    names = ["U", "V"]
+    for text in ("V^2+U^3", "V^3+U^2"):
+        gens = [Ring(3, names, order).parse(text) for order in (GREVLEX, LEX)]
+        from_grevlex, from_lex = (Ring(3, names, LEX, quotient=[g]) for g in gens)
+        assert from_grevlex == from_lex
+        assert from_grevlex.quotient[0].keys == from_lex.quotient[0].keys
+    assert str(from_grevlex.quotient[0]) == "U^2 + V^3"
 
 
 # -- ring laws ---------------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 
 import charp._kernels
 import charp.cli
+import charp.decomposition
 import charp.poly
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -70,6 +71,9 @@ PAIRS_PER_PASS = {"gb_dense": 10663, "frobenius_closure": 7747, "cli_specs": 394
 # are members without division, and Frobenius powers and roots are tested on
 # packed ints
 CALLS_PER_PASS = {"normal_form": 1801, "unpack": 3205}
+# ceilings on the same for one cli_specs pass: products check overflow on
+# packed ints, and monomial decomposition runs no redundancy search
+CLI_CALLS_PER_PASS = {"unpack": 49295, "_redundant_index": 305}
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS_PER_PASS))
@@ -95,14 +99,10 @@ def test_reference_pass_matches_pinned_digest(name, monkeypatch):
     assert sum(checker.pairs.values()) == PAIRS_PER_PASS[name]
 
 
-def test_frobenius_closure_pass_divides_and_decodes_no_more(monkeypatch):
-    """One frobenius_closure pass at the reference seed calls the division
-    kernel and decodes exponent tuples at most as often as CALLS_PER_PASS."""
-    monkeypatch.chdir(ROOT)
-    workload = workloads.WORKLOADS["frobenius_closure"]()
-    instances = workload.generate(bench.DEFAULT_SEED)
-    calls = dict.fromkeys(CALLS_PER_PASS, 0)
-    for owner, name in ((charp._kernels, "normal_form"), (charp.poly.Ring, "unpack")):
+def _count_calls(monkeypatch, workload, instances, targets):
+    """Calls to each (owner, name) of targets over running the instances."""
+    calls = {name: 0 for _, name in targets}
+    for owner, name in targets:
         def spy(*args, real=getattr(owner, name), name=name):
             calls[name] += 1
             return real(*args)
@@ -111,4 +111,28 @@ def test_frobenius_closure_pass_divides_and_decodes_no_more(monkeypatch):
     for inst in instances:
         workload.run(inst)
     monkeypatch.undo()
+    return calls
+
+
+def test_frobenius_closure_pass_divides_and_decodes_no_more(monkeypatch):
+    """One frobenius_closure pass at the reference seed calls the division
+    kernel and decodes exponent tuples at most as often as CALLS_PER_PASS."""
+    monkeypatch.chdir(ROOT)
+    workload = workloads.WORKLOADS["frobenius_closure"]()
+    calls = _count_calls(monkeypatch, workload, workload.generate(bench.DEFAULT_SEED),
+                         ((charp._kernels, "normal_form"), (charp.poly.Ring, "unpack")))
     assert all(calls[name] <= bound for name, bound in CALLS_PER_PASS.items()), calls
+
+
+def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
+    """One cli_specs pass at the reference seed decodes exponent tuples and
+    looks for redundant components at most as often as CLI_CALLS_PER_PASS."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(workloads, "WORK_DIR", str(tmp_path))
+    workload = workloads.WORKLOADS["cli_specs"]()
+    instances = workload.generate(bench.DEFAULT_SEED)
+    workload.prepare(instances)
+    calls = _count_calls(monkeypatch, workload, instances,
+                         ((charp.poly.Ring, "unpack"),
+                          (charp.decomposition, "_redundant_index")))
+    assert all(calls[name] <= bound for name, bound in CLI_CALLS_PER_PASS.items()), calls
