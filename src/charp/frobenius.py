@@ -9,17 +9,19 @@ the first of three routes that applies:
   the root is (g_1, ..., g_k), because the Frobenius of a polynomial ring
   over F_p is flat (Kunz 1969, "Characterizations of regular local rings of
   characteristic p", Amer. J. Math. 91), so F^{-1}(J^[p]) = J;
-- elimination: over F_p, r(X)^p = r(X_1^p, ..., X_d^p), so adjoining fresh
-  variables with relations fresh_i - X_i^p and eliminating the X_i leaves
-  exactly the root, in plain and quotient rings alike.  Quotient rings
-  always take this route: the preimage carries the quotient generators, and
-  the Frobenius need not be flat there (the cusp).
+- elimination: over F_p, r(X)^p = r(X_1^p, ..., X_d^p), so writing I in
+  the auxiliary variables T_i of ``ideals._aux_cover``, adjoining the
+  relations X_i - T_i^p and eliminating the T_i leaves exactly the root,
+  in plain and quotient rings alike.  Quotient rings always take this
+  route: the preimage carries the quotient generators, and the Frobenius
+  need not be flat there (the cusp).
 
 The input picks the route; nothing pins one.  The tests call the route
 functions (``_frob_root_monomial``, ``_p_roots``, ``_frob_root_elimination``)
 directly and cross-check them against each other.  The e-fold root
-{r : r^(p^e) in I} takes one route per step, and a flat step roots as many
-times at once as every generator allows.
+{r : r^(p^e) in I} takes one route per step, a flat step roots as many
+times at once as every generator allows, and the monomial route stops at
+its first fixed point.
 
 The F-closure of b is the union over n of the n-fold roots of b^[p^n]; the
 chain of those ideals ascends, and we stop after a configurable number of
@@ -34,9 +36,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CharpError, DepthExceeded, InputError, NotContainingQuotient
-from .ideals import Ideal, _eliminate, _fresh_names, _map_poly
-from .orders import elim
-from .poly import Ring
+from .ideals import Ideal, _aux_cover, _eliminate, _map_poly
+from .poly import E_MAX
 
 
 def frob_power(I: Ideal, e: int) -> Ideal:
@@ -57,9 +58,10 @@ def frob_root(I: Ideal, e: int = 1) -> Ideal:
     (flatness of the Frobenius, Kunz), and a p-power elimination otherwise.
     A flat step roots k times at once, for the largest k up to the steps
     left at which every generator is a p^k-th power, so the root of I^[p^e]
-    in a polynomial ring is one step and computes no basis.  In a quotient
-    ring every step is an elimination, and the ideal must contain the
-    quotient generators (NotContainingQuotient otherwise).
+    in a polynomial ring is one step and computes no basis, and a monomial
+    step that leaves the minimal generators as they were is the last.  In a
+    quotient ring every step is an elimination, and the ideal must contain
+    the quotient generators (NotContainingQuotient otherwise).
     """
     if operator.index(e) < 0:  # an int, so the countdown below ends at 0
         raise InputError(f"Frobenius root wants e >= 0, got {e}")
@@ -68,31 +70,34 @@ def frob_root(I: Ideal, e: int = 1) -> Ideal:
         k, roots = (0, None) if monomial or I.ring.is_quotient() else _p_roots(I.generators, e)
         if k:
             I, e = Ideal(I.ring, roots), e - k
+        elif monomial:
+            I, last, e = _frob_root_monomial(I), I, e - 1
+            if e and I.minimal_monomial_exps() == last.minimal_monomial_exps():
+                return I  # a fixed point: every later step rebuilds these generators
         else:
-            I, e = (_frob_root_monomial if monomial else _frob_root_elimination)(I), e - 1
+            I, e = _frob_root_elimination(I), e - 1
     return I
 
 
 def _frob_root_elimination(I: Ideal) -> Ideal:
-    """The root by eliminating X from I + (fresh_i - X_i^p), in plain and
+    """The root by eliminating T from I(T) + (X_i - T_i^p), in plain and
     quotient rings alike."""
     ring = I.ring
     for g in ring.quotient:
         if not I.contains(g):
             raise NotContainingQuotient("ideal does not contain the quotient generators")
     d = ring.nvars
-    fresh = _fresh_names(set(ring.vars), d, "r_")
-    ext = Ring(ring.p, ring.vars + tuple(fresh), elim(d))
-    gens = [_map_poly(g, ext, list(range(d))) for g in I.effective_generators()]
-    for i in range(d):
-        gens.append(ext.var(fresh[i]) - ext.var(ring.vars[i]).frobenius(1))
+    ext, ts, _ = _aux_cover(ring, d)
+    gens = [_map_poly(g, ext, range(d)) for g in I.effective_generators()]
+    gens += [ext.var(v) - t.frobenius(1) for v, t in zip(ring.vars, ts)]
     return _eliminate(gens, ext, d, ring)
 
 
 def _p_roots(gens, e: int) -> tuple:
     """The largest k <= e at which every generator is a p^k-th power, with
-    the p^k-th roots; (0, None) when some generator is no p-th power."""
-    for k in range(e, 0, -1):
+    the p^k-th roots; (0, None) when some generator is no p-th power.  Only
+    constants are p^E_MAX-th powers, so k starts at min(e, E_MAX)."""
+    for k in range(min(e, E_MAX), 0, -1):
         roots = [g.try_p_root(k) for g in gens]
         if all(r is not None for r in roots):
             return k, roots

@@ -11,11 +11,11 @@ intersection by lcm, quotient by exponent subtraction).  The input picks the
 route; the test suite cross-checks each fast path against the Buchberger
 route, calling ``normal_form``, ``_intersection`` and ``_colon`` directly.
 
-One auxiliary-variable ring serves intersection, colon and saturation:
-the cover of the ring with a variable T in front, under elim(1)
+One auxiliary ring serves intersection, colon, saturation and the p-power
+root: the cover of the ring with k variables T_i in front, under elim(k)
 (``_aux_cover``).  Intersection eliminates T from T*I + (1 - T)*J,
-saturation eliminates T from I + (1 - T*g), and the colon divides by g as
-a normal form modulo T*g - 1.
+saturation eliminates T from I + (1 - T*g), the colon divides by g as a
+normal form modulo T*g - 1, and the root takes one T_i per variable.
 
 The Groebner budget lives here and nowhere else.  Callers enter a scope
 with ``using_budget(budget)``; each basis computation reads the active
@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 from . import _kernels as K
 from .errors import GroebnerBudgetExceeded, InputError
 from .orders import elim
-from .poly import Polynomial, Ring, _term_data
+from .poly import Polynomial, Ring
 
 pair_count = 0  # pairs of the bases computed or recalled since the last reset; the CLI reports it
 _BASES_KEPT = 256  # reduced bases each Ring remembers
@@ -251,11 +251,11 @@ def groebner_basis(gens: Sequence[Polynomial], ring: Ring) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_names(taken, count, stem):
+def _fresh_names(taken, count):
     out = []
     n = 0
     while len(out) < count:
-        name = f"{stem}{n}"
+        name = f"t_{n}"
         if name not in taken:
             out.append(name)
         n += 1
@@ -286,19 +286,19 @@ def _eliminate(gens: Sequence[Polynomial], ext: Ring, k: int, target: Ring) -> "
                           if not any(any(vec[:k]) for vec in g.exps)])
 
 
-def _aux_cover(ring: Ring):
-    """The cover of ring with one auxiliary variable T in front, under
-    elim(1): returns that ring, T, and the map of ring's polynomials into it."""
+def _aux_cover(ring: Ring, k: int):
+    """The cover of ring with k auxiliary variables T_i in front, under elim(k):
+    returns that ring, the T_i, and the map of ring's polynomials into it."""
     cover = ring.cover()
-    (aux,) = _fresh_names(set(ring.vars), 1, "t_")
-    ext = Ring(ring.p, (aux,) + cover.vars, elim(1))
-    col = list(range(1, ext.nvars))
-    return ext, ext.var(aux), lambda f: _map_poly(f, ext, col)
+    aux = tuple(_fresh_names(set(ring.vars), k))
+    ext = Ring(ring.p, aux + cover.vars, elim(k))
+    col = list(range(k, ext.nvars))
+    return ext, tuple(map(ext.var, aux)), lambda f: _map_poly(f, ext, col)
 
 
 def _intersection(a: Sequence[Polynomial], b: Sequence[Polynomial], aux, target: Ring) -> "Ideal":
     """(a) cap (b) in target: eliminate T from T*(a) + (1 - T)*(b)."""
-    ext, t, lift = aux
+    ext, (t,), lift = aux
     one_minus_t = ext.one() - t
     gens = [t * lift(g) for g in a] + [one_minus_t * lift(g) for g in b]
     return _eliminate(gens, ext, 1, target)
@@ -335,7 +335,8 @@ class Ideal:
         if self._gb_cache is None:
             # entries hold term lists: Polynomials would refer back to the ring
             # and leave it, with its bases, to the cycle collector
-            ring, key = self.ring, (_term_data(self.generators), _budget.get())
+            ring = self.ring
+            key = tuple((tuple(g.packed), tuple(g.coeffs)) for g in self.generators), _budget.get()
             hit = ring._bases.get(key)
             if hit is None:
                 self._gb_cache, pairs = groebner_basis(self.effective_generators(), ring)
@@ -347,11 +348,6 @@ class Ideal:
                 pair_count += hit[1]
                 self._gb_cache = tuple(Polynomial(ring, *terms) for terms in hit[0])
         return self._gb_cache
-
-    def _packed_gb(self):
-        if self._packed is None:
-            self._packed = _pack(self.groebner())
-        return self._packed
 
     def is_zero(self) -> bool:
         return len(self.groebner()) == 0
@@ -404,7 +400,9 @@ class Ideal:
             return all(any(_mono_divides(m, vec) for m in mins) for vec in g.exps)
         if g in self.groebner() or g in self.effective_generators():
             return True
-        return _nf_packed(g, self._packed_gb()).is_zero()
+        if self._packed is None:
+            self._packed = _pack(self.groebner())
+        return _nf_packed(g, self._packed).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:
         """self contains other, i.e. other is a subset of self."""
@@ -427,7 +425,7 @@ class Ideal:
         if other.is_unit():
             return self
         return _intersection(self.effective_generators(), other.effective_generators(),
-                             _aux_cover(self.ring), self.ring)
+                             _aux_cover(self.ring, 1), self.ring)
 
     def quotient(self, g) -> "Ideal":
         """(self : g) for a nonzero polynomial g: exponent subtraction when
@@ -448,7 +446,7 @@ class Ideal:
         g = self.ring.coerce(g)
         if g.is_zero():
             raise InputError("saturation by the zero polynomial")
-        ext, t, lift = _aux_cover(self.ring)
+        ext, (t,), lift = _aux_cover(self.ring, 1)
         gens = [lift(h) for h in self.effective_generators()]
         gens.append(ext.one() - t * lift(g))
         return _eliminate(gens, ext, 1, self.ring)
@@ -474,7 +472,7 @@ def _colon(I: Ideal, g: Polynomial) -> Ideal:
     divided by g as the normal form of T*h modulo T*g - 1:
     T*h - q*(T*g - 1) = q, and no term of q is divisible by the lead T*lt(g),
     so the remainder is the quotient q."""
-    aux = ext, t, lift = _aux_cover(I.ring)
+    aux = ext, (t,), lift = _aux_cover(I.ring, 1)
     inter = _intersection(I.effective_generators(), [g], aux, I.ring.cover())
     divisor = [t * lift(g) - ext.one()]
     gens = []

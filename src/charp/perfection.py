@@ -3,8 +3,9 @@
 Elements of the perfect closure of F_p[X] are written as pairs (n, r)
 standing for the unique p^n-th root of the polynomial r; arithmetic lifts
 both operands to a common depth with the Frobenius and renormalises to
-minimal depth.  Ideals of the perfect closure are represented losslessly by
-their f-sequences: descending chains (a_n) of ideals with
+minimal depth in one root (``frobenius._p_roots``); a constant body, zero
+included, has depth 0.  Ideals of the perfect closure are represented
+losslessly by their f-sequences: descending chains (a_n) of ideals with
 frob_root(a_{n+1}) = a_n, where a_n collects the bodies of the ideal's
 members of depth n.  Sequence terms are produced lazily and memoised.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError
-from .frobenius import f_closure, frob_power, frob_root
+from .frobenius import _p_roots, f_closure, frob_power, frob_root
 from .ideals import Ideal, intersect_all
 from .poly import Polynomial, Ring
 
@@ -32,16 +33,9 @@ class PerfectionElement:
             raise InputError("element depth must be >= 0")
         if body.ring.is_quotient():
             raise InputError("perfect-closure element arithmetic needs a polynomial ring")
-        while depth > 0:
-            root = body.try_p_root()
-            if root is None:
-                break
-            body = root
-            depth -= 1
-        if body.is_zero():
-            depth = 0
-        self.depth = depth
-        self.body = body
+        # a constant, zero included, is its own p^k-th root for every k
+        k, roots = _p_roots((body,), depth) if any(body.packed) else (depth, (body,))
+        self.depth, self.body = depth - k, roots[0] if k else body
 
     @property
     def ring(self) -> Ring:

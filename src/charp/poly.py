@@ -25,6 +25,7 @@ from .errors import ExponentOverflow, InputError
 from .orders import GREVLEX, MonomialOrder
 
 EXP_LIMIT = 2**56
+E_MAX = EXP_LIMIT.bit_length()  # p^E_MAX > EXP_LIMIT: only constants are p^E_MAX-th powers
 P_MAX = 2**31
 
 _VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -216,10 +217,6 @@ class Ring:
         raise InputError(f"cannot coerce {x!r} into {self!r}")
 
 
-def _term_data(polys) -> tuple:
-    return tuple((tuple(p.packed), tuple(p.coeffs)) for p in polys)
-
-
 class Polynomial:
     """Immutable sparse polynomial; terms sorted descending under the ring order.
 
@@ -351,7 +348,7 @@ class Polynomial:
             raise InputError("negative Frobenius exponent")
         if e == 0 or self.is_zero():
             return self
-        scale = self.ring.p ** e
+        scale = self.ring.p ** (e if e < E_MAX else E_MAX)
         self._check_fields(EXP_LIMIT // scale, f"Frobenius scaling by p^{e}")
         return Polynomial(self.ring, [k * scale for k in self.keys],
                           [x * scale for x in self.packed], self.coeffs)
@@ -363,7 +360,7 @@ class Polynomial:
         and no field of y exceeds (2^63 - 1) // p^e, so no field carries into
         the next; divisibility of x alone is wrong (X*Y^2 over F_3 packs to a
         multiple of 3)."""
-        q, guard = self.ring.p ** e, K.guard_bits(self.ring.nvars)
+        q, guard = self.ring.p ** (e if e < E_MAX else E_MAX), K.guard_bits(self.ring.nvars)
         bound = (K.DEGREE >> 1) // q
         top = K.spread(bound, self.ring.nvars) | bound | guard
         roots = [x // q for x in self.packed]

@@ -13,8 +13,10 @@ Frobenius powers of a decomposition live here too: no command needs them,
 and the tests use them to check the objects the library builds.
 """
 
+import contextlib
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -29,6 +31,22 @@ from charp.perfection import FSequence
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run for `seconds`, so that
+    a computation that would hang fails instead (SIGALRM: main thread only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- random objects ---------------------------------------------------------
@@ -144,7 +162,7 @@ def groebner_member(I, g):
 def elimination_intersection(I, J):
     """I cap J by eliminating T from T*I + (1 - T)*J."""
     return _intersection(I.effective_generators(), J.effective_generators(),
-                         _aux_cover(I.ring), I.ring)
+                         _aux_cover(I.ring, 1), I.ring)
 
 
 def chained_root(I, e, step):

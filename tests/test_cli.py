@@ -19,7 +19,7 @@ from charp.frobenius import f_closure
 from charp.ideals import GroebnerBudget
 from charp.perfection import FSequence, VerifyResult
 
-from conftest import cusp_ring
+from conftest import cusp_ring, deadline
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README_REPORTS = ROOT / "tests" / "data" / "readme_reports.json"
@@ -411,6 +411,26 @@ def test_perfection_member_reports(demo, capsys):
     assert data["result"]["member"] is True
     assert data["result"]["normalized_depth"] == 0
     assert data["result"]["normalized_body"] == "X^2"
+
+
+@pytest.mark.parametrize("edit, argv, code, result", [
+    (("p = 2", "p = 3"), ["--elem", "X", "--root", "30000000"], 3,
+     {"error_kind": "ExponentOverflow"}),
+    (("k = 0", "k = 1000000"), ["--elem", "X", "--root", "0"], 0,
+     {"member": True, "normalized_depth": 0}),
+    (None, ["--elem", "1", "--root", "1000000"], 0,
+     {"member": False, "normalized_depth": 0, "normalized_body": "1"}),
+], ids=["deep-element", "deep-spec-k", "deep-constant"])
+def test_perfection_member_at_user_sized_depths(edit, argv, code, result, tmp_path, capsys):
+    """A depth of millions, in --root or in a spec's k, ends within the
+    deadline: a Frobenius power past EXP_LIMIT fails at once, a monomial
+    root stops at its fixed point, and a constant has depth 0."""
+    spec = tmp_path / "deep.ini"
+    spec.write_text(DEMO.replace(*edit) if edit else DEMO)
+    with deadline(2):
+        got, data = run_json(capsys, "perfection", "member", str(spec), "--fseq", "fg", *argv)
+    assert got == code
+    assert result.items() <= data["result"].items()
 
 
 @pytest.mark.parametrize("root, member", [(0, True), (1, False)])

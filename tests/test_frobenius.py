@@ -1,14 +1,17 @@
 """Frobenius powers, roots, and F-closure, with their oracles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from charp import DepthExceeded, Ideal, InputError, Ring, ideals
 from charp.frobenius import (_frob_root_elimination, _frob_root_monomial, _p_roots,
                              f_closure, frob_power, frob_root, is_f_closed)
-from charp.orders import GREVLEX, LEX
+from charp.ideals import _aux_cover, _eliminate, _map_poly
+from charp.orders import GREVLEX, LEX, elim
 
-from conftest import (all_polys_up_to_degree, chained_root, cusp_ring, in_radical,
+from conftest import (all_polys_up_to_degree, chained_root, cusp_ring, deadline, in_radical,
                       monomial_gen_exps, oracle_ceiling_root, rand_ideal,
                       rand_monomial_ideal)
 
@@ -154,6 +157,37 @@ def test_frob_root_e_zero_and_negative(R2):
         frob_power(I, -1)
 
 
+def test_monomial_root_stops_at_its_fixed_point():
+    """The e-fold root of a monomial ideal has the generators of e single
+    ceiling steps; once a step leaves the minimal generators as they were,
+    no later step moves them, so a depth of 10^9 ends at once."""
+    rng = random.Random(4057)
+    for p in (2, 3, 5):
+        R = Ring(p, ["X", "Y", "Z"])
+        for _ in range(8):
+            I = rand_monomial_ideal(R, rng, max_gens=4, max_exp=20)
+            for e in range(7):
+                want = chained_root(I, e, _frob_root_monomial)
+                assert frob_root(I, e).generators == want.generators
+            fixed = chained_root(I, 8, _frob_root_monomial)  # ceilings of exponents <= 20
+            assert _frob_root_monomial(fixed).generators == fixed.generators
+            with deadline(2):
+                assert frob_root(I, 10**9).generators == fixed.generators
+
+
+def test_deep_roots_end_at_once():
+    """Depths of the size a user may name end within the deadline: an
+    elimination that reaches a monomial fixed point, and a flat search whose
+    scan starts at p^57 > EXP_LIMIT."""
+    R = Ring(3, ["X", "Y"])
+    with deadline(2):
+        assert frob_root(Ideal(R, ["X^3+Y^3", "X*Y"]), 30000) == Ideal(R, ["X", "Y"])
+        assert _p_roots(Ideal(R, ["X^9+Y^18", "Y^27"]).generators, 10**9) == (
+            2, [R.parse("X+Y^2"), R.parse("Y^3")])
+        assert _p_roots((R.parse("X+1"),), 10**9) == (0, None)
+        assert _p_roots((R.one(),), 10**9) == (57, [R.one()])
+
+
 # -- the flat route ------------------------------------------------------------------
 
 
@@ -262,6 +296,51 @@ def test_f_closure_of_a_computed_ideal_divides_nothing(monkeypatch, rng):
         monkeypatch.undo()
         assert calls == []
         assert res.closure == I and res.witnesses == []
+
+
+# -- the elimination ring ------------------------------------------------------------
+
+
+def _x_first_root(I):
+    """The elimination root with the blocks swapped: I in the ring's own
+    variables in front, fresh variables r_i after them, relations
+    r_i - X_i^p.  Up to names this is the ring _frob_root_elimination builds."""
+    ring, d = I.ring, I.ring.nvars
+    fresh = tuple(f"r_{i}" for i in range(d))
+    ext = Ring(ring.p, ring.vars + fresh, elim(d))
+    gens = [_map_poly(g, ext, range(d)) for g in I.effective_generators()]
+    gens += [ext.var(r) - ext.var(v).frobenius(1) for r, v in zip(fresh, ring.vars)]
+    return _eliminate(gens, ext, d, ring)
+
+
+def test_aux_cover_avoids_the_ring_variable_names():
+    R = Ring(2, ["t_0", "t_1"])
+    ext, ts, lift = _aux_cover(R, 2)
+    assert ext.vars == ("t_2", "t_3", "t_0", "t_1")
+    assert ts == (ext.var("t_2"), ext.var("t_3"))
+    assert lift(R.parse("t_0*t_1^2")) == ext.parse("t_0*t_1^2")
+
+
+def test_elimination_root_in_rings_named_like_the_auxiliary_variables(rng):
+    """Variables named t_0 and t_1 push the auxiliary ones to t_2 and t_3;
+    the root agrees with the ceiling route, the flat route and the swapped
+    layout, whose basis gives the very same generators."""
+    for p in (2, 3):
+        R = Ring(p, ["t_0", "t_1"])
+        for _ in range(4):
+            M = rand_monomial_ideal(R, rng, max_gens=3, max_exp=6)
+            assert _frob_root_elimination(M) == _frob_root_monomial(M)
+            I = rand_ideal(R, rng, 2, 3)
+            P = frob_power(I, 1)
+            k, roots = _p_roots(P.generators, 1)
+            assert k == 1 and _frob_root_elimination(P) == Ideal(R, roots) == I
+            for J in (I, P, M):
+                assert _frob_root_elimination(J).generators == _x_first_root(J).generators
+    plain = Ring(2, ["t_0", "t_1"])
+    Q = Ring(2, ["t_0", "t_1"], quotient=[plain.parse("t_1^2+t_0^3")], reduced=True)
+    for J in (frob_power(Ideal(Q, ["t_0"]), 1), Ideal(Q, ["t_0^3+t_1", "t_1^3"])):
+        assert _frob_root_elimination(J).generators == _x_first_root(J).generators
+    assert _frob_root_elimination(frob_power(Ideal(Q, ["t_0"]), 1)) == Ideal(Q, ["t_0", "t_1"])
 
 
 # -- F-closure ---------------------------------------------------------------------

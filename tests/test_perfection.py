@@ -8,7 +8,7 @@ from charp import CharpError, Ideal, InputError, NonMonomial, Ring
 from charp.frobenius import frob_root
 from charp.perfection import FSequence, PerfectionElement, PerfectionIdeal
 
-from conftest import ass_monomial, radical_sequence, rand_monomial_ideal, rand_poly
+from conftest import ass_monomial, deadline, radical_sequence, rand_monomial_ideal, rand_poly
 
 
 @pytest.fixture
@@ -26,6 +26,16 @@ def test_normalize_examples(R2):
     assert (f.depth, str(f.body)) == (1, "X + Y")
     z = PerfectionElement(3, R2.zero())
     assert (z.depth, z.is_zero()) == (0, True)
+
+
+def test_normalize_at_user_sized_depths(R2):
+    """A constant goes to depth 0 and any other body loses every root it
+    has in one step, whatever the depth."""
+    with deadline(2):
+        c = PerfectionElement(10**9, R2.one())
+        g = PerfectionElement(10**9, R2.parse("X^8 + Y^4"))
+    assert (c.depth, str(c.body)) == (0, "1")
+    assert (g.depth, str(g.body)) == (10**9 - 2, "X^2 + Y")
 
 
 def test_normalize_idempotent(R2, rng):
