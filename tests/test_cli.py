@@ -484,6 +484,60 @@ def test_lg2_report(demo, capsys):
     assert code == 1  # dropping the embedded prime breaks the identity
 
 
+def test_lg2_at_a_large_h_answers_with_the_recorded_bytes(monkeypatch):
+    """(X, Y)^1000 has 1001 monomial generators; they are exponent sums, so
+    the command answers within the deadline, with the --json bytes recorded
+    from the Polynomial products."""
+    monkeypatch.chdir(ROOT)
+    with deadline(2):
+        code, out, err = _run_captured(["lg2", "specs/demo.ini", "--ideal", "a", "--primes",
+                                        "px,pxy", "--h", "1000", "--n", "1", "--mode", "plain",
+                                        "--json"])
+    assert (code, err) == (0, "")
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "95bd1c09077a1c68f516749b3f857dc4e74db49f16b564c6342a3b071d089df9")
+
+
+# px = (X^EXP_LIMIT): its h-th power overflows at its first product, and an
+# unchecked sum of h = 256 exponent fields of 2^56 carries into the next field
+OVERFLOW_SPEC = """
+[ring]
+p = 2
+vars = X, Y
+
+[ideal a]
+gens = X^2, X*Y
+
+[ideal px]
+gens = X^72057594037927936
+
+[ideal pxy]
+gens = X, Y
+"""
+
+
+# the sha256 of each --json report, recorded from the Polynomial products
+OVERFLOW_REPORTS = {
+    127: "09a4883e22fc9c9d5b41d33ea13a8a3ad382b34c8a6e3b5116b64daa26945bc4",
+    128: "ed83cfa5fbf8b82df7bfbf7f5a1290722a820a00162888c53785445813dcc8e0",
+    255: "85fe10732be720fe971f3893e82a6324c501599d667718e5c13ef75b967a061b",
+    256: "4dd402332b3fced586f6f5cd168fde71b02f216435da2267f281e41060118946",
+    1000: "a38f67678ae98eeb65d9b0262555a719b86b38eac132d55da30cff9ba83aada8",
+}
+
+
+@pytest.mark.parametrize("h", sorted(OVERFLOW_REPORTS))
+def test_lg2_power_past_exp_limit_exits_3(h, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "overflow.ini").write_text(OVERFLOW_SPEC)
+    code, out, err = _run_captured(["lg2", "overflow.ini", "--ideal", "a", "--primes", "px,pxy",
+                                    "--h", str(h), "--n", "1", "--mode", "plain", "--json"])
+    assert (code, err) == (3, "")
+    assert json.loads(out)["result"] == {"error": "exponent exceeds 72057594037927936",
+                                         "error_kind": "ExponentOverflow"}
+    assert hashlib.sha256(out.encode()).hexdigest() == OVERFLOW_REPORTS[h]
+
+
 def test_ex8_report(capsys):
     code, data = run_json(capsys, "ex8", "--p", "5", "--l", "2", "--t", "1,1", "--depth", "2")
     assert code == 0
