@@ -119,7 +119,13 @@ def axpy(ka, ea, ca, kb, eb, cb, scale, p):
 
 
 def mul(ka, ea, ca, kb, eb, cb, p):
-    """Product of two term lists."""
+    """Product of two term lists.  A one-term factor shifts the other's
+    terms, which keeps their order, and scales its coefficients, which
+    leaves none zero: p is prime."""
+    if len(kb) == 1:
+        ka, ea, ca, kb, eb, cb = kb, eb, cb, ka, ea, ca
+    if len(ka) == 1:
+        return [ka[0] + x for x in kb], [ea[0] + x for x in eb], [ca[0] * x % p for x in cb]
     return _combine([x + y for x in ka for y in kb], [x + y for x in ea for y in eb],
                     [x * y for x in ca for y in cb], p)
 
@@ -157,6 +163,8 @@ def s_normal_form(f, g, key, exp, basis, p, max_terms, max_degree):
             expo[r] = te + de
         else:
             del coef[r]
+    if not coef:
+        return [], [], [], 0
     heap = [-q for q in coef]
     heapify(heap)
     return _divide(coef, expo, heap, basis, p, max_terms, max_degree)

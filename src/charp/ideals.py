@@ -35,15 +35,17 @@ import bisect
 import contextvars
 import heapq
 import itertools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import itemgetter, le
+from functools import reduce
+from operator import itemgetter, le, mul
 from typing import Iterable, Sequence
 
 from . import _kernels as K
-from .errors import GroebnerBudgetExceeded, InputError
+from .errors import ExponentOverflow, GroebnerBudgetExceeded, InputError
 from .orders import elim
-from .poly import Polynomial, Ring
+from .poly import EXP_LIMIT, Polynomial, Ring
 
 pair_count = 0  # pairs of the bases computed or recalled since the last reset; the CLI reports it
 _BASES_KEPT = 256  # reduced bases each Ring remembers
@@ -137,11 +139,12 @@ def _lcm(a: tuple, b: tuple) -> tuple:
     return tuple(map(max, a, b))
 
 
-def _minimal(rows: Sequence[tuple]) -> list:
-    """Indices of the exponent tuples no other one divides, in input order;
-    of equal tuples the first stays."""
+def _minimal(rows: Sequence, divides=_mono_divides) -> list:
+    """Indices of the exponent tuples (or packed exponents, with their
+    divisibility test) no other one divides, in input order; of equal ones
+    the first stays."""
     return [i for i, r in enumerate(rows)
-            if not any(_mono_divides(s, r) and (j < i or s != r)
+            if not any(divides(s, r) and (j < i or s != r)
                        for j, s in enumerate(rows) if j != i)]
 
 
@@ -229,12 +232,14 @@ class _Buchberger:
         # keep the minimal leads, ascending: a lead's divisors come before it,
         # and a kept one divides it whenever any does.  Each is reduced by the
         # kept ones before it, already reduced: a tail term lies below its
-        # lead, so no later lead divides it.  The reduced basis is unique.
+        # lead, so no later lead divides it, and a lone lead is reduced as it
+        # is.  The reduced basis is unique.
         guard, reduced, reducers = self.guard, [], []
         for lead_k, lead_e, _, tail_k, tail_e, tail_c in self._packed:
             if not any((lead_e | guard) - r[1] & guard == guard for r in reducers):
-                h = _nf_packed(Polynomial(self.ring, [lead_k] + tail_k, [lead_e] + tail_e,
-                                          [1] + tail_c), reducers)
+                h = Polynomial(self.ring, [lead_k] + tail_k, [lead_e] + tail_e, [1] + tail_c)
+                if tail_k:
+                    h = _nf_packed(h, reducers)
                 reducers.append(K.divisor(h.keys, h.packed, h.coeffs))
                 reduced.append(h)
         return reduced
@@ -312,7 +317,8 @@ def _intersection(a: Sequence[Polynomial], b: Sequence[Polynomial], aux, target:
 class Ideal:
     """Immutable ideal with a cached reduced Groebner basis."""
 
-    __slots__ = ("ring", "generators", "_gb_cache", "_packed", "_min_exps")
+    __slots__ = ("ring", "generators", "_gb_cache", "_packed", "_monomial", "_min_exps",
+                 "_min_packed")
 
     def __init__(self, ring: Ring, gens: Sequence):
         self.ring = ring
@@ -320,7 +326,8 @@ class Ideal:
         self.generators = tuple(dict.fromkeys(g for g in coerced if not g.is_zero()))
         self._gb_cache = None
         self._packed = None  # kernel encoding of the basis, for membership
-        self._min_exps = None  # minimal monomial generators
+        self._monomial = None
+        self._min_exps = self._min_packed = None  # minimal monomial generators
 
     # -- basics ---------------------------------------------------------------
 
@@ -371,20 +378,27 @@ class Ideal:
     # -- membership and comparison ---------------------------------------------
 
     def is_monomial(self) -> bool:
-        """Detected from the generators: every one a single term, no quotient."""
-        return (not self.ring.is_quotient()
-                and all(g.is_monomial() for g in self.generators))
+        """Detected from the generators, once: every one a single term, no quotient."""
+        if self._monomial is None:
+            self._monomial = (not self.ring.is_quotient()
+                              and all(g.is_monomial() for g in self.generators))
+        return self._monomial
 
     def minimal_monomial_exps(self) -> tuple:
         """The minimal monomial generators as exponent tuples, ascending.
 
-        Computed once per ideal.  Every monomial route reads them in this
+        Computed once per ideal from the packed ints, with the guard-bit
+        divisibility test, so only the minimal ones are decoded; their packed
+        ints are kept beside them.  Every monomial route reads them in this
         order, so equal monomial ideals give equal generator lists.
         """
         if self._min_exps is None:
             if not self.is_monomial():
                 raise InputError("not a monomial ideal")
-            self._min_exps = _sorted_minimal([g.exps[0] for g in self.generators])
+            packed, guard = [g.packed[0] for g in self.generators], K.guard_bits(self.ring.nvars)
+            kept = sorted((self.ring.unpack(packed[i]), packed[i]) for i in
+                          _minimal(packed, lambda a, b: (b | guard) - a & guard == guard))
+            self._min_exps, self._min_packed = tuple(zip(*kept)) or ((), ())
         return self._min_exps
 
     def contains(self, g) -> bool:
@@ -396,8 +410,9 @@ class Ideal:
         if g.is_zero():
             return True
         if self.is_monomial():
-            mins = self.minimal_monomial_exps()
-            return all(any(_mono_divides(m, vec) for m in mins) for vec in g.exps)
+            self.minimal_monomial_exps()
+            mins, guard = self._min_packed, K.guard_bits(self.ring.nvars)
+            return all(any((x | guard) - m & guard == guard for m in mins) for x in g.packed)
         if g in self.groebner() or g in self.effective_generators():
             return True
         if self._packed is None:
@@ -485,12 +500,31 @@ def _colon(I: Ideal, g: Polynomial) -> Ideal:
 
 
 def _power_products(gens: Sequence[Polynomial], h: int):
-    """Products of every multiset of h generators, in combinations order."""
-    for combo in itertools.combinations_with_replacement(gens, h):
-        out = combo[0]
-        for g in combo[1:]:
-            out = out * g
-        yield out
+    """Products of every multiset of h generators, in combinations order.
+
+    Products of one-term generators are sums of packed keys and exponents
+    (both packings are linear).  The exponent fields, summed without the
+    degree field, are checked after every 127 generators: a checked field is
+    at most 2^56, so a sum stays within 2^63 and cannot carry unseen.  A
+    product overflows exactly where the Polynomial products would."""
+    if not gens or not all(g.is_monomial() for g in gens):
+        yield from (reduce(mul, combo)
+                    for combo in itertools.combinations_with_replacement(gens, h))
+        return
+    ring = gens[0].ring
+    keys, packed, coeffs = zip(*((g.keys[0], g.packed[0], g.coeffs[0]) for g in gens))
+    fields = [x - (x & K.DEGREE) for x in packed]
+    guard = K.guard_bits(ring.nvars)
+    top = K.spread(EXP_LIMIT, ring.nvars) | guard
+    for combo in itertools.combinations_with_replacement(range(len(gens)), h):
+        e = 0
+        for start in range(0, h, 127):
+            e += sum(map(fields.__getitem__, combo[start:start + 127]))
+            if (top - e) & guard != guard:
+                raise ExponentOverflow(f"exponent exceeds {EXP_LIMIT}")
+        yield Polynomial(ring, [sum(map(keys.__getitem__, combo))],
+                         [sum(map(packed.__getitem__, combo))],
+                         [math.prod(map(coeffs.__getitem__, combo)) % ring.p])
 
 
 def intersect_all(ideals: Iterable[Ideal]) -> Ideal:

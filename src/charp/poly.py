@@ -436,23 +436,19 @@ class Polynomial:
 # parenthesised sum.  Coefficients are reduced mod p.
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))")
+# every character but whitespace starts a token, so a scan skips only the
+# whitespace after the last one
+_TOKENS = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()])"
+                     r"|(?P<bad>\S))")
 
 
 def _tokenize(text: str):
-    pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise InputError(f"unexpected character {stripped[0]!r}", f"col {col}")
+    for m in _TOKENS.finditer(text):
         kind = m.lastgroup
-        out.append((kind, m.group(kind), m.start(kind) + 1))
-        pos = m.end()
+        if kind == "bad":
+            raise InputError(f"unexpected character {m[kind]!r}", f"col {m.start(kind) + 1}")
+        out.append((kind, m[kind], m.start(kind) + 1))
     return out
 
 
@@ -464,10 +460,11 @@ def _parse_sum(ring: Ring, tokens: list, pos: int):
 
     A term without parentheses is one exponent row and one coefficient; only a
     parenthesised factor multiplies polynomials.  Exponents are checked as each
-    factor arrives, exactly where a left-to-right product would overflow.
+    factor arrives, exactly where a left-to-right product would overflow, so
+    the rows are packed as they are, and only a sum of several terms is merged.
     """
     n, p = ring.nvars, ring.p
-    terms = []
+    terms = []  # (key, packed exponents, coefficient)
     sign = -1 if tokens[pos][1] == "-" else 1
     pos += tokens[pos][1] in ("+", "-")
     while True:
@@ -509,11 +506,13 @@ def _parse_sum(ring: Ring, tokens: list, pos: int):
                 break
             pos += 1
         if poly is not None:
-            terms.extend((poly * ring.monomial(row, c)).terms())
+            poly = poly * ring.monomial(row, c)
+            terms += zip(poly.keys, poly.packed, poly.coeffs)
         elif c:
-            terms.append((row, c))
+            terms.append((ring.key_of(row), ring.pack(row), c % p))
         value = tokens[pos][1]
         if value not in ("+", "-"):
-            return ring.from_terms(terms), pos
+            lists = [list(column) for column in zip(*terms)] or [[], [], []]
+            return Polynomial(ring, *(K.combine(*lists, p) if len(terms) > 1 else lists)), pos
         sign = -1 if value == "-" else 1
         pos += 1

@@ -165,6 +165,17 @@ def elimination_intersection(I, J):
                          _aux_cover(I.ring, 1), I.ring)
 
 
+def power_products(gens, h):
+    """Products of every multiset of h generators, in combinations order, as
+    Polynomial products: the route ``ideals._power_products`` takes for
+    generators of several terms."""
+    for combo in itertools.combinations_with_replacement(gens, h):
+        out = combo[0]
+        for g in combo[1:]:
+            out = out * g
+        yield out
+
+
 def chained_root(I, e, step):
     """e single Frobenius roots in a row, each taken by ``step``."""
     for _ in range(e):

@@ -11,17 +11,18 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charp import (GroebnerBudget, GroebnerBudgetExceeded, Ideal, InputError,
-                   Ring, ideals, using_budget)
+from charp import (ExponentOverflow, GroebnerBudget, GroebnerBudgetExceeded, Ideal,
+                   InputError, Ring, ideals, using_budget)
 from charp.frobenius import frob_power, frob_root
-from charp.ideals import _colon, _minimal, normal_form
+from charp.ideals import (_colon, _minimal, _mono_divides, _power_products, _sorted_minimal,
+                          normal_form)
 from charp.orders import GREVLEX, LEX, elim, parse_order
 from charp.poly import EXP_LIMIT
 
 from conftest import (assert_same_ideal_on_box, cusp_ring, elimination_intersection,
                       groebner_member, in_radical, monomial_gen_exps, oracle_mono_member,
-                      oracle_saturate, oracle_poly_member_monomial, rand_ideal,
-                      rand_monomial_ideal, rand_poly)
+                      oracle_saturate, oracle_poly_member_monomial, power_products,
+                      rand_ideal, rand_monomial_ideal, rand_poly)
 
 
 @pytest.fixture
@@ -705,6 +706,84 @@ def test_power_matches_nested_product_oracle(rng):
                   rand_ideal(R, rng, max_gens=3, max_total_deg=2)):
             for h in (1, 2, 3):
                 assert I.power(h).generators == _power_oracle(I.generators, h)
+
+
+def _products(products, limit=None):
+    """The term lists of the first `limit` products, and the message of the
+    ExponentOverflow that ends them early, if one does."""
+    out = []
+    try:
+        for g in itertools.islice(products, limit):
+            out.append((g.keys, g.packed, g.coeffs))
+    except ExponentOverflow as e:
+        return out, str(e)
+    return out, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_power_products_match_the_polynomial_products(data):
+    """Packed products of one-term generators equal the Polynomial products,
+    keys included, with non-unit coefficients in 1 to 64 variables; near the
+    overflow boundary both stop at the same product with the same message."""
+    nvars = data.draw(st.sampled_from([1, 2, 3, 64]), label="nvars")
+    p = data.draw(st.sampled_from([2, 3, 7, 2**31 - 1]), label="p")
+    order = data.draw(st.sampled_from([GREVLEX, LEX, elim(1)]), label="order")
+    R = Ring(p, [f"x{i}" for i in range(nvars)], order)
+    h = data.draw(st.integers(1, 4), label="h")
+    near = st.sampled_from([EXP_LIMIT // h - 1, EXP_LIMIT // h, EXP_LIMIT // h + 1,
+                            EXP_LIMIT]).map(lambda e: min(e, EXP_LIMIT))
+    exponent = st.one_of(st.just(0), st.integers(0, 5), near)
+    vecs = st.lists(st.lists(exponent, min_size=nvars, max_size=nvars), min_size=1, max_size=4)
+    gens = [R.monomial(v, c) for v, c in zip(data.draw(vecs, label="gens"),
+                                             data.draw(st.lists(st.integers(1, p - 1),
+                                                                min_size=4, max_size=4)))]
+    assert _products(_power_products(gens, h)) == _products(power_products(gens, h))
+
+
+@pytest.mark.parametrize("h", [127, 128, 255, 256, 1000])
+def test_power_products_overflow_at_the_carry_boundary(h):
+    """h factors of exponent EXP_LIMIT sum to 2^56 * h, which carries out of a
+    64-bit field from h = 256 on (and passes a one-shot guard test from
+    h = 255 on), so the check must not wait for the whole sum.  Each list
+    stops at the product where the Polynomial products overflow."""
+    for nvars in (2, 64):
+        R = Ring(5, [f"x{i}" for i in range(nvars)])
+        x1 = R.var("x1")
+        for top in (EXP_LIMIT // h - 1, EXP_LIMIT // h, EXP_LIMIT // h + 1, EXP_LIMIT):
+            every = R.monomial([top] * nvars, 3)
+            for gens in ([R.monomial([top] + [0] * (nvars - 1))], [every], [x1, every],
+                         [every, R.monomial([1] * nvars, 2)]):
+                got = _products(_power_products(gens, h), 4)
+                assert got == _products(power_products(gens, h), 4), (nvars, top, len(gens))
+                if gens[0] is not x1:  # the first product is gens[0]^h
+                    assert (got[1] is None) == (h * top <= EXP_LIMIT)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_packed_monomial_routes_match_the_tuples_at_exp_limit(data):
+    """Minimal generators from packed ints and membership by packed
+    divisibility agree with _sorted_minimal and _mono_divides on exponent
+    tuples in 64 variables with exponents up to EXP_LIMIT; duplicate rows
+    with other coefficients come up too."""
+    R = Ring(3, [f"x{i}" for i in range(64)])
+    value = st.sampled_from([0, 0, 1, EXP_LIMIT - 1, EXP_LIMIT]) | st.integers(0, EXP_LIMIT)
+    row = st.lists(value, min_size=64, max_size=64).map(tuple)
+    rows = data.draw(st.lists(row, min_size=1, max_size=5), label="rows")
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=2), label="repeats")
+    I = Ideal(R, [R.monomial(r, 1 + i % 2) for i, r in enumerate(rows)])
+    want = _sorted_minimal(rows)
+    assert I.minimal_monomial_exps() == want
+    assert I._min_packed == tuple(map(R.pack, want))
+    for _ in range(4):
+        base = data.draw(st.sampled_from(rows), label="base")
+        terms = [tuple(min(max(b + s, 0), EXP_LIMIT) for b, s in zip(base, shift))
+                 for shift in data.draw(st.lists(st.lists(
+                     st.sampled_from([0, 0, 1, -1, EXP_LIMIT, -EXP_LIMIT]),
+                     min_size=64, max_size=64), min_size=1, max_size=3), label="shifts")]
+        f = R.from_terms((t, 1) for t in terms)
+        assert I.contains(f) == all(any(_mono_divides(m, vec) for m in want) for vec in f.exps)
 
 
 # -- quotient rings ------------------------------------------------------------------

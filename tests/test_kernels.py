@@ -131,8 +131,16 @@ def test_axpy_matches_oracle(ring, a, b, scale):
     _assert_matches(ring, K.axpy(*_lists(ring, a), *_lists(ring, a), P - 1, P), {})
 
 
+# a one-term factor takes the shift route of mul, on either side
+_factors = st.one_of(term_dicts(min_size=1, max_size=1), term_dicts())
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(RINGS), term_dicts(), term_dicts())
+@given(st.sampled_from(RINGS), _factors, _factors)
+@example(RINGS[0], {(2, 0, 1): 3}, {(0, 1, 0): 4, (1, 0, 0): 2, (0, 0, 0): 1})
+@example(RINGS[1], {(0, 2, 1): 1, (1, 0, 0): 2}, {(1, 1, 0): 4})
+@example(RINGS[2], {(1, 0, 2): 2}, {(0, 2, 0): 3})
+@example(RINGS[2], {(1, 0, 2): 2}, {})
 def test_mul_matches_oracle(ring, a, b):
     out = K.mul(*_lists(ring, a), *_lists(ring, b), P)
     _assert_matches(ring, out, _oracle_mul(a, b))

@@ -1,5 +1,7 @@
 """Core polynomial arithmetic, Frobenius maps on elements, and the text grammar."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from charp import ExponentOverflow, InputError, Ring
 from charp import _kernels as K
 from charp.ideals import _monic
 from charp.orders import GREVLEX, LEX, elim
-from charp.poly import EXP_LIMIT, Polynomial, _check_exps
+from charp.poly import EXP_LIMIT, Polynomial, _check_exps, _tokenize
 
 from conftest import rand_poly
 
@@ -352,6 +354,51 @@ def test_parse_errors_carry_location():
         R.parse("")
 
 
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))")
+
+
+def _loop_tokenize(text):
+    """The tokenizer as one match per position, the oracle for _tokenize."""
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            col = len(text) - len(stripped) + 1
+            raise InputError(f"unexpected character {stripped[0]!r}", f"col {col}")
+        kind = m.lastgroup
+        out.append((kind, m.group(kind), m.start(kind) + 1))
+        pos = m.end()
+    return out
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except InputError as e:
+        return str(e), e.location
+
+
+# tokens, whitespace the two scans must skip alike (Unicode spaces and the
+# separators str.isspace counts), and characters no token starts with
+_TEXT = st.lists(st.sampled_from(["X", "y_1", "Z", "12", "0", "^", "*", "+", "-", "(", ")",
+                                  " ", "  ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+                                  "\xa0", "\u2003", "\u3000", "$", "!", ".", "é", "²", "٣",
+                                  "\x00", "{"]), max_size=14).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXT, st.sampled_from(["", " ", "\t\n ", "\u3000"]))
+def test_tokenize_matches_the_loop_over_positions(text, trailing):
+    """One scan over the token pattern and a catch-all for a bad character
+    gives the tokens, the message and the column of a match per position."""
+    text += trailing
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_loop_tokenize, text)
+
+
 # A sum is (leading sign, first term, [(op, term), ...]); a term is a list of
 # factors; a factor is ("int", n), ("var", name, exponent or None) or
 # ("paren", sum).
@@ -417,8 +464,8 @@ def test_parse_matches_the_grammar_evaluated_by_arithmetic(p, tree, data):
     spaces = data.draw(st.lists(st.sampled_from(["", " ", "  ", "\t"]),
                                 min_size=len(tokens) + 1, max_size=len(tokens) + 1))
     text = spaces[0] + "".join(map(str.__add__, tokens, spaces[1:]))
-    f = R.parse(text)
-    assert f == _evaluate(R, tree)
+    f, want = R.parse(text), _evaluate(R, tree)
+    assert (f.keys, f.packed, f.coeffs) == (want.keys, want.packed, want.coeffs)
     assert R.parse(str(f)) == f
 
 

@@ -68,12 +68,16 @@ def test_workload_warmup_passes_its_check(name, monkeypatch):
 PAIRS_PER_PASS = {"gb_dense": 10663, "frobenius_closure": 7747, "cli_specs": 3942}
 # ceilings on the division-kernel calls and exponent decodings of one
 # frobenius_closure pass at the reference seed: generators and basis elements
-# are members without division, and Frobenius powers and roots are tested on
-# packed ints
-CALLS_PER_PASS = {"normal_form": 1801, "unpack": 3205}
-# ceilings on the same for one cli_specs pass: products check overflow on
-# packed ints, and monomial decomposition runs no redundancy search
-CLI_CALLS_PER_PASS = {"unpack": 49295, "_redundant_index": 305}
+# are members without division, Frobenius powers and roots are tested on
+# packed ints, and an empty S-polynomial or a lone basis lead is not divided
+CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2930}
+# ceilings on the decodings, redundancy searches, Polynomial products and
+# outside calls of the merge kernel in one cli_specs pass: products check
+# overflow on packed ints, monomial decomposition runs no redundancy search,
+# monomial powers are packed sums, monomial membership and minimal
+# generators test packed ints, and a parsed term is packed as it is
+CLI_CALLS_PER_PASS = {"unpack": 27263, "_redundant_index": 305, "__mul__": 3699,
+                      "combine": 232}
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS_PER_PASS))
@@ -125,8 +129,9 @@ def test_frobenius_closure_pass_divides_and_decodes_no_more(monkeypatch):
 
 
 def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
-    """One cli_specs pass at the reference seed decodes exponent tuples and
-    looks for redundant components at most as often as CLI_CALLS_PER_PASS."""
+    """One cli_specs pass at the reference seed decodes exponent tuples, looks
+    for redundant components, multiplies Polynomials and merges raw terms at
+    most as often as CLI_CALLS_PER_PASS."""
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(workloads, "WORK_DIR", str(tmp_path))
     workload = workloads.WORKLOADS["cli_specs"]()
@@ -134,5 +139,6 @@ def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
     workload.prepare(instances)
     calls = _count_calls(monkeypatch, workload, instances,
                          ((charp.poly.Ring, "unpack"),
-                          (charp.decomposition, "_redundant_index")))
+                          (charp.decomposition, "_redundant_index"),
+                          (charp.poly.Polynomial, "__mul__"), (charp._kernels, "combine")))
     assert all(calls[name] <= bound for name, bound in CLI_CALLS_PER_PASS.items()), calls
