@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import sys
 import time
@@ -680,7 +679,7 @@ def main(argv=None) -> int:
     with contextlib.ExitStack() as scope:  # the handlers run inside the user's budget
         try:
             budget = GroebnerBudget(args.budget_pairs, args.budget_terms, args.budget_degree)
-            report.data["budget"] = dataclasses.asdict(budget)
+            report.data["budget"] = {name: getattr(budget, name) for name in budget.__slots__}
             scope.enter_context(using_budget(budget))
             code = _dispatch(args, report)
         except CharpError as e:

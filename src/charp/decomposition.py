@@ -14,13 +14,13 @@ certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .errors import (CertificateFailure, DistinctLambdaExhausted,
                      IdentityFailure, InputError, NonMonomial)
 from .frobenius import f_closure, frob_power, frob_root
 from .ideals import Ideal, _minimal, _mono_divides, _power_products, intersect_all
+from .orders import FrozenRecord
 from .perfection import FSequence, PerfectionIdeal
 from .poly import Polynomial, Ring
 
@@ -30,28 +30,27 @@ from .poly import Polynomial, Ring
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimaryComponent:
+class PrimaryComponent(FrozenRecord):
     """A primary ideal with its radical prime; shift maps it to monomial frame.
 
     ``shift`` is a var -> constant mapping: substituting var + constant for
     var turns both ideal and radical into monomial ideals.
     """
 
-    ideal: Ideal
-    radical: Ideal
-    verified_primary: bool
-    shift: Optional[tuple] = None  # ((var, constant), ...) or None
+    __slots__ = ("ideal", "radical", "verified_primary", "shift")
 
-    def __post_init__(self):
-        if not self.radical.contains_ideal(self.ideal):
+    def __init__(self, ideal: Ideal, radical: Ideal, verified_primary: bool,
+                 shift: Optional[tuple] = None):  # ((var, constant), ...) or None
+        if not radical.contains_ideal(ideal):
             raise InputError("component does not lie inside its radical")
+        super().__init__(ideal, radical, verified_primary, shift)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    components: tuple
-    minimal: bool
+class Decomposition(FrozenRecord):
+    __slots__ = ("components", "minimal")
+
+    def __init__(self, components: tuple, minimal: bool):
+        super().__init__(components, minimal)
 
     def intersection(self) -> Ideal:
         return intersect_all(c.ideal for c in self.components)
@@ -235,19 +234,20 @@ def find_linear_growth_h(deco: Decomposition) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class GrowthCheck:
-    n: int
-    i: int
-    ok: bool
+class GrowthCheck(FrozenRecord):
+    __slots__ = ("n", "i", "ok")
+
+    def __init__(self, n: int, i: int, ok: bool):
+        super().__init__(n, i, ok)
 
 
-@dataclass(frozen=True)
-class GrowthCertificate:
-    h: int
-    depth: int
-    decompositions: tuple  # Decomposition per n = 0..depth
-    checks: tuple          # GrowthCheck per (n, component)
+class GrowthCertificate(FrozenRecord):
+    __slots__ = ("h", "depth", "decompositions", "checks")
+
+    def __init__(self, h: int, depth: int,
+                 decompositions: tuple,  # Decomposition per n = 0..depth
+                 checks: tuple):         # GrowthCheck per (n, component)
+        super().__init__(h, depth, decompositions, checks)
 
 
 def certify_growth(seq: FSequence, decomposer: Callable[[int], Decomposition],
@@ -391,21 +391,20 @@ def _primary_sequence(comp: PrimaryComponent, k: int) -> FSequence:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Ex8Report:
-    p: int
-    l: int
-    t: tuple
-    depth: int
-    seq: FSequence
-    decompositions: list          # Decomposition per m = 0..depth
-    ass: list                     # list of radical tuples per m
-    ass_sizes: list
-    verify: object                # VerifyResult over the full depth
-    witnesses: list               # per m >= 1: dict with element and checks
-    certificate: GrowthCertificate
-    no_primary_decomposition: bool
-    notes: list = field(default_factory=list)
+class Ex8Report(FrozenRecord):
+    __slots__ = ("p", "l", "t", "depth", "seq", "decompositions", "ass", "ass_sizes",
+                 "verify", "witnesses", "certificate", "no_primary_decomposition", "notes")
+
+    def __init__(self, p: int, l: int, t: tuple, depth: int, seq: FSequence,
+                 decompositions: list,    # Decomposition per m = 0..depth
+                 ass: list,               # list of radical tuples per m
+                 ass_sizes: list,
+                 verify: object,          # VerifyResult over the full depth
+                 witnesses: list,         # per m >= 1: dict with element and checks
+                 certificate: GrowthCertificate, no_primary_decomposition: bool,
+                 notes: Optional[list] = None):
+        super().__init__(p, l, t, depth, seq, decompositions, ass, ass_sizes, verify, witnesses,
+                         certificate, no_primary_decomposition, [] if notes is None else notes)
 
 
 def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:

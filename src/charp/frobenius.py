@@ -32,11 +32,11 @@ us, so results carry certified=False.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CharpError, DepthExceeded, InputError, NotContainingQuotient
 from .ideals import Ideal, _aux_cover, _eliminate, _map_poly
+from .orders import FrozenRecord
 from .poly import E_MAX
 
 
@@ -111,13 +111,13 @@ def _frob_root_monomial(I: Ideal) -> Ideal:
     return Ideal(I.ring, gens)
 
 
-@dataclass
-class FClosureResult:
-    closure: Ideal
-    stabilized_at: int
-    certified: bool
-    steps: list
-    witnesses: list = field(default_factory=list)
+class FClosureResult(FrozenRecord):
+    __slots__ = ("closure", "stabilized_at", "certified", "steps", "witnesses")
+
+    def __init__(self, closure: Ideal, stabilized_at: int, certified: bool, steps: list,
+                 witnesses: Optional[list] = None):
+        super().__init__(closure, stabilized_at, certified, steps,
+                         [] if witnesses is None else witnesses)
 
 
 def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2) -> FClosureResult:

@@ -37,29 +37,28 @@ import heapq
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter, le, mul
 from typing import Iterable, Sequence
 
 from . import _kernels as K
 from .errors import ExponentOverflow, GroebnerBudgetExceeded, InputError
-from .orders import elim
+from .orders import FrozenRecord, as_index, elim
 from .poly import EXP_LIMIT, Polynomial, Ring
 
 pair_count = 0  # pairs of the bases computed or recalled since the last reset; the CLI reports it
 _BASES_KEPT = 256  # reduced bases each Ring remembers
 
 
-@dataclass(frozen=True)
-class GroebnerBudget:
-    max_pairs: int = 200_000
-    max_poly_terms: int = 100_000
-    max_degree: int = 4096
+class GroebnerBudget(FrozenRecord):
+    __slots__ = ("max_pairs", "max_poly_terms", "max_degree")
 
-    def __post_init__(self):
-        if min(self.max_pairs, self.max_poly_terms, self.max_degree) <= 0:
+    def __init__(self, max_pairs: int = 200_000, max_poly_terms: int = 100_000,
+                 max_degree: int = 4096):
+        fields = [as_index(v, "budget field") for v in (max_pairs, max_poly_terms, max_degree)]
+        if min(fields) <= 0:
             raise InputError("budget fields must be positive")
+        super().__init__(*fields)
 
 
 DEFAULT_BUDGET = GroebnerBudget()

@@ -18,21 +18,65 @@ All keys determine the exponent vector uniquely, so key equality is
 monomial equality.
 """
 
-from dataclasses import dataclass
+import operator
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    kind: str
-    block: int = 0
+def as_index(value, what: str) -> int:
+    """``value`` read through ``operator.index``; InputError if it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
 
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex", "elim"):
-            raise InputError(f"unknown monomial order {self.kind!r}")
-        if self.kind == "elim" and self.block < 1:
+
+class FrozenRecord:
+    """Two or more fields named by ``__slots__``, fixed at construction, with
+    the equality, hash and repr of a frozen dataclass but not its import cost."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = property(operator.attrgetter(*cls.__slots__))  # the field tuple
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields == other._fields
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class MonomialOrder(FrozenRecord):
+    __slots__ = ("kind", "block")
+
+    def __init__(self, kind: str, block: int = 0):
+        if kind not in ("grevlex", "lex", "elim"):
+            raise InputError(f"unknown monomial order {kind!r}")
+        block = as_index(block, "order block size")
+        if kind == "elim" and block < 1:
             raise InputError("elimination order needs a positive block size")
+        if kind != "elim" and block != 0:
+            raise InputError(f"{kind} order takes no block size, got {block}")
+        super().__init__(kind, block)
 
     def key_matrix(self, nvars: int) -> list:
         """The rows of the integer matrix M, one per variable, with

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError
 from .frobenius import _p_roots, f_closure, frob_power, frob_root
 from .ideals import Ideal, intersect_all
+from .orders import FrozenRecord
 from .poly import Polynomial, Ring
 
 
@@ -108,13 +108,12 @@ class PerfectionElement:
         return f"<{self}>"
 
 
-@dataclass
-class VerifyResult:
-    ok: bool
-    failed_at: Optional[int] = None
-    reason: str = ""
-    expected: Optional[Ideal] = None
-    got: Optional[Ideal] = None
+class VerifyResult(FrozenRecord):
+    __slots__ = ("ok", "failed_at", "reason", "expected", "got")
+
+    def __init__(self, ok: bool, failed_at: Optional[int] = None, reason: str = "",
+                 expected: Optional[Ideal] = None, got: Optional[Ideal] = None):
+        super().__init__(ok, failed_at, reason, expected, got)
 
 
 class FSequence:

@@ -8,6 +8,7 @@ import json
 import pathlib
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -411,6 +412,19 @@ def test_budget_scope_covers_ideal_equality():
 def test_budget_fields_positive():
     with pytest.raises(InputError):
         GroebnerBudget(max_pairs=0)
+
+
+@pytest.mark.parametrize("field", ["max_pairs", "max_poly_terms", "max_degree"])
+@pytest.mark.parametrize("value", [1.5, "5", None, -1])
+def test_budget_fields_are_positive_integers(field, value):
+    with pytest.raises(InputError):
+        GroebnerBudget(**{field: value})
+
+
+def test_budget_fields_are_stored_as_ints():
+    budget = GroebnerBudget(np.int64(5), max_degree=True)
+    assert budget == GroebnerBudget(5, 100_000, 1)
+    assert [type(v) for v in (budget.max_pairs, budget.max_degree)] == [int, int]
 
 
 # -- the ring's basis cache ------------------------------------------------------

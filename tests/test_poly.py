@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from charp import ExponentOverflow, InputError, Ring
 from charp import _kernels as K
 from charp.ideals import _monic
-from charp.orders import GREVLEX, LEX, elim
+from charp.orders import GREVLEX, LEX, MonomialOrder, elim
 from charp.poly import EXP_LIMIT, Polynomial, _check_exps, _tokenize
 
 from conftest import rand_poly
@@ -304,6 +304,21 @@ def test_elim_order_separates_blocks():
     x = np.array([1, 0]) @ M
     y_big = np.array([0, 9]) @ M
     assert tuple(x) > tuple(y_big)  # anything with the first variable dominates
+
+
+@pytest.mark.parametrize("kind, block", [
+    ("lex", 2), ("grevlex", -1), ("grevlex", True), ("elim", 0), ("elim", 1.5), ("elim", "2"),
+    ("elim", None), ("lattice", 0),
+])
+def test_order_rejects_a_bad_kind_or_block(kind, block):
+    with pytest.raises(InputError):
+        MonomialOrder(kind, block)
+
+
+def test_order_block_is_stored_as_an_int():
+    for block in (True, np.int64(1)):
+        order = MonomialOrder("elim", block)
+        assert order == elim(1) and type(order.block) is int and str(order) == "elim(1)"
 
 
 # -- text grammar ------------------------------------------------------------------
