@@ -178,8 +178,8 @@ def _monomial_prime_vars(p: Ideal) -> tuple:
 def localize_contract(I: Ideal, prime: Ideal, s_hint: Optional[Polynomial] = None) -> Ideal:
     """Contraction of I localised at a prime.
 
-    Monomial fast path: substituting 1 for every variable outside a monomial
-    prime inverts them, which is exactly extension-contraction.  Otherwise a
+    Monomial fast path: zeroing the exponents of the variables outside a
+    monomial prime inverts them, exactly extension-contraction.  Otherwise a
     caller-supplied multiplier s outside the prime drives a saturation that
     kills the components not inside it.  A hint inside the prime raises
     InputError.  The contraction is either the unit ideal or lies in the
@@ -192,8 +192,8 @@ def localize_contract(I: Ideal, prime: Ideal, s_hint: Optional[Polynomial] = Non
         raise InputError(f"localisation hint {s_hint} lies in the prime")
     if I.is_monomial() and prime.is_monomial():
         inside = set(_monomial_prime_vars(prime))
-        outside = {v: 1 for i, v in enumerate(ring.vars) if i not in inside}
-        gens = [g.substitute(outside) for g in I.generators]
+        gens = [ring.monomial([e if i in inside else 0 for i, e in enumerate(g.exps[0])],
+                              g.coeffs[0]) for g in I.generators]
         return Ideal(ring, gens)
     if s_hint is None:
         raise NonMonomial("general localisation needs a multiplier hint")
@@ -498,18 +498,15 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
     certificate = certify_growth(seq, lambda m: decos[m], h, depth)
     sizes = [len(a) for a in ass]
     escalates = all(b == a + 1 for a, b in zip(sizes, sizes[1:]))
-    report = Ex8Report(
+    no_primary_decomposition = escalates and depth >= 1
+    notes = [f"constants c_j = j are distinct in F_{p} only below depth {p}; "
+             "deeper levels would need a larger field"]
+    if no_primary_decomposition:
+        notes.append("associated primes strictly escalate, so the matching ideal of the "
+                     "perfect closure has no primary decomposition")
+    return Ex8Report(
         p=p, l=l, t=t_list[:depth], depth=depth, seq=seq,
         decompositions=decos, ass=ass, ass_sizes=sizes, verify=verify,
         witnesses=witnesses, certificate=certificate,
-        no_primary_decomposition=escalates and depth >= 1,
-        notes=[
-            f"constants c_j = j are distinct in F_{p} only below depth {p}; "
-            "deeper levels would need a larger field",
-        ],
+        no_primary_decomposition=no_primary_decomposition, notes=notes,
     )
-    if report.no_primary_decomposition:
-        report.notes.append(
-            "associated primes strictly escalate, so the matching ideal of the "
-            "perfect closure has no primary decomposition")
-    return report

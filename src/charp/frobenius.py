@@ -35,7 +35,7 @@ import operator
 from typing import Optional
 
 from .errors import CharpError, DepthExceeded, InputError, NotContainingQuotient
-from .ideals import Ideal, _aux_cover, _eliminate, _map_poly
+from .ideals import Ideal, _aux_cover, _eliminate
 from .orders import FrozenRecord
 from .poly import E_MAX
 
@@ -88,7 +88,7 @@ def _frob_root_elimination(I: Ideal) -> Ideal:
             raise NotContainingQuotient("ideal does not contain the quotient generators")
     d = ring.nvars
     ext, ts, _ = _aux_cover(ring, d)
-    gens = [_map_poly(g, ext, range(d)) for g in I.effective_generators()]
+    gens = [g._moved(ext) for g in I.effective_generators()]
     gens += [ext.var(v) - t.frobenius(1) for v, t in zip(ring.vars, ts)]
     return _eliminate(gens, ext, d, ring)
 

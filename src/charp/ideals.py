@@ -266,38 +266,19 @@ def _fresh_names(taken, count):
     return out
 
 
-def _map_poly(f: Polynomial, target: Ring, col_map: Sequence[int]) -> Polynomial:
-    """Reinterpret f in target ring, sending source column i to col_map[i]."""
-    rows = []
-    for vec in f.exps:
-        row = [0] * target.nvars
-        for i, j in enumerate(col_map):
-            row[j] = vec[i]
-        rows.append(row)
-    return target.from_terms(zip(rows, f.coeffs))
-
-
-def _project(g: Polynomial, k: int, target: Ring) -> Polynomial:
-    """g read in target through all but the first k variables of g's ring."""
-    return target.from_terms((vec[k:], c) for vec, c in g.terms())
-
-
 def _eliminate(gens: Sequence[Polynomial], ext: Ring, k: int, target: Ring) -> "Ideal":
     """The basis elements of gens in ext (an elim(k) ring) that are free of
     ext's first k variables, read in target through ext's remaining ones."""
     basis, _ = groebner_basis(gens, ext)
-    return Ideal(target, [_project(g, k, target) for g in basis
-                          if not any(any(vec[:k]) for vec in g.exps)])
+    return Ideal(target, [h for h in (g._moved(target, -k) for g in basis) if h is not None])
 
 
 def _aux_cover(ring: Ring, k: int):
     """The cover of ring with k auxiliary variables T_i in front, under elim(k):
     returns that ring, the T_i, and the map of ring's polynomials into it."""
-    cover = ring.cover()
     aux = tuple(_fresh_names(set(ring.vars), k))
-    ext = Ring(ring.p, aux + cover.vars, elim(k))
-    col = list(range(k, ext.nvars))
-    return ext, tuple(map(ext.var, aux)), lambda f: _map_poly(f, ext, col)
+    ext = Ring(ring.p, aux + ring.vars, elim(k))
+    return ext, tuple(map(ext.var, aux)), lambda f: f._moved(ext, k)
 
 
 def _intersection(a: Sequence[Polynomial], b: Sequence[Polynomial], aux, target: Ring) -> "Ideal":
@@ -491,10 +472,10 @@ def _colon(I: Ideal, g: Polynomial) -> Ideal:
     divisor = [t * lift(g) - ext.one()]
     gens = []
     for h in inter.groebner():
-        q = normal_form(t * lift(h), divisor)
-        if any(vec[0] for vec in q.exps):
+        q = normal_form(t * lift(h), divisor)._moved(I.ring, -1)
+        if q is None:
             raise InputError("internal error: colon generator not divisible")
-        gens.append(_project(q, 1, I.ring))
+        gens.append(q)
     return Ideal(I.ring, gens)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from collections import OrderedDict
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import _kernels as K
@@ -64,6 +64,11 @@ class Ring:
             raise InputError(f"characteristic must be an integer in [2, 2^31), got {p!r}")
         if not is_prime(p):
             raise InputError(f"characteristic must be prime, got {p}")
+        if not isinstance(order, MonomialOrder):
+            raise InputError(f"order must be a MonomialOrder, got {order!r}")
+        quotient = tuple(quotient)
+        if not all(isinstance(q, Polynomial) for q in quotient):
+            raise InputError("quotient generators must be polynomials")
         self.p = p
         vars = tuple(vars)
         if not vars:
@@ -145,7 +150,10 @@ class Ring:
         return Polynomial(self, [], [], [])
 
     def constant(self, c: int) -> "Polynomial":
-        c %= self.p
+        try:
+            c = index(c) % self.p
+        except TypeError:
+            raise InputError(f"coefficient must be an integer, got {c!r}") from None
         if c == 0:
             return self.zero()
         return Polynomial(self, [0], [0], [c])
@@ -165,12 +173,15 @@ class Ring:
 
     def monomial(self, exps, coeff: int = 1) -> "Polynomial":
         """Single term with the given exponent vector."""
-        vec = [int(e) for e in exps]
+        try:
+            vec, c = list(map(index, exps)), index(coeff) % self.p
+        except TypeError:
+            raise InputError(f"exponents and coefficient must be integers, "
+                             f"got {exps!r} and {coeff!r}") from None
         if len(vec) != self.nvars:
             raise InputError(f"exponent vector must have length {self.nvars}")
         if min(vec) < 0:
             raise InputError("negative exponent")
-        c = coeff % self.p
         if c == 0:
             return self.zero()
         _check_exps([vec])
@@ -180,12 +191,15 @@ class Ring:
         """Build from (exponent-vector, coefficient) pairs; merges duplicates."""
         rows = []
         coeffs = []
-        for vec, c in terms:
-            row = [int(e) for e in vec]
-            if len(row) != self.nvars:
-                raise InputError(f"exponent vector must have length {self.nvars}")
-            rows.append(row)
-            coeffs.append(c % self.p)
+        try:
+            for vec, c in terms:
+                row = list(map(index, vec))
+                if len(row) != self.nvars:
+                    raise InputError(f"exponent vector must have length {self.nvars}")
+                rows.append(row)
+                coeffs.append(index(c) % self.p)
+        except TypeError:
+            raise InputError("exponents and coefficients must be integers") from None
         if not rows:
             return self.zero()
         if min(map(min, rows)) < 0:
@@ -239,8 +253,20 @@ class Polynomial:
             raise InputError("cannot rebind polynomial across different variable sets")
         if ring.order == self.ring.order:
             return Polynomial(ring, self.keys, self.packed, self.coeffs)
-        keys = [ring.key_of(vec) for vec in self.exps]
-        return Polynomial(ring, *K.combine(keys, self.packed, self.coeffs, ring.p))
+        return self._moved(ring)
+
+    def _moved(self, ring: Ring, offset: int = 0) -> Optional["Polynomial"]:
+        """This polynomial in ring (same p), variable i read as variable i + offset
+        and the other exponents 0; None at the first term with a variable that has
+        no image (i < -offset), so an elimination order decodes only such a lead."""
+        drop = max(-offset, 0)
+        head, tail = (0,) * max(offset, 0), (0,) * (ring.nvars - self.ring.nvars - offset)
+        terms = []
+        for vec, c in self.terms():
+            if any(vec[:drop]):
+                return None
+            terms.append((head + vec[drop:] + tail, c))
+        return ring.from_terms(terms)
 
     def _check_fields(self, bound: int, what: str) -> None:
         """Raise ExponentOverflow when an exponent exceeds bound.  Every field

@@ -4,9 +4,10 @@ The oracles here deliberately avoid the library's fast paths: monomial
 membership is a plain double loop over exponent tuples, intersections are
 compared point-by-point over a finite exponent box that decides membership,
 Frobenius roots are recomputed by exponent ceilings or by brute-force
-enumeration of small polynomials, and saturations by iterating colons until
-the chain stops.  The Buchberger routes that the fast paths are checked
-against are the library's own route functions, called directly.
+enumeration of small polynomials, saturations by iterating colons until
+the chain stops, and changes of variables column by column.  The
+Buchberger routes that the fast paths are checked against are the
+library's own route functions, called directly.
 
 Radical membership, radical sequences, associated primes and component-wise
 Frobenius powers of a decomposition live here too: no command needs them,
@@ -163,6 +164,23 @@ def elimination_intersection(I, J):
     """I cap J by eliminating T from T*I + (1 - T)*J."""
     return _intersection(I.effective_generators(), J.effective_generators(),
                          _aux_cover(I.ring, 1), I.ring)
+
+
+def map_poly(f, target, col_map):
+    """f read in target, sending column i of f's ring to column col_map[i]
+    and leaving every other column 0, one exponent at a time."""
+    rows = []
+    for vec in f.exps:
+        row = [0] * target.nvars
+        for i, j in enumerate(col_map):
+            row[j] = vec[i]
+        rows.append(row)
+    return target.from_terms(zip(rows, f.coeffs))
+
+
+def project(g, k, target):
+    """g read in target through all but the first k variables of g's ring."""
+    return target.from_terms((vec[k:], c) for vec, c in g.terms())
 
 
 def power_products(gens, h):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from charp import DepthExceeded, Ideal, InputError, Ring, ideals
 from charp.frobenius import (_frob_root_elimination, _frob_root_monomial, _p_roots,
                              f_closure, frob_power, frob_root, is_f_closed)
-from charp.ideals import _aux_cover, _eliminate, _map_poly
+from charp.ideals import _aux_cover, _eliminate
 from charp.orders import GREVLEX, LEX, elim
 
 from conftest import (all_polys_up_to_degree, chained_root, cusp_ring, deadline, in_radical,
@@ -308,7 +308,7 @@ def _x_first_root(I):
     ring, d = I.ring, I.ring.nvars
     fresh = tuple(f"r_{i}" for i in range(d))
     ext = Ring(ring.p, ring.vars + fresh, elim(d))
-    gens = [_map_poly(g, ext, range(d)) for g in I.effective_generators()]
+    gens = [g._moved(ext) for g in I.effective_generators()]
     gens += [ext.var(r) - ext.var(v).frobenius(1) for r, v in zip(fresh, ring.vars)]
     return _eliminate(gens, ext, d, ring)
 

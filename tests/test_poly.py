@@ -12,7 +12,7 @@ from charp.ideals import _monic
 from charp.orders import GREVLEX, LEX, MonomialOrder, elim
 from charp.poly import EXP_LIMIT, Polynomial, _check_exps, _tokenize
 
-from conftest import rand_poly
+from conftest import map_poly, project, rand_poly
 
 
 def test_prime_field_rejects_composites():
@@ -20,6 +20,32 @@ def test_prime_field_rejects_composites():
         with pytest.raises(InputError):
             Ring(p, ["X"])
     assert Ring(2147483647, ["X"]).p == 2147483647  # largest prime below 2^31
+
+
+@pytest.mark.parametrize("kwargs", [{"order": "lex"}, {"quotient": ["X^2"]}],
+                         ids=["order-name", "quotient-text"])
+def test_ring_rejects_an_order_or_quotient_of_another_type(kwargs):
+    with pytest.raises(InputError):
+        Ring(5, ["X"], **kwargs)
+
+
+@pytest.mark.parametrize("method, args", [
+    ("monomial", ((2.7, 0),)), ("monomial", (("1", 0),)), ("monomial", ((1, 0), 2.5)),
+    ("constant", (2.5,)), ("from_terms", ([((1, 1), 2.5)],)), ("from_terms", ([((1.0, 1), 1)],)),
+], ids=["float-exponent", "text-exponent", "float-coefficient", "float-constant",
+        "float-term-coefficient", "float-term-exponent"])
+def test_ring_rejects_non_integer_exponents_and_coefficients(method, args):
+    with pytest.raises(InputError):
+        getattr(Ring(5, ["X", "Y"]), method)(*args)
+
+
+def test_ring_stores_integer_like_exponents_and_coefficients_as_ints():
+    R = Ring(5, ["X", "Y"])
+    for f in (R.monomial((np.int64(2), True), np.int64(7)),
+              R.from_terms([((np.int64(2), True), np.int64(7))])):
+        assert f == R.parse("2*X^2*Y")
+        assert all(type(x) is int for x in f.keys + f.packed + f.coeffs)
+    assert type(R.constant(np.int64(7)).coeffs[0]) is int
 
 
 def test_field_inverse():
@@ -236,6 +262,44 @@ def test_quotient_generators_rebind_across_orders():
         assert from_grevlex == from_lex
         assert from_grevlex.quotient[0].keys == from_lex.quotient[0].keys
     assert str(from_grevlex.quotient[0]) == "U^2 + V^3"
+
+
+def _order(kind, nvars, k):
+    return elim(min(k, nvars)) if kind == "elim" else MonomialOrder(kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.integers(1, 3), st.integers(1, 2), st.data())
+def test_moved_matches_the_column_map_and_the_projection(p, n, k, data):
+    """_moved with offset >= 0 is the column map i -> i + offset into n + k
+    variables; with offset -j it is None when a term has one of the first j
+    variables and the projection dropping them otherwise; with offset 0 into
+    the same variables it is _rebind to another order.  Grevlex, lex and
+    elim(k) rings on either side; the sort keys agree too."""
+    offset = data.draw(st.integers(-k, k))
+    kinds = st.sampled_from(("grevlex", "lex", "elim"))
+    m = n + k if offset < 0 else n
+    source = Ring(p, [f"X{i}" for i in range(m)], _order(data.draw(kinds), m, k))
+    cols = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    terms = data.draw(st.lists(st.tuples(cols, st.integers(0, p - 1)), max_size=4))
+    if offset < 0 and data.draw(st.booleans()):
+        terms = [([0] * -offset + vec[-offset:], c) for vec, c in terms]
+    f = source.from_terms(terms)
+    target = Ring(p, [f"Y{i}" for i in range(n + k + min(offset, 0))],
+                  _order(data.draw(kinds), n + k, k))
+    moved = f._moved(target, offset)
+    if offset >= 0:
+        expected = map_poly(f, target, range(offset, offset + n))
+    elif any(any(vec[:-offset]) for vec in f.exps):
+        expected = None
+    else:
+        expected = project(f, -offset, target)
+    assert moved == expected
+    if expected is not None:
+        assert moved.keys == expected.keys
+    other = Ring(p, source.vars, _order(data.draw(kinds), m, k))
+    rebound, expected = f._rebind(other), map_poly(f, other, range(m))
+    assert rebound == expected and rebound.keys == expected.keys
 
 
 # -- ring laws ---------------------------------------------------------------

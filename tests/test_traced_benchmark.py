@@ -69,14 +69,16 @@ PAIRS_PER_PASS = {"gb_dense": 10663, "frobenius_closure": 7747, "cli_specs": 394
 # ceilings on the division-kernel calls and exponent decodings of one
 # frobenius_closure pass at the reference seed: generators and basis elements
 # are members without division, Frobenius powers and roots are tested on
-# packed ints, and an empty S-polynomial or a lone basis lead is not divided
-CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2930}
+# packed ints, an empty S-polynomial or a lone basis lead is not divided, and
+# an elimination stops decoding a basis element at its first auxiliary term
+CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2904}
 # ceilings on the decodings, redundancy searches, Polynomial products and
 # outside calls of the merge kernel in one cli_specs pass: products check
 # overflow on packed ints, monomial decomposition runs no redundancy search,
 # monomial powers are packed sums, monomial membership and minimal
-# generators test packed ints, and a parsed term is packed as it is
-CLI_CALLS_PER_PASS = {"unpack": 27263, "_redundant_index": 305, "__mul__": 3699,
+# generators test packed ints, a parsed term is packed as it is, and monomial
+# localisation zeroes exponents instead of substituting 1
+CLI_CALLS_PER_PASS = {"unpack": 26957, "_redundant_index": 305, "__mul__": 238,
                       "combine": 232}
 
 
