@@ -285,8 +285,8 @@ def test_moved_matches_the_column_map_and_the_projection(p, n, k, data):
     if offset < 0 and data.draw(st.booleans()):
         terms = [([0] * -offset + vec[-offset:], c) for vec, c in terms]
     f = source.from_terms(terms)
-    target = Ring(p, [f"Y{i}" for i in range(n + k + min(offset, 0))],
-                  _order(data.draw(kinds), n + k, k))
+    width = n + k + min(offset, 0)
+    target = Ring(p, [f"Y{i}" for i in range(width)], _order(data.draw(kinds), width, k))
     moved = f._moved(target, offset)
     if offset >= 0:
         expected = map_poly(f, target, range(offset, offset + n))
