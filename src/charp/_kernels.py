@@ -101,6 +101,11 @@ def unpack(e, nvars):
     return fields.unpack(e.to_bytes(fields.size, "little"))[1:]
 
 
+def exponent(e, i):
+    """The exponent of variable i in a packed exponent int."""
+    return e >> _FIELD * (i + 1) & _MASK
+
+
 def combine(keys, exps, coeffs, p):
     """Sort raw terms descending, merge equal monomials mod p, drop zeros."""
     coef, expo = {}, dict(zip(keys, exps))

@@ -16,8 +16,10 @@ Spec files are INI-style UTF-8 text::
     kind = frobenius-powers    ; or canonical | constant-prime | fg-perfection
     ideal = a                  ;    | table | intersection | localize-contract
 
-Keys are case-insensitive and values stripped; ; or # starts a comment at
-the start of a line or after whitespace; an indented line continues the value
+Keys are case-insensitive and values stripped.  A comment runs to the end of
+the line from a ; or # that starts the line or follows whitespace, where, as
+in configparser, the n-th ; and the n-th # are tried together, lowest n
+first: vars = a;b ;c #d reads a;b ;c.  An indented line continues the value
 above it, joined with a newline.  A duplicate section or key, a line without
 =, a key before any section and [DEFAULT] are input errors.
 

@@ -57,17 +57,19 @@ class Decomposition(FrozenRecord):
 
 
 def apply_shift(I: Ideal, shift: dict) -> Ideal:
-    """Substitute var -> var + constant for every (var, constant) in shift."""
+    """Put var + constant for var, for every (var, constant) in shift."""
     if not shift:
         return I
-    ring = I.ring
-    assignments = {v: ring.var(v) + ring.constant(c) for v, c in shift.items()}
-    return Ideal(ring, [g.substitute(assignments) for g in I.generators])
+    ring, gens = I.ring, I.generators
+    for v, c in shift.items():
+        i = ring._var_index.get(v)
+        if i is None:
+            raise InputError(f"unknown variable {v!r}")
+        gens = [g._shifted(i, c) for g in gens]
+    return Ideal(ring, gens)
 
 
 def unapply_shift(I: Ideal, shift: dict) -> Ideal:
-    if not shift:
-        return I
     return apply_shift(I, {v: -c for v, c in shift.items()})
 
 
@@ -439,14 +441,9 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
     def q_term(j: int, n: int) -> Ideal:
         if j == 0:
             return Ideal(ring, [X])
-        lam = j % p
-        t_j = t_list[j - 1]
-        if n >= j:
-            xgen = ring.monomial((l * p ** (n - j), 0))
-            ygen = (Y - lam).power(t_j).frobenius(n)
-            return Ideal(ring, [xgen, ygen])
-        top = Ideal(ring, [ring.monomial((l, 0)), ring.monomial((0, t_j * p ** j))])
-        return unapply_shift(frob_root(top, j - n), {"Y": lam})
+        top = Ideal(ring, [ring.monomial((l, 0)), ring.monomial((0, t_list[j - 1] * p ** j))])
+        frame = frob_power(top, n - j) if n >= j else frob_root(top, j - n)
+        return unapply_shift(frame, {"Y": j % p})
 
     def a_term(m: int) -> Ideal:
         return intersect_all(q_term(j, m) for j in range(m + 1))
@@ -459,15 +456,9 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
         comps = []
         for j in range(m + 1):
             ideal = q_term(j, m)
-            if j == 0:
-                radical = Ideal(ring, [X])
-                shift = None
-            else:
-                lam = j % p
-                radical = Ideal(ring, [X, Y - lam])
-                shift = (("Y", lam),)
+            shift = (("Y", j % p),) if j else None
             comps.append(PrimaryComponent(
-                ideal=ideal, radical=radical,
+                ideal=ideal, radical=Ideal(ring, [X, Y - j % p] if j else [X]),
                 verified_primary=_primary_in_frame(ideal, shift), shift=shift))
         for j in range(m + 1, depth + 1):  # deeper components vanish into (X) here
             if not q_term(j, m).contains_ideal(Ideal(ring, [X])):

@@ -31,18 +31,17 @@ us, so results carry certified=False.
 
 from __future__ import annotations
 
-import operator
 from typing import Optional
 
 from .errors import CharpError, DepthExceeded, InputError, NotContainingQuotient
 from .ideals import Ideal, _aux_cover, _eliminate
-from .orders import FrozenRecord
+from .orders import FrozenRecord, as_index
 from .poly import E_MAX
 
 
 def frob_power(I: Ideal, e: int) -> Ideal:
     """I^[p^e]: generator-wise Frobenius (quotient generators re-enter implicitly)."""
-    if e < 0:
+    if as_index(e, "Frobenius power exponent") < 0:
         raise InputError(f"Frobenius power wants e >= 0, got {e}")
     if e == 0:
         return I
@@ -63,7 +62,7 @@ def frob_root(I: Ideal, e: int = 1) -> Ideal:
     quotient ring every step is an elimination, and the ideal must contain
     the quotient generators (NotContainingQuotient otherwise).
     """
-    if operator.index(e) < 0:  # an int, so the countdown below ends at 0
+    if as_index(e, "Frobenius root exponent") < 0:  # an int, so the countdown below ends at 0
         raise InputError(f"Frobenius root wants e >= 0, got {e}")
     while e:
         monomial = I.is_monomial()

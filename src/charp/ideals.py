@@ -297,15 +297,13 @@ def _intersection(a: Sequence[Polynomial], b: Sequence[Polynomial], aux, target:
 class Ideal:
     """Immutable ideal with a cached reduced Groebner basis."""
 
-    __slots__ = ("ring", "generators", "_gb_cache", "_packed", "_monomial", "_min_exps",
-                 "_min_packed")
+    __slots__ = ("ring", "generators", "_gb_cache", "_monomial", "_min_exps", "_min_packed")
 
     def __init__(self, ring: Ring, gens: Sequence):
         self.ring = ring
         coerced = (ring.coerce(g) for g in gens)
         self.generators = tuple(dict.fromkeys(g for g in coerced if not g.is_zero()))
         self._gb_cache = None
-        self._packed = None  # kernel encoding of the basis, for membership
         self._monomial = None
         self._min_exps = self._min_packed = None  # minimal monomial generators
 
@@ -395,9 +393,7 @@ class Ideal:
             return all(any((x | guard) - m & guard == guard for m in mins) for x in g.packed)
         if g in self.groebner() or g in self.effective_generators():
             return True
-        if self._packed is None:
-            self._packed = _pack(self.groebner())
-        return _nf_packed(g, self._packed).is_zero()
+        return _nf_packed(g, _pack(self.groebner())).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:
         """self contains other, i.e. other is a subset of self."""

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import re
 from collections import OrderedDict
+from itertools import accumulate
 from operator import index, mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import _kernels as K
 from .errors import ExponentOverflow, InputError
-from .orders import GREVLEX, MonomialOrder
+from .orders import GREVLEX, MonomialOrder, as_index
 
 EXP_LIMIT = 2**56
 E_MAX = EXP_LIMIT.bit_length()  # p^E_MAX > EXP_LIMIT: only constants are p^E_MAX-th powers
@@ -70,13 +71,15 @@ class Ring:
         if not all(isinstance(q, Polynomial) for q in quotient):
             raise InputError("quotient generators must be polynomials")
         self.p = p
+        if isinstance(vars, str):
+            raise InputError(f"variables must be a sequence of names, got the string {vars!r}")
         vars = tuple(vars)
         if not vars:
             raise InputError("a ring needs at least one variable")
         if len(set(vars)) != len(vars):
             raise InputError(f"duplicate variable names in {vars}")
         for v in vars:
-            if not _VAR_RE.fullmatch(v):
+            if not isinstance(v, str) or not _VAR_RE.fullmatch(v):
                 raise InputError(f"bad variable name {v!r}")
         if len(vars) > 64:
             raise InputError("at most 64 variables are supported")
@@ -209,6 +212,8 @@ class Ring:
                                            [self.pack(r) for r in rows], coeffs, self.p))
 
     def parse(self, text: str) -> "Polynomial":
+        if not isinstance(text, str):
+            raise InputError(f"polynomial text must be a string, got {text!r}")
         tokens = _tokenize(text)
         if not tokens:
             raise InputError("empty polynomial", "col 1")
@@ -238,14 +243,13 @@ class Polynomial:
     decodes the exponent tuples.
     """
 
-    __slots__ = ("ring", "keys", "packed", "coeffs", "_hash")
+    __slots__ = ("ring", "keys", "packed", "coeffs")
 
     def __init__(self, ring: Ring, keys: list, packed: list, coeffs: list):
         self.ring = ring
         self.keys = keys
         self.packed = packed
         self.coeffs = coeffs
-        self._hash = None
 
     def _rebind(self, ring: Ring) -> "Polynomial":
         """Same term data viewed in a compatible ring (same p and variables)."""
@@ -356,7 +360,7 @@ class Polynomial:
 
     def power(self, m: int) -> "Polynomial":
         """g**m by binary exponentiation; m >= 0."""
-        if m < 0:
+        if as_index(m, "polynomial power") < 0:
             raise InputError("negative polynomial power")
         result = self.ring.one()
         base = self
@@ -370,7 +374,7 @@ class Polynomial:
 
     def frobenius(self, e: int) -> "Polynomial":
         """g**(p**e) by scaling every exponent; coefficients are fixed by Fermat."""
-        if e < 0:
+        if as_index(e, "Frobenius exponent") < 0:
             raise InputError("negative Frobenius exponent")
         if e == 0 or self.is_zero():
             return self
@@ -386,6 +390,8 @@ class Polynomial:
         and no field of y exceeds (2^63 - 1) // p^e, so no field carries into
         the next; divisibility of x alone is wrong (X*Y^2 over F_3 packs to a
         multiple of 3)."""
+        if as_index(e, "root exponent") < 0:
+            raise InputError("negative root exponent")
         q, guard = self.ring.p ** (e if e < E_MAX else E_MAX), K.guard_bits(self.ring.nvars)
         bound = (K.DEGREE >> 1) // q
         top = K.spread(bound, self.ring.nvars) | bound | guard
@@ -395,26 +401,30 @@ class Polynomial:
             return None
         return Polynomial(self.ring, [k // q for k in self.keys], roots, self.coeffs)
 
-    def substitute(self, assignments: Mapping[str, "Polynomial | int"]) -> "Polynomial":
-        """Simultaneous substitution; variables not listed map to themselves."""
-        ring = self.ring
-        values = {}
-        for v, val in assignments.items():
-            if v not in ring._var_index:
-                raise InputError(f"unknown variable {v!r}")
-            values[ring._var_index[v]] = ring.coerce(val)
+    def _shifted(self, i: int, c: int) -> "Polynomial":
+        """This polynomial with X_i + c put for variable i.  By Lucas's theorem,
+        C(e, k) mod p is the product of the binomials of the base-p digits, so a
+        term a*X_i^e expands into distinct nonzero terms a*C(e, k)*c^(e-k)*X_i^k,
+        and the linear packings move its key and exponents by k - e units of X_i."""
+        ring, p = self.ring, self.ring.p
+        c = as_index(c, "shift constant") % p
+        if not c:
+            return self
+        key_unit, exp_unit = ring._key_units[i], ring._exp_units[i]
         out = ring.zero()
-        for vec, c in self.terms():
-            term = ring.constant(c)
-            plain = list(vec)
-            for i, val in values.items():
-                e = vec[i]
-                if e:
-                    plain[i] = 0
-                    term = term * val.power(e)
-            if any(plain):
-                term = term * ring.monomial(plain)
-            out = out + term
+        for key, x, a in zip(self.keys, self.packed, self.coeffs):
+            e = rest = K.exponent(x, i)
+            binoms, place = [(0, 1)], 1  # (k, C(e, k) mod p), k descending
+            while rest:
+                rest, d = divmod(rest, p)
+                row = list(accumulate(range(d), lambda b, j: b * (d - j) * pow(j + 1, -1, p) % p,
+                                      initial=1))  # C(d, j), symmetric in j and d - j
+                binoms = [(k + j * place, b * row[j] % p) for j in range(d, -1, -1)
+                          for k, b in binoms]
+                place *= p
+            out = out + Polynomial(ring, [key + (k - e) * key_unit for k, _ in binoms],
+                                   [x + (k - e) * exp_unit for k, _ in binoms],
+                                   [a * b * pow(c, e - k, p) % p for k, b in binoms])
         return out
 
     # -- comparison / display -------------------------------------------------
@@ -428,10 +438,7 @@ class Polynomial:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring.p, self.ring.vars,
-                               tuple(self.packed), tuple(self.coeffs)))
-        return self._hash
+        return hash((self.ring.p, self.ring.vars, tuple(self.packed), tuple(self.coeffs)))
 
     def __str__(self):
         if self.is_zero():

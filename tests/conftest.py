@@ -5,7 +5,8 @@ membership is a plain double loop over exponent tuples, intersections are
 compared point-by-point over a finite exponent box that decides membership,
 Frobenius roots are recomputed by exponent ceilings or by brute-force
 enumeration of small polynomials, saturations by iterating colons until
-the chain stops, and changes of variables column by column.  The
+the chain stops, changes of variables column by column, and translations by
+products of powers.  The
 Buchberger routes that the fast paths are checked against are the
 library's own route functions, called directly.
 
@@ -176,6 +177,23 @@ def map_poly(f, target, col_map):
             row[j] = vec[i]
         rows.append(row)
     return target.from_terms(zip(rows, f.coeffs))
+
+
+def substitute(f, assignments):
+    """Simultaneous substitution of polynomials or integers for the variables
+    named in assignments, term by term with Polynomial products and powers."""
+    ring = f.ring
+    values = {ring.vars.index(v): ring.coerce(val) for v, val in assignments.items()}
+    out = ring.zero()
+    for vec, c in f.terms():
+        term = ring.constant(c)
+        plain = list(vec)
+        for i, val in values.items():
+            if vec[i]:
+                plain[i] = 0
+                term = term * val.power(vec[i])
+        out = out + term * ring.monomial(plain)
+    return out
 
 
 def project(g, k, target):

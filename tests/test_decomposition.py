@@ -137,7 +137,7 @@ def _monomial_corpus(seed=4057, counts=((3, 240), (4, 160), (5, 120))):
     generators with exponents up to 4 (all-zero rows dropped)."""
     rng = random.Random(seed)
     for nvars, count in counts:
-        ring = Ring(3, "XYZWV"[:nvars])
+        ring = Ring(3, tuple("XYZWV"[:nvars]))
         for _ in range(count):
             rows = [tuple(rng.randint(0, 4) for _ in range(nvars))
                     for _ in range(rng.randint(1, 6))]

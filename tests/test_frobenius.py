@@ -150,9 +150,11 @@ def test_frob_root_e_zero_and_negative(R2):
     assert frob_root(I, 0) is I
     with pytest.raises(InputError):
         frob_root(I, -1)
-    for J in (I, Ideal(R2, ["X^2"])):  # a fractional countdown would pass 0
-        with pytest.raises(TypeError):
+    for J in (I, Ideal(R2, ["X^2"]), Ideal(R2, [])):  # a fractional countdown would pass 0
+        with pytest.raises(InputError):
             frob_root(J, 1.5)
+        with pytest.raises(InputError):
+            frob_power(J, 1.5)
     with pytest.raises(InputError):
         frob_power(I, -1)
 

@@ -4,15 +4,17 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from charp import ExponentOverflow, InputError, Ring
+from charp import ExponentOverflow, Ideal, InputError, Ring
 from charp import _kernels as K
+from charp.decomposition import apply_shift, unapply_shift
+from charp.frobenius import frob_power
 from charp.ideals import _monic
 from charp.orders import GREVLEX, LEX, MonomialOrder, elim
 from charp.poly import EXP_LIMIT, Polynomial, _check_exps, _tokenize
 
-from conftest import map_poly, project, rand_poly
+from conftest import map_poly, project, rand_poly, substitute
 
 
 def test_prime_field_rejects_composites():
@@ -37,6 +39,24 @@ def test_ring_rejects_an_order_or_quotient_of_another_type(kwargs):
 def test_ring_rejects_non_integer_exponents_and_coefficients(method, args):
     with pytest.raises(InputError):
         getattr(Ring(5, ["X", "Y"]), method)(*args)
+
+
+@pytest.mark.parametrize("call", [
+    lambda R: Ring(5, [1]), lambda R: Ring(5, "XY"), lambda R: R.parse(3),
+    lambda R: R.var("X") ** 2.5, lambda R: R.var("X").frobenius(1.5),
+    lambda R: R.var("X").try_p_root(1.5), lambda R: R.var("X").try_p_root(-1),
+    lambda R: frob_power(Ideal(R, ["X"]), 1.5),
+], ids=["int-variable", "string-of-variables", "parse-int", "float-power", "float-frobenius",
+        "float-root", "negative-root", "float-frob-power"])
+def test_misuse_raises_input_error(call):
+    with pytest.raises(InputError):
+        call(Ring(5, ["X", "Y"]))
+
+
+def test_bool_counts_read_as_ints():
+    f = Ring(5, ["X", "Y"]).parse("X + 2*Y")
+    assert f ** True == f and f ** False == 1
+    assert f.frobenius(True) == f.frobenius(1) and f.try_p_root(False) == f
 
 
 def test_ring_stores_integer_like_exponents_and_coefficients_as_ints():
@@ -195,23 +215,75 @@ def test_power_matches_repeated_multiplication(rng):
             acc = acc * g
 
 
-def test_substitute_examples():
-    R = Ring(7, ["X", "Y"])
-    lam = 3
-    shifted = (R.var("Y") - lam).substitute({"Y": R.var("Y") + lam})
-    assert shifted == R.var("Y")
-    assert R.parse("X^2*Y").substitute({"Y": 1}) == R.parse("X^2")
-    f = R.parse("X+Y")
-    assert f.substitute({"X": R.var("Y"), "Y": R.var("X")}) == f
+# base-p digits of a drawn exponent, by p; one for the larger primes, whose
+# oracle powers (X + c)^(2^k) have 2^k + 1 terms below p
+_DIGITS = {2: 10, 3: 6, 5: 4, 7: 4, 31: 2}
 
 
-def test_substitute_is_simultaneous():
-    R = Ring(5, ["X", "Y"])
-    f = R.parse("X*Y")
-    g = f.substitute({"X": R.var("Y"), "Y": R.var("X")})
-    assert g == R.parse("X*Y")
-    h = R.parse("X^2 + Y").substitute({"X": R.var("X") + 1, "Y": R.var("Y") + 3})
-    assert h == R.parse("X^2 + 2*X + Y + 4")
+@st.composite
+def _lucas_exponents(draw, p, size):
+    """An exponent whose base-p digits d_k have prod(d_k + 1) <= size, so that
+    (X + c)^e has at most size terms."""
+    e, place = 0, 1
+    for _ in range(draw(st.integers(1, _DIGITS.get(p, 1)))):
+        d = draw(st.integers(0, min(p - 1, size - 1)))
+        e, size, place = e + d * place, size // (d + 1), place * p
+    return e
+
+
+@st.composite
+def _shift_cases(draw):
+    """(p, order, nvars, term lists of two polynomials, {variable index: constant})."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 31, 32003, 2147483647)))
+    nvars = draw(st.integers(1, 3))
+    order = draw(st.sampled_from((GREVLEX, LEX, elim(1))))
+    exps = _lucas_exponents(p, 200 if nvars == 1 else 20)
+    terms = st.lists(st.tuples(st.lists(exps, min_size=nvars, max_size=nvars),
+                               st.integers(0, p - 1)), max_size=4)
+    constants = st.one_of(st.integers(-p, p), st.integers(-2, 2).map(lambda k: k * p))
+    shift = draw(st.dictionaries(st.integers(0, nvars - 1), constants, min_size=1))
+    return p, order, nvars, [draw(terms), draw(terms)], shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shift_cases())
+@example((7, GREVLEX, 2, [[((0, 1), 1), ((0, 0), -3)], []], {1: 3}))
+@example((5, GREVLEX, 2, [[((2, 0), 1), ((0, 1), 1)], [((1, 1), 1)]], {0: 1, 1: 3}))
+def test_shifts_match_substitution(case):
+    """_shifted, apply_shift and unapply_shift give the keys, packed exponents
+    and coefficients of substituting X_i + c for X_i by products of powers,
+    for shifts by constants 0 mod p and exponents of several base-p digits."""
+    p, order, nvars, term_lists, shift = case
+    R = Ring(p, [f"X{i}" for i in range(nvars)], order)
+    polys = [R.from_terms(terms) for terms in term_lists]
+    for f in polys:
+        for i, c in shift.items():
+            got, want = f._shifted(i, c), substitute(f, {R.vars[i]: R.var(R.vars[i]) + c})
+            assert (got.keys, got.packed, got.coeffs) == (want.keys, want.packed, want.coeffs)
+    named = {R.vars[i]: c for i, c in shift.items()}
+    I = Ideal(R, polys)
+    for move, sign in ((apply_shift, 1), (unapply_shift, -1)):
+        assignments = {v: R.var(v) + sign * c for v, c in named.items()}
+        want = Ideal(R, [substitute(g, assignments) for g in I.generators]).generators
+        assert move(I, named).generators == want
+    assert unapply_shift(apply_shift(I, named), named).generators == I.generators
+
+
+def test_shifts_form_no_product_and_decode_nothing(monkeypatch):
+    R = Ring(7, ["X", "Y", "Z"])
+    I = Ideal(R, ["X^3*Y^50 + 2*Y^7*Z", "X - 1", "Z^345"])
+    calls = []
+    for owner, name in ((Polynomial, "__mul__"), (Ring, "unpack")):
+        def spy(*args, real=getattr(owner, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    shift = {"X": 2, "Y": -3, "Z": 5}
+    assert unapply_shift(apply_shift(I, shift), shift).generators == I.generators
+    assert calls == []
+    with pytest.raises(InputError):
+        apply_shift(I, {"W": 1})
 
 
 def test_exponent_overflow_checked():

@@ -10,7 +10,7 @@ import textwrap
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charp import Ideal, InputError, cli
 from charp.cli import _read_spec, main, parse_spec
@@ -77,6 +77,7 @@ _TEXT = st.builds(lambda preamble, sections: preamble + sum(sections, []),
 
 @settings(max_examples=300, deadline=None)
 @given(_TEXT, st.booleans())
+@example(["[ring]", "vars = a;b ;c #d"], False)  # the first # comes before the second ;
 def test_reader_matches_configparser(tmp_path_factory, lines, final_newline):
     path = tmp_path_factory.getbasetemp() / "differential.ini"
     path.write_text("\n".join(lines) + "\n" * final_newline, encoding="utf-8")

@@ -76,9 +76,10 @@ CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2904}
 # outside calls of the merge kernel in one cli_specs pass: products check
 # overflow on packed ints, monomial decomposition runs no redundancy search,
 # monomial powers are packed sums, monomial membership and minimal
-# generators test packed ints, a parsed term is packed as it is, and monomial
-# localisation zeroes exponents instead of substituting 1
-CLI_CALLS_PER_PASS = {"unpack": 26957, "_redundant_index": 305, "__mul__": 238,
+# generators test packed ints, a parsed term is packed as it is, monomial
+# localisation zeroes exponents instead of substituting 1, and a shift
+# translates packed ints term by term
+CLI_CALLS_PER_PASS = {"unpack": 26927, "_redundant_index": 305, "__mul__": 112,
                       "combine": 232}
 
 
