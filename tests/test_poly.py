@@ -269,6 +269,31 @@ def test_shifts_match_substitution(case):
     assert unapply_shift(apply_shift(I, named), named).generators == I.generators
 
 
+def test_substitute_examples():
+    """Translations by the shift routines; a constant and a swap by the
+    substitution oracle that test_shifts_match_substitution compares with."""
+    R = Ring(7, ["X", "Y"])
+    lam = 3
+    assert (R.var("Y") - lam)._shifted(1, lam) == R.var("Y")
+    assert apply_shift(Ideal(R, [R.var("Y") - lam]), {"Y": lam}).generators == (R.var("Y"),)
+    assert substitute(R.parse("X^2*Y"), {"Y": 1}) == R.parse("X^2")
+    f = R.parse("X+Y")
+    assert substitute(f, {"X": R.var("Y"), "Y": R.var("X")}) == f
+
+
+def test_substitute_is_simultaneous():
+    """Shifts of several variables, and a swap by the substitution oracle,
+    read every variable in the polynomial before any is replaced."""
+    R = Ring(5, ["X", "Y"])
+    f = R.parse("X*Y")
+    g = substitute(f, {"X": R.var("Y"), "Y": R.var("X")})
+    assert g == R.parse("X*Y")
+    want = R.parse("X^2 + 2*X + Y + 4")
+    assert R.parse("X^2 + Y")._shifted(0, 1)._shifted(1, 3) == want
+    h = apply_shift(Ideal(R, ["X^2 + Y"]), {"X": 1, "Y": 3})
+    assert h.generators == Ideal(R, [want]).generators
+
+
 def test_shifts_form_no_product_and_decode_nothing(monkeypatch):
     R = Ring(7, ["X", "Y", "Z"])
     I = Ideal(R, ["X^3*Y^50 + 2*Y^7*Z", "X - 1", "Z^345"])
