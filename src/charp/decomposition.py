@@ -20,7 +20,7 @@ from .errors import (CertificateFailure, DistinctLambdaExhausted,
                      IdentityFailure, InputError, NonMonomial)
 from .frobenius import f_closure, frob_power, frob_root
 from .ideals import Ideal, _minimal, _mono_divides, _power_products, intersect_all
-from .orders import FrozenRecord
+from .orders import FrozenRecord, as_index
 from .perfection import FSequence, PerfectionIdeal
 from .poly import Polynomial, Ring
 
@@ -261,6 +261,7 @@ def certify_growth(seq: FSequence, decomposer: Callable[[int], Decomposition],
     generating set; the check uses generator membership only, so the
     certificate can be replayed.
     """
+    h, depth = as_index(h, "growth exponent h"), as_index(depth, "certificate depth")
     if h < 1 or depth < 0:
         raise InputError("certify_growth wants h >= 1 and depth >= 0")
     decos = []
@@ -300,6 +301,7 @@ def lg2_decompose(a: Ideal, primes: Sequence[Ideal], h: int, n: int,
     target (a^[p^n], or its F-closure).  Each component is checked primary
     to its prime in the monomial frame.
     """
+    h, n = as_index(h, "lg2_decompose h"), as_index(n, "lg2_decompose n")
     if mode not in ("plain", "fclosure", "seqterm"):
         raise InputError(f"unknown mode {mode!r}")
     ring = a.ring
@@ -358,6 +360,7 @@ def decompose_perfection_ideal(A: PerfectionIdeal, check_depth: int = 3) -> list
     intersection reproduces the original sequence up to check_depth.
     Returns one FSequence per component, tagged with its radical.
     """
+    check_depth = as_index(check_depth, "check depth")
     if check_depth < 0:
         raise InputError(f"check depth must be >= 0, got {check_depth}")
     seq = A.seq
@@ -423,6 +426,8 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
     supports depths below p (distinct constants run out).
     """
     ring = Ring(p, ("X", "Y"))
+    l, depth = as_index(l, "l"), as_index(depth, "depth")
+    t_list = tuple(as_index(t, "multiplicity") for t in t_list)
     if not 2 <= l <= p:
         raise InputError(f"l must satisfy 2 <= l <= p, got {l}")
     if depth < 0:
@@ -430,7 +435,6 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
     if depth >= p:
         raise DistinctLambdaExhausted(
             f"depth {depth} needs {depth} distinct constants but F_{p} has only {p - 1} nonzero ones")
-    t_list = tuple(t_list)
     if len(t_list) < depth:
         raise InputError(f"need at least {depth} multiplicities, got {len(t_list)}")
     if min(t_list[:depth], default=1) < 1:

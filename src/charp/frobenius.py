@@ -127,6 +127,7 @@ def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2) -> FClosureResult:
     (certified=False).  Raises DepthExceeded with the partial chain when the
     chain is still moving at max_e.
     """
+    max_e, confirm = as_index(max_e, "max_e"), as_index(confirm, "confirm")
     if max_e < 1 or confirm < 1:
         raise InputError(f"f_closure wants max_e >= 1 and confirm >= 1, "
                          f"got {max_e} and {confirm}")

@@ -7,9 +7,11 @@ computation implicitly, which keeps Frobenius roots and membership uniform
 across plain and quotient rings.
 
 Monomial ideals get dedicated fast paths (membership by divisibility,
-intersection by lcm, quotient by exponent subtraction).  The input picks the
-route; the test suite cross-checks each fast path against the Buchberger
-route, calling ``normal_form``, ``_intersection`` and ``_colon`` directly.
+intersection by lcm, quotient by exponent subtraction, and a basis engine
+route that forms no S-polynomial but counts the pairs Buchberger's would).
+The input picks the route; the test suite cross-checks each fast path against
+the Buchberger route, calling ``normal_form``, ``_intersection``, ``_colon``
+and ``_Buchberger._pair_loop`` directly.
 
 One auxiliary ring serves intersection, colon, saturation and the p-power
 root: the cover of the ring with k variables T_i in front, under elim(k)
@@ -161,7 +163,11 @@ class _Buchberger:
     encodings in scan order, ascending by lead key.  A pair is (lcm degree,
     lcm key, i, j, packed lcm).  The kernel forms and reduces each
     S-polynomial from the two encodings, and the criteria test divisibility
-    of packed lcms by the kernel's guard-bit subtraction."""
+    of packed lcms by the kernel's guard-bit subtraction.
+
+    One-term generators take the monomial route: every S-polynomial is 0, so
+    the pairs processed are those the criteria leave, counted off the leads,
+    and the basis is the minimal leads."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
@@ -170,46 +176,60 @@ class _Buchberger:
         self.guard = K.guard_bits(ring.nvars)
         self.leads: list[int] = []  # packed lead exponents, in insertion order
         self.divisors: list[tuple] = []  # in insertion order, as pairs index them
-        self.pairs: list[tuple] = []  # heap
+        self.pairs: list[tuple] = []  # a heap; the monomial route's are (i, j, lcm)
         self._packed: list[tuple] = []  # the divisors in scan order
 
-    def add(self, keys: list, exps: list, coeffs: list):
-        """Install the monic multiple of a remainder unless it is zero,
-        updating the pair set (Gebauer-Moeller)."""
-        if not keys:
-            return
-        ring, guard, t, lt_e = self.ring, self.guard, len(self.leads), exps[0]
-        if coeffs[0] != 1:
-            inv = pow(coeffs[0], ring.p - 2, ring.p)
-            coeffs = [c * inv % ring.p for c in coeffs]
-        lcm_with = K.lcms(self.leads, lt_e, ring.nvars)
-        # prune old pairs now covered through the new lead
-        self.pairs = [pair for pair in self.pairs
-                      if not ((pair[4] | guard) - lt_e & guard == guard
-                              and lcm_with[pair[2]] != pair[4]
-                              and lcm_with[pair[3]] != pair[4])]
-        heapq.heapify(self.pairs)
+    def _criteria(self, lt_e: int) -> list:
+        """Install lead j = lt_e, dropping the pairs (last fields i, j, packed lcm)
+        it covers; return those of its new pairs the criteria keep."""
+        guard, j = self.guard, len(self.leads)
+        lcm_with = K.lcms(self.leads, lt_e, self.ring.nvars)
+        # prune old pairs now covered through the new lead, in place: callers
+        # extend self.pairs with the result
+        self.pairs[:] = [pair for pair in self.pairs
+                         if not ((pair[-1] | guard) - lt_e & guard == guard
+                                 and lcm_with[pair[-3]] != pair[-1]
+                                 and lcm_with[pair[-2]] != pair[-1])]
         first = {}
         for i, m in enumerate(lcm_with):
             first.setdefault(m, i)  # criterion F: one pair per distinct lcm
         # criterion M drops an lcm another one divides: they are distinct,
         # so only one of lower degree can.  Criterion B drops coprime leads.
         by_degree = sorted(first, key=K.DEGREE.__and__)
-        lower = deg = 0
+        new, lower, deg = [], 0, 0
         for k, m in enumerate(by_degree):
             if m & K.DEGREE != deg:
                 lower, deg = k, m & K.DEGREE
             i = first[m]
-            if (m != self.divisors[i][1] + lt_e
+            if (m != self.leads[i] + lt_e
                     and not any((m | guard) - s & guard == guard for s in by_degree[:lower])):
-                heapq.heappush(self.pairs, (deg, ring.key_of(ring.unpack(m)), i, t, m))
+                new.append((i, j, m))
         self.leads.append(lt_e)
+        return new
+
+    def add(self, keys: list, exps: list, coeffs: list):
+        """Install the monic multiple of a remainder unless it is zero,
+        updating the pair set."""
+        if not keys:
+            return
+        ring = self.ring
+        if coeffs[0] != 1:
+            inv = pow(coeffs[0], ring.p - 2, ring.p)
+            coeffs = [c * inv % ring.p for c in coeffs]
+        self.pairs += [(m & K.DEGREE, ring.key_of(ring.unpack(m)), i, j, m)
+                       for i, j, m in self._criteria(exps[0])]
+        heapq.heapify(self.pairs)
         self.divisors.append(K.divisor(keys, exps, coeffs))
         self._packed.insert(bisect.bisect(self._packed, keys[0], key=itemgetter(0)),
-                            self.divisors[t])
+                            self.divisors[-1])
 
     def run(self, gens: Sequence[Polynomial]) -> tuple:
         """The reduced basis of gens and the number of pairs processed."""
+        if all(len(g.coeffs) == 1 for g in gens):
+            return self._monomial_run(gens)
+        return self._pair_loop(gens)
+
+    def _pair_loop(self, gens: Sequence[Polynomial]) -> tuple:
         global pair_count
         for g in gens:
             h = _nf_packed(g, self._packed)
@@ -226,6 +246,29 @@ class _Buchberger:
             self.add(*_remainder(K.s_normal_form(self.divisors[i], self.divisors[j], key, lcm,
                                                  self._packed, *self.limits), self.budget))
         return tuple(self._reduce_final()), processed
+
+    def _monomial_run(self, gens: Sequence[Polynomial]) -> tuple:
+        """``_pair_loop`` for one-term gens.  A generator an installed lead divides
+        reduces to 0 in one step, checked against max_degree, and the S-polynomial
+        of two monomials is 0: the loop processes the pairs the criteria leave."""
+        global pair_count
+        guard, budget, kept = self.guard, self.budget, []  # kept: the minimal (key, lead)s
+        for g in gens:
+            e = g.packed[0]
+            if not any((e | guard) - s & guard == guard for s in self.leads):
+                self.pairs += self._criteria(e)
+                kept = [(k, s) for k, s in kept if (s | guard) - e & guard != guard]
+                kept.append((g.keys[0], e))
+            elif e & K.DEGREE > budget.max_degree:
+                raise GroebnerBudgetExceeded("max_degree", budget.max_degree)
+        # the loop charges each pair, ascending by degree, then tests max_pairs and max_degree
+        degrees = sorted([m & K.DEGREE for *_, m in self.pairs])
+        stop = min(budget.max_pairs, bisect.bisect(degrees, budget.max_degree))
+        pair_count += min(stop + 1, len(degrees))
+        if stop < len(degrees):
+            which = "max_pairs" if stop == budget.max_pairs else "max_degree"
+            raise GroebnerBudgetExceeded(which, getattr(budget, which))
+        return tuple([Polynomial(self.ring, [k], [e], [1]) for k, e in sorted(kept)]), len(degrees)
 
     def _reduce_final(self) -> list[Polynomial]:
         # keep the minimal leads, ascending: a lead's divisors come before it,
@@ -300,12 +343,18 @@ class Ideal:
     __slots__ = ("ring", "generators", "_gb_cache", "_monomial", "_min_exps", "_min_packed")
 
     def __init__(self, ring: Ring, gens: Sequence):
-        self.ring = ring
-        coerced = (ring.coerce(g) for g in gens)
-        self.generators = tuple(dict.fromkeys(g for g in coerced if not g.is_zero()))
-        self._gb_cache = None
-        self._monomial = None
+        self.ring, self._gb_cache = ring, None
         self._min_exps = self._min_packed = None  # minimal monomial generators
+        gens = [g if type(g) is Polynomial and g.ring is ring else ring.coerce(g) for g in gens]
+        terms = {}  # one-term generators on their ints, the first of equal ones kept
+        for g in gens:
+            if len(g.coeffs) > 1:
+                self.generators = tuple(dict.fromkeys(h for h in gens if h.coeffs))
+                self._monomial = False
+                return
+            if g.coeffs:
+                terms.setdefault((g.packed[0], g.coeffs[0]), g)
+        self.generators, self._monomial = tuple(terms.values()), not ring.is_quotient()
 
     # -- basics ---------------------------------------------------------------
 
@@ -356,10 +405,7 @@ class Ideal:
     # -- membership and comparison ---------------------------------------------
 
     def is_monomial(self) -> bool:
-        """Detected from the generators, once: every one a single term, no quotient."""
-        if self._monomial is None:
-            self._monomial = (not self.ring.is_quotient()
-                              and all(g.is_monomial() for g in self.generators))
+        """Every generator a single term, in a ring without quotient (set on construction)."""
         return self._monomial
 
     def minimal_monomial_exps(self) -> tuple:
@@ -451,6 +497,7 @@ class Ideal:
 
     def power(self, h: int) -> "Ideal":
         """Ordinary h-th power (products of h generators); h >= 1."""
+        h = as_index(h, "ideal power h")
         if h < 1:
             raise InputError("ideal power wants h >= 1")
         return Ideal(self.ring, _power_products(self.generators, h))

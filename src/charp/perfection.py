@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 from .errors import InputError
 from .frobenius import _p_roots, f_closure, frob_power, frob_root
 from .ideals import Ideal, intersect_all
-from .orders import FrozenRecord
+from .orders import FrozenRecord, as_index
 from .poly import Polynomial, Ring
 
 
@@ -29,6 +29,7 @@ class PerfectionElement:
     __slots__ = ("depth", "body")
 
     def __init__(self, depth: int, body: Polynomial):
+        depth = as_index(depth, "element depth")
         if depth < 0:
             raise InputError("element depth must be >= 0")
         if body.ring.is_quotient():
@@ -128,6 +129,7 @@ class FSequence:
         self._lock = threading.Lock()
 
     def term(self, n: int) -> Ideal:
+        n = as_index(n, "sequence index")
         if n < 0:
             raise InputError("sequence index must be >= 0")
         with self._lock:
@@ -164,6 +166,7 @@ class FSequence:
         """The sequence of the ideal generated by the depth-k roots of gens:
         term(k+n) is the F-closure of gens^[p^n], and terms below k are the
         unique downward extension by iterated Frobenius roots."""
+        k = as_index(k, "depth k")
         if k < 0:
             raise InputError("depth k must be >= 0")
         seq = cls(gens.ring, None)
@@ -214,6 +217,7 @@ class FSequence:
         chain must descend, and term(n)^[p] must land in term(n+1).  Returns
         the first failing index with the mismatch as a witness.
         """
+        depth = as_index(depth, "verification depth")
         if depth < 1:
             raise InputError("verification depth must be >= 1")
         for n in range(depth):

@@ -100,6 +100,12 @@ def rand_monomial_ideal(ring, rng, max_gens=4, max_exp=6):
 # -- independent oracles ------------------------------------------------------
 
 
+def ideal_generators(ring, gens):
+    """The generators Ideal(ring, gens) keeps: each coerced into ring, zeros
+    dropped, and the first of equal Polynomials kept (dict.fromkeys)."""
+    return tuple(dict.fromkeys(g for g in map(ring.coerce, gens) if not g.is_zero()))
+
+
 def monomial_gen_exps(I):
     """Generator exponent tuples straight off the stored generators."""
     return [tuple(int(e) for e in g.exps[0]) for g in I.generators]

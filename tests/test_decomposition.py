@@ -17,7 +17,7 @@ from charp.decomposition import (_redundant_index, _split_irreducible, _support,
                                  find_linear_growth_h, is_primary_monomial,
                                  lg2_decompose, localize_contract)
 from charp.errors import DistinctLambdaExhausted
-from charp.frobenius import frob_power
+from charp.frobenius import f_closure, frob_power
 from charp.ideals import intersect_all
 from charp.perfection import FSequence, PerfectionElement, PerfectionIdeal
 
@@ -426,6 +426,52 @@ def test_lg2_identity_failure_has_witness(R2):
     with pytest.raises(IdentityFailure) as exc:
         lg2_decompose(a, [Ideal(R2, ["X"])], 2, 1, "plain")  # missing embedded prime
     assert exc.value.witness is not None
+
+
+# -- count arguments ------------------------------------------------------------------
+
+
+_P = Ideal(Ring(2, ["X", "Y"]), ["X", "Y"])
+_P_SEQ = FSequence.constant_prime(_P)
+
+
+_COUNT_CALLS = {
+    "ideal power h": lambda x: _P.power(x),
+    "max_e": lambda x: f_closure(_P, x, confirm=1),
+    "confirm": lambda x: f_closure(_P, 3, confirm=x),
+    "verification depth": lambda x: _P_SEQ.verify(x),
+    "growth exponent h": lambda x: certify_growth(_P_SEQ, lambda n: decompose_monomial(_P), x, 1),
+    "certificate depth": lambda x: certify_growth(_P_SEQ, lambda n: decompose_monomial(_P), 1,
+                                                  depth=x),
+    "lg2_decompose h": lambda x: lg2_decompose(_P, [_P], x, 0),
+    "lg2_decompose n": lambda x: lg2_decompose(_P, [_P], 1, x),
+    "element depth": lambda x: PerfectionElement(x, _P.generators[0]),
+    "depth k": lambda x: FSequence.finitely_generated(_P, x).term(0),
+    "sequence index": lambda x: _P_SEQ.term(x),
+    "check depth": lambda x: decompose_perfection_ideal(
+        PerfectionIdeal.finitely_generated(_P), x),
+    "l": lambda x: ex8_build(3, x, [1], 1),
+    "multiplicity": lambda x: ex8_build(3, 2, [x], 1),
+    "depth": lambda x: ex8_build(3, 2, [1], x),
+}
+
+
+def _outcome(call, x):
+    """The message of the InputError call(x) raises, or None."""
+    try:
+        call(x)
+    except InputError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(_COUNT_CALLS))
+def test_count_arguments_are_integers(name):
+    """A count that is no integer raises InputError naming its argument, and
+    True reads as 1."""
+    for bad in (1.5, "2"):
+        assert _outcome(_COUNT_CALLS[name], bad) == f"{name} must be an integer, got {bad!r}"
+    assert _outcome(_COUNT_CALLS[name], True) == _outcome(_COUNT_CALLS[name], 1)
 
 
 # -- perfect-closure decomposition ---------------------------------------------------

@@ -21,9 +21,9 @@ from charp.orders import GREVLEX, LEX, elim, parse_order
 from charp.poly import EXP_LIMIT
 
 from conftest import (assert_same_ideal_on_box, cusp_ring, elimination_intersection,
-                      groebner_member, in_radical, monomial_gen_exps, oracle_mono_member,
-                      oracle_saturate, oracle_poly_member_monomial, power_products,
-                      rand_ideal, rand_monomial_ideal, rand_poly)
+                      groebner_member, ideal_generators, in_radical, monomial_gen_exps,
+                      oracle_mono_member, oracle_saturate, oracle_poly_member_monomial,
+                      power_products, rand_ideal, rand_monomial_ideal, rand_poly)
 
 
 @pytest.fixture
@@ -670,6 +670,86 @@ def test_contains_charges_a_recalled_basis_once():
 
 
 # -- routes and powers ---------------------------------------------------------------
+
+
+def _engine_outcome(route, gens):
+    """The term lists of the basis a route gives, the pairs it reports and the
+    pairs it charges; or the budget error's class and field, and the charge."""
+    before = ideals.pair_count
+    try:
+        basis, processed = route(gens)
+    except GroebnerBudgetExceeded as e:
+        return type(e), e.which, e.limit, ideals.pair_count - before
+    return [(g.keys, g.packed, g.coeffs) for g in basis], processed, ideals.pair_count - before
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_monomial_route_matches_the_pair_loop(data):
+    """One-term generators, with repeats, multiples of earlier ones, coefficients
+    other than 1 and the constant 1, in a ring that may carry the quotient X*Y:
+    the engine's monomial route gives the pair loop's basis, pair count and
+    charge, or stops at the same budget field after the same charge, and it is
+    the route run takes."""
+    nvars = data.draw(st.integers(1, 4), label="nvars")
+    p = data.draw(st.sampled_from([2, 3, 7]), label="p")
+    order = data.draw(st.sampled_from([GREVLEX, LEX] + [elim(k) for k in range(1, nvars + 1)]),
+                      label="order")
+    names = ["X", "Y", "Z", "W"][:nvars]
+    R = Ring(p, names, order)
+    if nvars > 1 and data.draw(st.booleans(), label="quotient"):
+        R = Ring(p, names, order, [R.parse("X*Y")])
+    vec = st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars)
+    gens = []
+    for kind, row, c, k in data.draw(st.lists(st.tuples(
+            st.sampled_from(["new", "repeat", "multiple", "one"]), vec, st.integers(1, p - 1),
+            st.integers(0, 7)), max_size=8), label="gens"):
+        if kind == "one":
+            gens.append(R.one())
+        elif kind == "new" or not gens:
+            gens.append(R.monomial(row, c))
+        elif kind == "repeat":
+            gens.append(gens[k % len(gens)])
+        else:
+            gens.append(gens[k % len(gens)] * R.monomial(row, c))
+    gens += R.quotient
+    budget = GroebnerBudget(max_pairs=data.draw(st.sampled_from([1, 2, 3, 5, 200_000])),
+                            max_degree=data.draw(st.sampled_from([1, 2, 3, 5, 8, 4096])))
+    with using_budget(budget):
+        loop = _engine_outcome(ideals._Buchberger(R)._pair_loop, gens)
+        assert _engine_outcome(ideals._Buchberger(R)._monomial_run, gens) == loop
+        with mock.patch.object(ideals.K, "normal_form", side_effect=AssertionError), \
+                mock.patch.object(ideals.K, "s_normal_form", side_effect=AssertionError):
+            assert _engine_outcome(ideals._Buchberger(R).run, gens) == loop
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ideal_generators_match_the_dict_oracle(data):
+    """Ideal keeps the generators the coerce-and-dict.fromkeys oracle keeps,
+    each in the ideal's ring, whatever mix of one-term generators (equal terms
+    with other coefficients among them), zeros, ints, text, polynomials of an
+    equal but distinct ring and several-term generators it is given, and its
+    is_monomial is the definition on those generators."""
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    quotient = data.draw(st.booleans(), label="quotient")
+    plain = Ring(p, ["X", "Y"])
+    make = (lambda: Ring(p, ["X", "Y"], quotient=[plain.parse("X*Y")])) if quotient else (
+        lambda: Ring(p, ["X", "Y"]))
+    R, twin = make(), make()
+    term = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, p))
+    entry = st.one_of(
+        term.map(lambda t: R.monomial(t[:2], t[2])),
+        term.map(lambda t: twin.monomial(t[:2], t[2])),
+        st.integers(-p, p),
+        term.map(lambda t: f"{t[2]}*X^{t[0]}*Y^{t[1]}"),
+        st.lists(term, min_size=2, max_size=3).map(
+            lambda ts: R.from_terms(((a, b), c) for a, b, c in ts)))
+    gens = data.draw(st.lists(entry, max_size=8), label="gens")
+    I = Ideal(R, gens)
+    assert I.generators == ideal_generators(R, gens)
+    assert all(g.ring is R for g in I.generators)
+    assert I.is_monomial() == (not quotient and all(g.is_monomial() for g in I.generators))
 
 
 def test_route_follows_the_input(rng):

@@ -72,15 +72,18 @@ PAIRS_PER_PASS = {"gb_dense": 10663, "frobenius_closure": 7747, "cli_specs": 394
 # packed ints, an empty S-polynomial or a lone basis lead is not divided, and
 # an elimination stops decoding a basis element at its first auxiliary term
 CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2904}
-# ceilings on the decodings, redundancy searches, Polynomial products and
-# outside calls of the merge kernel in one cli_specs pass: products check
-# overflow on packed ints, monomial decomposition runs no redundancy search,
-# monomial powers are packed sums, monomial membership and minimal
-# generators test packed ints, a parsed term is packed as it is, monomial
-# localisation zeroes exponents instead of substituting 1, and a shift
-# translates packed ints term by term
-CLI_CALLS_PER_PASS = {"unpack": 26927, "_redundant_index": 305, "__mul__": 112,
-                      "combine": 232}
+# ceilings on the decodings, redundancy searches, Polynomial products,
+# outside calls of the merge kernel, divisions and Polynomial hashes in one
+# cli_specs pass: products check overflow on packed ints, monomial
+# decomposition runs no redundancy search, monomial powers are packed sums,
+# monomial membership and minimal generators test packed ints, a parsed term
+# is packed as it is, monomial localisation zeroes exponents instead of
+# substituting 1, a shift translates packed ints term by term, a basis of
+# one-term generators forms no S-polynomial, and an ideal of one-term
+# generators drops repeats on their ints
+CLI_CALLS_PER_PASS = {"unpack": 24115, "_redundant_index": 305, "__mul__": 112,
+                      "combine": 232, "normal_form": 336, "s_normal_form": 294,
+                      "__hash__": 150}
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS_PER_PASS))
@@ -133,8 +136,8 @@ def test_frobenius_closure_pass_divides_and_decodes_no_more(monkeypatch):
 
 def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
     """One cli_specs pass at the reference seed decodes exponent tuples, looks
-    for redundant components, multiplies Polynomials and merges raw terms at
-    most as often as CLI_CALLS_PER_PASS."""
+    for redundant components, multiplies Polynomials, merges raw terms,
+    divides and hashes Polynomials at most as often as CLI_CALLS_PER_PASS."""
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(workloads, "WORK_DIR", str(tmp_path))
     workload = workloads.WORKLOADS["cli_specs"]()
@@ -143,5 +146,7 @@ def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
     calls = _count_calls(monkeypatch, workload, instances,
                          ((charp.poly.Ring, "unpack"),
                           (charp.decomposition, "_redundant_index"),
-                          (charp.poly.Polynomial, "__mul__"), (charp._kernels, "combine")))
+                          (charp.poly.Polynomial, "__mul__"), (charp._kernels, "combine"),
+                          (charp._kernels, "normal_form"), (charp._kernels, "s_normal_form"),
+                          (charp.poly.Polynomial, "__hash__")))
     assert all(calls[name] <= bound for name, bound in CLI_CALLS_PER_PASS.items()), calls
