@@ -10,9 +10,11 @@ import os
 import pathlib
 import re
 import shlex
+import sys
 
 import pytest
 
+import charp.cli
 from charp import Ideal, InputError, ideals
 from charp.cli import build_parser, main, parse_spec
 from charp.frobenius import f_closure
@@ -23,6 +25,7 @@ from conftest import cusp_ring, deadline
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README_REPORTS = ROOT / "tests" / "data" / "readme_reports.json"
+CLI_ARGV = ROOT / "tests" / "data" / "cli_argv.json"
 
 
 DEMO = """
@@ -705,6 +708,83 @@ def test_leaf_help_lists_its_own_and_the_common_flags(command):
     assert listed == {"-h"} | COMMON_FLAGS | LEAF_ARGUMENTS[command]
 
 
+# argv lists that go past the usual path: help at every level, then errors
+# argparse reports, abbreviations and -- (run from the repository root)
+HELP_ARGV = ([["--help"]] + [[group, "--help"] for group in ("frob", "fseq", "perfection")]
+             + [command.split() + ["--help"] for command in sorted(LEAF_ARGUMENTS)])
+UNUSUAL_ARGV = [
+    [],
+    ["nope"],
+    ["frob"],
+    ["perfection"],
+    ["frob", "nope", "specs/demo.ini", "--ideal", "a"],
+    ["-h", "gb"],
+    ["frob", "-h", "power"],
+    ["frob", "power", "-h"],
+    ["gb", "specs/demo.ini", "--ideal", "a", "--nope"],
+    ["gb", "specs/demo.ini", "extra", "--ideal", "a"],
+    ["gb", "specs/demo.ini", "--ideal", "a", "--", "x"],
+    ["gb", "specs/demo.ini"],
+    ["ex8", "--p", "5"],
+    ["gb", "specs/demo.ini", "--ideal", "a", "--budget-pairs"],
+    ["frob", "power", "specs/demo.ini", "--ideal", "a", "--e", "two"],
+    ["lg2", "specs/demo.ini", "--ideal", "a", "--primes", "px,pxy", "--h", "2", "--n", "1",
+     "--mode", "wrong"],
+    ["fseq", "growth", "specs/demo.ini", "--fseq", "powers", "--h", "2", "--find-h",
+     "--depth", "2"],
+    ["fseq", "growth", "specs/demo.ini", "--fseq", "powers", "--f", "x", "--depth", "2"],
+    ["gb", "specs/demo.ini", "--id", "a"],
+    ["gb", "specs/demo.ini", "--ideal=a", "--he"],
+    ["gb", "specs/demo.ini", "--ideal=a"],
+    ["gb", "--", "specs/demo.ini", "--ideal", "a"],
+    ["--json", "gb", "specs/demo.ini", "--ideal", "a"],
+    ["frob", "--json", "power", "specs/demo.ini", "--ideal", "a", "--e", "1"],
+]
+
+
+def _argv_outcomes():
+    """{argv joined by spaces: [exit code, stdout, stderr]} of the argv lists above."""
+    return {" ".join(argv): list(_run_captured(argv)) for argv in HELP_ARGV + UNUSUAL_ARGV}
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV + UNUSUAL_ARGV, ids=lambda argv: " ".join(argv) or "-")
+def test_help_and_argv_errors_are_pinned(argv, monkeypatch):
+    """Help, usage and error text come from the parser that writes them today.
+    argparse words them per Python version; tests/data/cli_argv.json holds the
+    text at 80 columns of the version it names (regenerate it with
+    PYTHONPATH=src python tests/test_cli.py)."""
+    recorded = json.loads(CLI_ARGV.read_text())
+    if recorded["python"] != "%d.%d" % sys.version_info[:2]:
+        pytest.skip(f"argparse text recorded under Python {recorded['python']}")
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert list(_run_captured(argv)) == recorded["runs"][" ".join(argv)]
+
+
+def _cli_specs_argv():
+    """The argv list of every instance of a cli_specs pass, as the benchmark runs it."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return [inst[2] + ["--json"] for inst in workloads.CliSpecs().generate(4057)]
+
+
+def test_main_parses_as_the_full_parser(monkeypatch):
+    """For the README commands and every cli_specs command shape, main hands
+    the command the namespace the full parser gives."""
+    seen = []
+    monkeypatch.setattr(charp.cli, "_dispatch", lambda args, report: seen.append(args) or 0)
+    monkeypatch.chdir(ROOT)
+    argvs = _readme_commands() + _cli_specs_argv()
+    assert len(argvs) == 11 + 1511
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+        assert vars(seen.pop()) == vars(build_parser().parse_args(argv)), argv
+
+
 def test_print_parse_round_trip_via_reports(demo, capsys):
     spec = parse_spec(demo)
     code, data = run_json(capsys, "gb", demo, "--ideal", "a")
@@ -723,3 +803,6 @@ def test_timing_flag_fills_timing(demo, capsys):
 if __name__ == "__main__":
     os.chdir(ROOT)
     README_REPORTS.write_text(json.dumps(_readme_report_hashes(), indent=2) + "\n")
+    os.environ["COLUMNS"] = "80"
+    CLI_ARGV.write_text(json.dumps({"python": "%d.%d" % sys.version_info[:2],
+                                    "runs": _argv_outcomes()}, indent=2) + "\n")
