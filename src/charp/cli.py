@@ -575,6 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     this one; callers must not add to it.  Arguments that several
     subcommands take are declared once, on parent parsers: the common
     flags, ``spec``, ``spec`` with ``--ideal``, and the perfection inputs.
+    ``leaves`` maps each leaf's command words, as in ``("frob", "power")``,
+    to its parser and the values the parsers above it set for those words.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -595,32 +597,38 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="charp",
                                  description="exact characteristic-p ideal computations")
     top = ap.add_subparsers(dest="command", required=True)
+    ap.leaves = {}
 
-    g = top.add_parser("gb", parents=[on_ideal], help="reduced groebner basis of a named ideal")
+    def add_leaf(sub, words, **kwargs):  # sub.add_parser, recorded in ap.leaves
+        leaf = sub.add_parser(words[-1], **kwargs)
+        ap.leaves[words] = leaf, dict(zip((top.dest, sub.dest), words))
+        return leaf
+
+    g = add_leaf(top, ("gb",), parents=[on_ideal], help="reduced groebner basis of a named ideal")
     g.set_defaults(run=_cmd_gb)
 
     frob = top.add_parser("frob", help="frobenius power / root / closure")
     fsub = frob.add_subparsers(dest="frob_command", required=True)
-    fp = fsub.add_parser("power", parents=[on_ideal])
+    fp = add_leaf(fsub, ("frob", "power"), parents=[on_ideal])
     fp.add_argument("--e", type=int, required=True)
     fp.set_defaults(run=_cmd_frob_power)
-    fsub.add_parser("root", parents=[on_ideal]).set_defaults(run=_cmd_frob_root)
-    fc = fsub.add_parser("closure", parents=[on_ideal])
+    add_leaf(fsub, ("frob", "root"), parents=[on_ideal]).set_defaults(run=_cmd_frob_root)
+    fc = add_leaf(fsub, ("frob", "closure"), parents=[on_ideal])
     fc.add_argument("--max-e", type=int, default=10, dest="max_e")
     fc.add_argument("--confirm", type=int, default=2)
     fc.set_defaults(run=_cmd_frob_closure)
 
-    d = top.add_parser("decompose", parents=[on_ideal],
-                       help="minimal primary decomposition (monomial)")
+    d = add_leaf(top, ("decompose",), parents=[on_ideal],
+                 help="minimal primary decomposition (monomial)")
     d.set_defaults(run=_cmd_decompose)
 
     fseq = top.add_parser("fseq", help="verify or certify growth of an f-sequence")
     ssub = fseq.add_subparsers(dest="fseq_command", required=True)
-    sv = ssub.add_parser("verify", parents=[on_spec])
+    sv = add_leaf(ssub, ("fseq", "verify"), parents=[on_spec])
     sv.add_argument("--fseq", required=True)
     sv.add_argument("--depth", type=int, required=True)
     sv.set_defaults(run=_cmd_fseq_verify)
-    sg = ssub.add_parser("growth", parents=[on_spec])
+    sg = add_leaf(ssub, ("fseq", "growth"), parents=[on_spec])
     sg.add_argument("--fseq", required=True)
     hgroup = sg.add_mutually_exclusive_group(required=True)
     hgroup.add_argument("--h", type=int)
@@ -630,25 +638,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = top.add_parser("perfection", help="perfect-closure membership / decomposition")
     psub = perf.add_subparsers(dest="perfection_command", required=True)
-    pm = psub.add_parser("member", parents=[on_perfection])
+    pm = add_leaf(psub, ("perfection", "member"), parents=[on_perfection])
     pm.add_argument("--elem", required=True)
     pm.add_argument("--root", type=int, required=True,
                     help="depth M: the element is elem^(1/p^M)")
     pm.set_defaults(run=_cmd_perfection_member)
-    pd = psub.add_parser("decompose", parents=[on_perfection])
+    pd = add_leaf(psub, ("perfection", "decompose"), parents=[on_perfection])
     pd.add_argument("--depth", type=int, default=3)
     pd.set_defaults(run=_cmd_perfection_decompose)
 
-    lg = top.add_parser("lg2", parents=[on_ideal],
-                        help="decompose a frobenius power through localized components")
+    lg = add_leaf(top, ("lg2",), parents=[on_ideal],
+                  help="decompose a frobenius power through localized components")
     lg.add_argument("--primes", required=True, help="comma-separated ideal names")
     lg.add_argument("--h", type=int, required=True)
     lg.add_argument("--n", type=int, required=True)
     lg.add_argument("--mode", choices=("plain", "fclosure", "seqterm"), default="plain")
     lg.set_defaults(run=_cmd_lg2)
 
-    e8 = top.add_parser("ex8", parents=[common],
-                        help="build the escalating-associated-primes family")
+    e8 = add_leaf(top, ("ex8",), parents=[common],
+                  help="build the escalating-associated-primes family")
     e8.add_argument("--p", type=int, required=True)
     e8.add_argument("--l", type=int, required=True)
     e8.add_argument("--t", required=True, help="comma-separated multiplicities")
@@ -671,9 +679,18 @@ _FAILURES = (
 
 
 def main(argv=None) -> int:
+    """Run the command argv (default ``sys.argv[1:]``) names; return its exit code.
+
+    An argv that starts with a leaf's command words is parsed by that leaf's
+    parser alone, which sets what the full parser sets.  Left-over arguments
+    send argv through the full parser, as does any other argv, so every usage,
+    help and error text comes from the parser that writes it in a full parse."""
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
-    args = ap.parse_args(argv)
+    parser, values = ap.leaves.get(tuple(argv[:1])) or ap.leaves.get(tuple(argv[:2]), (ap, {}))
+    args, extra = parser.parse_known_args(argv[len(values):], argparse.Namespace(**values))
+    if extra:  # the full parser reports them
+        args = ap.parse_args(argv)
     ideals_mod.reset_pair_count()
     started = time.perf_counter()
     command_echo = " ".join(["charp"] + argv)

@@ -183,6 +183,9 @@ class _Buchberger:
         """Install lead j = lt_e, dropping the pairs (last fields i, j, packed lcm)
         it covers; return those of its new pairs the criteria keep."""
         guard, j = self.guard, len(self.leads)
+        if not j:  # a first lead prunes no pair and forms none
+            self.leads.append(lt_e)
+            return []
         lcm_with = K.lcms(self.leads, lt_e, self.ring.nvars)
         # prune old pairs now covered through the new lead, in place: callers
         # extend self.pairs with the result
@@ -349,7 +352,8 @@ class Ideal:
         terms = {}  # one-term generators on their ints, the first of equal ones kept
         for g in gens:
             if len(g.coeffs) > 1:
-                self.generators = tuple(dict.fromkeys(h for h in gens if h.coeffs))
+                self.generators = tuple({(tuple(h.packed), tuple(h.coeffs)): h  # one ring: ==
+                                         for h in gens if h.coeffs}.values())
                 self._monomial = False
                 return
             if g.coeffs:

@@ -15,6 +15,7 @@ Frobenius powers fail loudly instead of overflowing a packed field.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import OrderedDict
 from itertools import accumulate
@@ -53,6 +54,12 @@ def _check_exps(rows) -> None:
         raise ExponentOverflow(f"exponent exceeds {EXP_LIMIT}")
 
 
+@functools.lru_cache(maxsize=None)
+def _units(order: MonomialOrder, nvars: int) -> tuple:
+    """``K.units`` of the order's key matrix as tuples, once per order and nvars."""
+    return tuple(map(tuple, K.units(order.key_matrix(nvars))))
+
+
 class Ring:
     """F_p[vars] with a fixed monomial order, optionally modulo quotient generators."""
 
@@ -85,7 +92,7 @@ class Ring:
             raise InputError("at most 64 variables are supported")
         self.vars = vars
         self.order = order
-        self._key_units, self._exp_units = K.units(order.key_matrix(len(vars)))
+        self._key_units, self._exp_units = _units(order, len(vars))
         self._var_index = {v: i for i, v in enumerate(vars)}
         self.reduced_assertion = reduced
         self._bases = OrderedDict()  # reduced bases of this ring's ideals (charp.ideals)

@@ -9,6 +9,7 @@ the benchmark's gates, and a change that moves a report or a basis moves the
 digests pinned in ``perfbench/reference.json``.
 """
 
+import argparse
 import json
 import os
 import pathlib
@@ -66,24 +67,25 @@ def test_workload_warmup_passes_its_check(name, monkeypatch):
 
 # critical pairs of one pass at the reference seed, as ``ideals.pairs_per_pass``
 PAIRS_PER_PASS = {"gb_dense": 10663, "frobenius_closure": 7747, "cli_specs": 3942}
-# ceilings on the division-kernel calls and exponent decodings of one
-# frobenius_closure pass at the reference seed: generators and basis elements
-# are members without division, Frobenius powers and roots are tested on
-# packed ints, an empty S-polynomial or a lone basis lead is not divided, and
-# an elimination stops decoding a basis element at its first auxiliary term
-CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2904}
+# ceilings on the division-kernel calls, exponent decodings and Polynomial
+# hashes of one frobenius_closure pass at the reference seed: generators and
+# basis elements are members without division, Frobenius powers and roots are
+# tested on packed ints, an empty S-polynomial or a lone basis lead is not
+# divided, an elimination stops decoding a basis element at its first
+# auxiliary term, and an ideal drops repeated generators on their ints
+CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2904, "__hash__": 0}
 # ceilings on the decodings, redundancy searches, Polynomial products,
-# outside calls of the merge kernel, divisions and Polynomial hashes in one
-# cli_specs pass: products check overflow on packed ints, monomial
-# decomposition runs no redundancy search, monomial powers are packed sums,
-# monomial membership and minimal generators test packed ints, a parsed term
-# is packed as it is, monomial localisation zeroes exponents instead of
+# outside calls of the merge kernel, divisions, Polynomial hashes and argparse
+# parses in one cli_specs pass: products check overflow on packed ints,
+# monomial decomposition runs no redundancy search, monomial powers are packed
+# sums, monomial membership and minimal generators test packed ints, a parsed
+# term is packed as it is, monomial localisation zeroes exponents instead of
 # substituting 1, a shift translates packed ints term by term, a basis of
-# one-term generators forms no S-polynomial, and an ideal of one-term
-# generators drops repeats on their ints
+# one-term generators forms no S-polynomial, an ideal drops repeated
+# generators on their ints, and a leaf's argv is parsed by the leaf parser alone
 CLI_CALLS_PER_PASS = {"unpack": 24115, "_redundant_index": 305, "__mul__": 112,
                       "combine": 232, "normal_form": 336, "s_normal_form": 294,
-                      "__hash__": 150}
+                      "__hash__": 0, "parse_known_args": 1511}
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS_PER_PASS))
@@ -126,18 +128,21 @@ def _count_calls(monkeypatch, workload, instances, targets):
 
 def test_frobenius_closure_pass_divides_and_decodes_no_more(monkeypatch):
     """One frobenius_closure pass at the reference seed calls the division
-    kernel and decodes exponent tuples at most as often as CALLS_PER_PASS."""
+    kernel, decodes exponent tuples and hashes Polynomials at most as often as
+    CALLS_PER_PASS."""
     monkeypatch.chdir(ROOT)
     workload = workloads.WORKLOADS["frobenius_closure"]()
     calls = _count_calls(monkeypatch, workload, workload.generate(bench.DEFAULT_SEED),
-                         ((charp._kernels, "normal_form"), (charp.poly.Ring, "unpack")))
+                         ((charp._kernels, "normal_form"), (charp.poly.Ring, "unpack"),
+                          (charp.poly.Polynomial, "__hash__")))
     assert all(calls[name] <= bound for name, bound in CALLS_PER_PASS.items()), calls
 
 
 def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
     """One cli_specs pass at the reference seed decodes exponent tuples, looks
     for redundant components, multiplies Polynomials, merges raw terms,
-    divides and hashes Polynomials at most as often as CLI_CALLS_PER_PASS."""
+    divides, hashes Polynomials and runs argparse at most as often as
+    CLI_CALLS_PER_PASS."""
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(workloads, "WORK_DIR", str(tmp_path))
     workload = workloads.WORKLOADS["cli_specs"]()
@@ -148,5 +153,6 @@ def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
                           (charp.decomposition, "_redundant_index"),
                           (charp.poly.Polynomial, "__mul__"), (charp._kernels, "combine"),
                           (charp._kernels, "normal_form"), (charp._kernels, "s_normal_form"),
-                          (charp.poly.Polynomial, "__hash__")))
+                          (charp.poly.Polynomial, "__hash__"),
+                          (argparse.ArgumentParser, "parse_known_args")))
     assert all(calls[name] <= bound for name, bound in CLI_CALLS_PER_PASS.items()), calls
