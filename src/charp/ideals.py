@@ -351,8 +351,8 @@ class Ideal:
         gens = [g if type(g) is Polynomial and g.ring is ring else ring.coerce(g) for g in gens]
         terms = {}  # one-term generators on their ints, the first of equal ones kept
         for g in gens:
-            if len(g.coeffs) > 1:
-                self.generators = tuple({(tuple(h.packed), tuple(h.coeffs)): h  # one ring: ==
+            if len(g.coeffs) > 1:  # keyed as Polynomial.__eq__ compares within one ring
+                self.generators = tuple({(tuple(h.packed), tuple(h.coeffs)): h
                                          for h in gens if h.coeffs}.values())
                 self._monomial = False
                 return

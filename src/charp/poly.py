@@ -56,7 +56,8 @@ def _check_exps(rows) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _units(order: MonomialOrder, nvars: int) -> tuple:
-    """``K.units`` of the order's key matrix as tuples, once per order and nvars."""
+    """``K.units`` of the order's key matrix as tuples, once per order and nvars
+    (a ring has at most 64 variables, so few keys arise)."""
     return tuple(map(tuple, K.units(order.key_matrix(nvars))))
 
 
