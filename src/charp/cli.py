@@ -352,12 +352,12 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"{type(value).__name__} is not a report type")
 
 
-def _emit(report: Report, args, started: float, code: int) -> int:
+def _emit(report: Report, args, started: float, pairs_before: int, code: int) -> int:
     report.data["exit_status"] = code
-    report.data["budget"]["pairs_used"] = ideals_mod.pair_count
-    if getattr(args, "timing", False):
+    report.data["budget"]["pairs_used"] = ideals_mod.pair_count - pairs_before
+    if args.timing:
         report.data["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    if getattr(args, "json", False):
+    if args.json:
         print(_json_text(report.data))
     else:
         for line in report.lines:
@@ -691,7 +691,7 @@ def main(argv=None) -> int:
     args, extra = parser.parse_known_args(argv[len(values):], argparse.Namespace(**values))
     if extra:  # the full parser reports them
         args = ap.parse_args(argv)
-    ideals_mod.reset_pair_count()
+    pairs_before = ideals_mod.pair_count  # the counter only grows: report its growth
     started = time.perf_counter()
     command_echo = " ".join(["charp"] + argv)
     report = Report(command_echo)
@@ -712,7 +712,7 @@ def main(argv=None) -> int:
             elif isinstance(e, IdentityFailure):
                 report.data["witnesses"] = [{"witness": str(e.witness)}]
             report.say(f"{prefix}: {e}")
-    return _emit(report, args, started, code)
+    return _emit(report, args, started, pairs_before, code)
 
 
 def _dispatch(args, report: Report) -> int:

@@ -49,9 +49,6 @@ class PrimaryComponent(FrozenRecord):
 class Decomposition(FrozenRecord):
     __slots__ = ("components", "minimal")
 
-    def __init__(self, components: tuple, minimal: bool):
-        super().__init__(components, minimal)
-
     def intersection(self) -> Ideal:
         return intersect_all(c.ideal for c in self.components)
 
@@ -239,17 +236,10 @@ def find_linear_growth_h(deco: Decomposition) -> int:
 class GrowthCheck(FrozenRecord):
     __slots__ = ("n", "i", "ok")
 
-    def __init__(self, n: int, i: int, ok: bool):
-        super().__init__(n, i, ok)
-
 
 class GrowthCertificate(FrozenRecord):
+    # decompositions: a Decomposition per n = 0..depth; checks: a GrowthCheck per (n, component)
     __slots__ = ("h", "depth", "decompositions", "checks")
-
-    def __init__(self, h: int, depth: int,
-                 decompositions: tuple,  # Decomposition per n = 0..depth
-                 checks: tuple):         # GrowthCheck per (n, component)
-        super().__init__(h, depth, decompositions, checks)
 
 
 def certify_growth(seq: FSequence, decomposer: Callable[[int], Decomposition],
@@ -397,19 +387,10 @@ def _primary_sequence(comp: PrimaryComponent, k: int) -> FSequence:
 
 
 class Ex8Report(FrozenRecord):
+    # decompositions (Decompositions) and ass (tuples of radicals) per level m = 0..depth; verify:
+    # the VerifyResult to depth (None at 0); witnesses per m >= 1: dicts of element and checks
     __slots__ = ("p", "l", "t", "depth", "seq", "decompositions", "ass", "ass_sizes",
                  "verify", "witnesses", "certificate", "no_primary_decomposition", "notes")
-
-    def __init__(self, p: int, l: int, t: tuple, depth: int, seq: FSequence,
-                 decompositions: list,    # Decomposition per m = 0..depth
-                 ass: list,               # list of radical tuples per m
-                 ass_sizes: list,
-                 verify: object,          # VerifyResult over the full depth
-                 witnesses: list,         # per m >= 1: dict with element and checks
-                 certificate: GrowthCertificate, no_primary_decomposition: bool,
-                 notes: Optional[list] = None):
-        super().__init__(p, l, t, depth, seq, decompositions, ass, ass_sizes, verify, witnesses,
-                         certificate, no_primary_decomposition, [] if notes is None else notes)
 
 
 def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:

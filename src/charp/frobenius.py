@@ -134,22 +134,18 @@ def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2) -> FClosureResult:
     steps = [b]
     current = b
     equal_run = 0
-    stabilized_at: Optional[int] = None
     for n in range(1, max_e + 1):
         nxt = frob_root(frob_power(b, n), n)
         if not nxt.contains_ideal(current):
             raise CharpError("F-closure chain failed to ascend")
         steps.append(nxt)
         if nxt == current:
-            if equal_run == 0:
-                stabilized_at = n - 1
             equal_run += 1
-            if equal_run >= confirm:
-                return FClosureResult(current, stabilized_at, False, steps,
-                                      _closure_witnesses(b, current, stabilized_at))
+            if equal_run >= confirm:  # the chain first repeated at step n - confirm + 1
+                return FClosureResult(current, n - confirm, False, steps,
+                                      _closure_witnesses(b, current, n - confirm))
         else:
             equal_run = 0
-            stabilized_at = None
             current = nxt
     raise DepthExceeded(
         f"F-closure chain still moving after {max_e} steps", partial=steps)

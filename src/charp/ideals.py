@@ -44,11 +44,11 @@ from operator import itemgetter, le, mul
 from typing import Iterable, Sequence
 
 from . import _kernels as K
-from .errors import ExponentOverflow, GroebnerBudgetExceeded, InputError
+from .errors import CharpError, ExponentOverflow, GroebnerBudgetExceeded, InputError
 from .orders import FrozenRecord, as_index, elim
 from .poly import EXP_LIMIT, Polynomial, Ring
 
-pair_count = 0  # pairs of the bases computed or recalled since the last reset; the CLI reports it
+pair_count = 0  # pairs of every basis computed or recalled; it only grows, callers read differences
 _BASES_KEPT = 256  # reduced bases each Ring remembers
 
 
@@ -81,11 +81,6 @@ def using_budget(budget: GroebnerBudget):
         yield
     finally:
         _budget.reset(token)
-
-
-def reset_pair_count():
-    global pair_count
-    pair_count = 0
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +129,6 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 def _mono_divides(a: tuple, b: tuple) -> bool:
     """Exponent tuple a divides exponent tuple b."""
     return all(map(le, a, b))
-
-
-def _lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
 
 
 def _minimal(rows: Sequence, divides=_mono_divides) -> list:
@@ -387,9 +378,6 @@ class Ideal:
                 self._gb_cache = tuple(Polynomial(ring, *terms) for terms in hit[0])
         return self._gb_cache
 
-    def is_zero(self) -> bool:
-        return len(self.groebner()) == 0
-
     def is_unit(self) -> bool:
         gb = self.groebner()
         return len(gb) == 1 and gb[0].is_one()
@@ -459,7 +447,7 @@ class Ideal:
         if self.is_monomial() and other.is_monomial():
             a = self.minimal_monomial_exps()
             b = other.minimal_monomial_exps()
-            gens = [self.ring.monomial(_lcm(r, s)) for r in a for s in b]
+            gens = [self.ring.monomial(tuple(map(max, r, s))) for r in a for s in b]
             return Ideal(self.ring, gens)
         if self.is_unit():
             return other
@@ -521,7 +509,7 @@ def _colon(I: Ideal, g: Polynomial) -> Ideal:
     for h in inter.groebner():
         q = normal_form(t * lift(h), divisor)._moved(I.ring, -1)
         if q is None:
-            raise InputError("internal error: colon generator not divisible")
+            raise CharpError("internal error: colon generator not divisible")
         gens.append(q)
     return Ideal(I.ring, gens)
 

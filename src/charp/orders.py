@@ -40,9 +40,14 @@ class FrozenRecord:
     def __init_subclass__(cls):
         cls._fields = property(operator.attrgetter(*cls.__slots__))  # the field tuple
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values, **fields):
+        """The fields by position or keyword; a missing, repeated or unknown one raises TypeError."""
+        given = len(values) + len(fields)
+        fields.update(zip(self.__slots__, values))
+        if given != len(self.__slots__) or fields.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(self.__slots__)}")
+        for name in self.__slots__:
+            object.__setattr__(self, name, fields[name])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -12,6 +12,7 @@ members of depth n.  Sequence terms are produced lazily and memoised.
 
 from __future__ import annotations
 
+import operator
 import threading
 import weakref
 from typing import Callable, Optional, Sequence
@@ -44,25 +45,24 @@ class PerfectionElement:
 
     def lift(self, depth: int) -> Polynomial:
         """The body seen at a (deeper) depth: body^(p^(depth - self.depth))."""
-        if depth < self.depth:
+        if as_index(depth, "lift depth") < self.depth:
             raise InputError("cannot lift to a shallower depth")
         return self.body.frobenius(depth - self.depth)
 
-    def __add__(self, other):
+    def _lifted(self, other, op):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
         m = max(self.depth, other.depth)
-        return PerfectionElement(m, self.lift(m) + other.lift(m))
+        return PerfectionElement(m, op(self.lift(m), other.lift(m)))
+
+    def __add__(self, other):
+        return self._lifted(other, operator.add)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        m = max(self.depth, other.depth)
-        return PerfectionElement(m, self.lift(m) * other.lift(m))
+        return self._lifted(other, operator.mul)
 
     __rmul__ = __mul__
 
@@ -70,13 +70,10 @@ class PerfectionElement:
         return PerfectionElement(self.depth, -self.body)
 
     def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._lifted(other, operator.sub)
 
     def power(self, m: int) -> "PerfectionElement":
-        if m < 0:
+        if as_index(m, "element power") < 0:
             raise InputError("negative power")
         return PerfectionElement(self.depth, self.body.power(m))
 

@@ -177,9 +177,6 @@ class Ring:
             i = self._var_index[name]
         except KeyError:
             raise InputError(f"unknown variable {name!r} in {self!r}") from None
-        return self._var_poly(i)
-
-    def _var_poly(self, i: int) -> "Polynomial":
         return Polynomial(self, [self._key_units[i]], [self._exp_units[i]], [1])
 
     def monomial(self, exps, coeff: int = 1) -> "Polynomial":
@@ -363,9 +360,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, m: int):
-        return self.power(m)
-
     def power(self, m: int) -> "Polynomial":
         """g**m by binary exponentiation; m >= 0."""
         if as_index(m, "polynomial power") < 0:
@@ -379,6 +373,8 @@ class Polynomial:
             if m:
                 base = base * base
         return result
+
+    __pow__ = power
 
     def frobenius(self, e: int) -> "Polynomial":
         """g**(p**e) by scaling every exponent; coefficients are fixed by Fermat."""

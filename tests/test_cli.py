@@ -193,6 +193,52 @@ def test_parse_spec_rejects_duplicate_names(kind, body, tmp_path, capsys):
     assert data["result"]["error_kind"] == "InputError"
 
 
+GB = ["gb", "bad.ini", "--ideal", "a"]
+RING_X = "[ring]\np = 2\nvars = X\n\n[ideal a]\ngens = X\n\n"
+
+# input errors of the spec reader and the perfection front end: spec text,
+# argv, and the message with its location (None for one without)
+SPEC_INPUT_ERRORS = {
+    "no-ring": ("[ideal a]\ngens = X\n", GB, "spec file needs a [ring] section", "bad.ini"),
+    "ring-key": ("[ring]\np = 2\nvars = X\nchar = 2\n", GB, "unknown [ring] keys ['char']",
+                 "bad.ini"),
+    "empty-vars": ("[ring]\np = 2\nvars = ,\n", GB, "ring key 'vars' must list variables",
+                   "bad.ini [ring]"),
+    "ideal-key": ("[ring]\np = 2\nvars = X\n\n[ideal a]\ngens = X\nkind = table\n", GB,
+                  "unknown keys ['kind']", "bad.ini [ideal a]"),
+    "fseq-key": (RING_X + "[fseq s]\nkind = constant-prime\nideal = a\ngens = X\n", GB,
+                 "unknown keys ['gens']", "bad.ini [fseq s]"),
+    "fseq-names-unknown-fseq": (RING_X + "[fseq s]\nkind = intersection\nof = t\n", GB,
+                                "unknown fseq 't'", "bad.ini"),
+    "command-names-unknown-fseq": (RING_X + "[fseq s]\nkind = constant-prime\nideal = a\n",
+                                   ["fseq", "verify", "bad.ini", "--fseq", "t", "--depth", "1"],
+                                   "unknown fseq 't'; defined: ['s']", None),
+    "fseq-names-unknown-ideal": (RING_X + "[fseq s]\nkind = constant-prime\nideal = b\n", GB,
+                                 "fseq references unknown ideal 'b'", "bad.ini [fseq s]"),
+    "table-without-terms": (RING_X + "[fseq s]\nkind = table\n", GB,
+                            "table fseq needs 'terms'", "bad.ini [fseq s]"),
+    "table-names-unknown-ideal": (RING_X + "[fseq s]\nkind = table\nterms = a, b\n", GB,
+                                  "table references unknown ideal 'b'", "bad.ini [fseq s]"),
+    "intersection-without-of": (RING_X + "[fseq s]\nkind = intersection\n", GB,
+                                "intersection fseq needs 'of'", "bad.ini [fseq s]"),
+    "unknown-kind": (RING_X + "[fseq s]\nkind = sequence\n", GB,
+                     "unknown fseq kind 'sequence'", "bad.ini [fseq s]"),
+    "perfection-without-input": (RING_X, ["perfection", "decompose", "bad.ini"],
+                                 "give --fseq NAME or --ideal NAME", None),
+}
+
+
+@pytest.mark.parametrize("name", SPEC_INPUT_ERRORS)
+def test_spec_input_errors_are_pinned(name, tmp_path, monkeypatch, capsys):
+    text, argv, message, location = SPEC_INPUT_ERRORS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.ini").write_text(text)
+    code, data = run_json(capsys, *argv)
+    error = f"{message} (at {location})" if location else message
+    assert (code, data["exit_status"]) == (2, 2)
+    assert data["result"] == {"error": error, "error_kind": "InputError"}
+
+
 # -- exit code matrix --------------------------------------------------------------
 
 

@@ -446,6 +446,8 @@ _COUNT_CALLS = {
     "lg2_decompose h": lambda x: lg2_decompose(_P, [_P], x, 0),
     "lg2_decompose n": lambda x: lg2_decompose(_P, [_P], 1, x),
     "element depth": lambda x: PerfectionElement(x, _P.generators[0]),
+    "element power": lambda x: PerfectionElement(0, _P.generators[0]).power(x),
+    "lift depth": lambda x: PerfectionElement(0, _P.generators[0]).lift(x),
     "depth k": lambda x: FSequence.finitely_generated(_P, x).term(0),
     "sequence index": lambda x: _P_SEQ.term(x),
     "check depth": lambda x: decompose_perfection_ideal(

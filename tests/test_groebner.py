@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charp import (ExponentOverflow, GroebnerBudget, GroebnerBudgetExceeded, Ideal,
+from charp import (CharpError, ExponentOverflow, GroebnerBudget, GroebnerBudgetExceeded, Ideal,
                    InputError, Ring, ideals, using_budget)
 from charp.frobenius import frob_power, frob_root
 from charp.ideals import (_colon, _minimal, _mono_divides, _power_products, _sorted_minimal,
@@ -320,6 +320,14 @@ def test_saturate_and_in_radical_match_colon_chain_oracle(name, rng):
         S = oracle_saturate(I, g)
         assert I.saturate(g) == S
         assert in_radical(I, g) == S.is_unit()
+
+
+def test_colon_reports_an_undivided_generator_as_an_internal_error(R2, monkeypatch):
+    """A broken invariant is no input error: it exits 1, not 2, from the CLI."""
+    monkeypatch.setattr(ideals, "normal_form", lambda f, basis: f)  # T*h left undivided
+    with pytest.raises(CharpError, match="colon generator not divisible") as info:
+        _colon(Ideal(R2, ["X*Y"]), R2.parse("X + Y"))
+    assert type(info.value) is CharpError
 
 
 def test_saturate_by_zero_is_rejected(R2):

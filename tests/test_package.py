@@ -7,12 +7,14 @@ import copy
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 
 import pytest
 
 from charp import GREVLEX, LEX, GroebnerBudget, MonomialOrder, elim
+from charp.decomposition import GrowthCheck
 from charp.frobenius import FClosureResult
 from charp.ideals import DEFAULT_BUDGET
 
@@ -96,6 +98,33 @@ def test_value_records_keep_frozen_dataclass_semantics(record, same, fields, tex
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert GREVLEX != LEX and GroebnerBudget(max_degree=5) != GroebnerBudget(max_pairs=5)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1, 2), {}), ((1,), {"i": 2}), ((1, 2, True, 4), {}), ((1, 2), {"n": 1}),
+    ((), {"n": 1, "i": 2, "ok": True, "extra": 4}),
+], ids=["missing", "missing-keyword", "extra", "repeated", "unknown"])
+def test_records_take_exactly_their_fields(args, kwargs):
+    assert GrowthCheck(1, ok=True, i=2) == GrowthCheck(n=1, i=2, ok=True) == GrowthCheck(1, 2, True)
+    with pytest.raises(TypeError, match="GrowthCheck takes the fields n, i, ok"):
+        GrowthCheck(*args, **kwargs)
+
+
+def test_readme_python_blocks_state_their_values(monkeypatch):
+    """Both blocks run, in order, from the repository root in one fresh namespace;
+    the Library block's expression statements give the values its comments state."""
+    monkeypatch.chdir(ROOT)
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 2
+    namespace, values = {}, []
+    for block in blocks:
+        for stmt in ast.parse(block).body:
+            if isinstance(stmt, ast.Expr):
+                values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"),
+                                   namespace))
+            else:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert values == [True, True, 2, False]
 
 
 def test_f_closure_results_never_share_witnesses():
