@@ -70,8 +70,11 @@ EXIT_BUDGET = 3
 # ---------------------------------------------------------------------------
 
 _RING_KEYS = {"p", "vars", "order", "quotient", "reduced"}
-_FSEQ_KEYS = {"kind", "ideal", "k", "max_e", "confirm", "terms", "of",
-              "inner", "prime", "shint"}
+_FSEQ_KEYS = {  # the keys each fseq kind reads besides 'kind'
+    "frobenius-powers": {"ideal"}, "constant-prime": {"ideal"}, "fg-perfection": {"ideal", "k"},
+    "canonical": {"ideal", "max_e", "confirm"}, "table": {"terms"}, "intersection": {"of"},
+    "localize-contract": {"inner", "prime", "shint"},
+}
 
 
 class SpecFile:
@@ -181,7 +184,8 @@ def parse_spec(path: str) -> SpecFile:
             name = section[len("fseq "):].strip()
             if name in fseq_secs:
                 raise InputError(f"duplicate fseq {name!r}", f"{path} [{section}]")
-            unknown = set(sec) - _FSEQ_KEYS
+            # an unknown kind reads every key: _build_fseq reports the kind itself
+            unknown = set(sec) - {"kind"} - _FSEQ_KEYS.get(sec.get("kind", "").strip(), set(sec))
             if unknown:
                 raise InputError(f"unknown keys {sorted(unknown)}", f"{path} [{section}]")
             fseq_secs[name] = sec
@@ -531,13 +535,11 @@ def _cmd_ex8(args, report: Report) -> int:
         raise InputError(f"--t must list integers, got {args.t!r}") from None
     rep = ex8_build(args.p, args.l, t_list, args.depth)
     report.data["ring"] = _ring_json(rep.seq.ring)
-    # each prime is one string, its generators joined by " , " (a printed
-    # polynomial has no comma, so the text lines split it back)
-    ass = [[" , ".join(_strs(prime.groebner())) for prime in level] for level in rep.ass]
+    ass = [[_strs(prime.groebner()) for prime in level] for level in rep.ass]
     report.data["result"] = {
         "p": rep.p, "l": rep.l, "t": list(rep.t), "depth": rep.depth,
         "ass_sizes": rep.ass_sizes,
-        "ass": ass,
+        "ass": [[" , ".join(prime) for prime in level] for level in ass],
         "fseq_verified": rep.verify is None or rep.verify.ok,
         "certificate": _certificate_json(rep.certificate),
         "no_primary_decomposition": rep.no_primary_decomposition,
@@ -552,7 +554,7 @@ def _cmd_ex8(args, report: Report) -> int:
                f"depth {rep.depth}")
     report.say(f"ass sizes per level: {rep.ass_sizes}")
     for m, level in enumerate(ass):
-        pretty = ", ".join(_tuple_text(prime.split(" , ")) for prime in level)
+        pretty = ", ".join(_tuple_text(prime) for prime in level)
         report.say(f"  level {m}: {pretty}")
     report.say(f"root law verified: {rep.verify is None or rep.verify.ok}")
     report.say(f"growth certificate: h={rep.certificate.h} over depth {rep.certificate.depth}")

@@ -146,8 +146,7 @@ def decompose_monomial(I: Ideal, shift: Optional[dict] = None) -> Decomposition:
         out.append(PrimaryComponent(unapply_shift(comp, shift), unapply_shift(radical, shift),
                                     is_primary_monomial(comp), shift_t))
     deco = Decomposition(tuple(out), minimal=True)
-    if deco.intersection() != I:
-        raise IdentityFailure(I, "monomial decomposition does not intersect back")
+    _check_identity(deco.intersection(), I, "monomial decomposition does not intersect back")
     return deco
 
 
@@ -238,8 +237,8 @@ class GrowthCheck(FrozenRecord):
 
 
 class GrowthCertificate(FrozenRecord):
-    # decompositions: a Decomposition per n = 0..depth; checks: a GrowthCheck per (n, component)
-    __slots__ = ("h", "depth", "decompositions", "checks")
+    # checks: a GrowthCheck per (n, component), n = 0..depth
+    __slots__ = ("h", "depth", "checks")
 
 
 def certify_growth(seq: FSequence, decomposer: Callable[[int], Decomposition],
@@ -251,25 +250,19 @@ def certify_growth(seq: FSequence, decomposer: Callable[[int], Decomposition],
     generating set; the check uses generator membership only, so the
     certificate can be replayed.
     """
-    h, depth = as_index(h, "growth exponent h"), as_index(depth, "certificate depth")
-    if h < 1 or depth < 0:
-        raise InputError("certify_growth wants h >= 1 and depth >= 0")
-    decos = []
+    h, depth = as_index(h, "growth exponent h", 1), as_index(depth, "certificate depth", 0)
     checks = []
     for n in range(depth + 1):
         deco = decomposer(n)
         target = seq.term(n)
-        inter = deco.intersection()
-        if inter != target:
-            raise IdentityFailure(target, f"decomposition at n={n} misses the term")
-        decos.append(deco)
+        _check_identity(deco.intersection(), target, f"decomposition at n={n} misses the term")
         for i, comp in enumerate(deco.components):
             ok = all(comp.ideal.contains(g.frobenius(n))
                      for g in _power_products(comp.radical.generators, h))
             checks.append(GrowthCheck(n, i, ok))
             if not ok:
                 raise CertificateFailure(n, i, f"(radical^{h})^[p^{n}] escapes the component")
-    return GrowthCertificate(h, depth, tuple(decos), tuple(checks))
+    return GrowthCertificate(h, depth, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +284,7 @@ def lg2_decompose(a: Ideal, primes: Sequence[Ideal], h: int, n: int,
     target (a^[p^n], or its F-closure).  Each component is checked primary
     to its prime in the monomial frame.
     """
-    h, n = as_index(h, "lg2_decompose h"), as_index(n, "lg2_decompose n")
+    h, n = as_index(h, "lg2_decompose h", 1), as_index(n, "lg2_decompose n", 0)
     if mode not in ("plain", "fclosure", "seqterm"):
         raise InputError(f"unknown mode {mode!r}")
     ring = a.ring
@@ -314,10 +307,8 @@ def lg2_decompose(a: Ideal, primes: Sequence[Ideal], h: int, n: int,
         comps.append(PrimaryComponent(ideal=comp, radical=p_i,
                                       verified_primary=primary, shift=None))
     deco = Decomposition(tuple(comps), minimal=_is_minimal(comps))
-    inter = deco.intersection()
-    if inter != target:
-        witness = _containment_witness(inter, target)
-        raise IdentityFailure(witness, f"components do not intersect to the target at n={n}")
+    _check_identity(deco.intersection(), target,
+                    f"components do not intersect to the target at n={n}")
     return deco
 
 
@@ -327,13 +318,18 @@ def _is_minimal(comps: Sequence[PrimaryComponent]) -> bool:
             and _redundant_index([c.ideal for c in comps]) is None)
 
 
+def _check_identity(got: Ideal, target: Ideal, detail: str) -> None:
+    """IdentityFailure unless got == target, witnessed by a basis element one side lacks."""
+    if got != target:
+        raise IdentityFailure(_containment_witness(got, target), detail)
+
+
 def _containment_witness(left: Ideal, right: Ideal):
-    for g in left.groebner():
-        if not right.contains(g):
-            return g
-    for g in right.groebner():
-        if not left.contains(g):
-            return g
+    """The first basis element of left outside right, else of right outside left, else None."""
+    for first, second in ((left, right), (right, left)):
+        for g in first.groebner():
+            if not second.contains(g):
+                return g
     return None
 
 
@@ -350,9 +346,7 @@ def decompose_perfection_ideal(A: PerfectionIdeal, check_depth: int = 3) -> list
     intersection reproduces the original sequence up to check_depth.
     Returns one FSequence per component, tagged with its radical.
     """
-    check_depth = as_index(check_depth, "check depth")
-    if check_depth < 0:
-        raise InputError(f"check depth must be >= 0, got {check_depth}")
+    check_depth = as_index(check_depth, "check depth", 0)
     seq = A.seq
     if "k" not in seq.meta:
         raise InputError("decompose_perfection_ideal needs a finitely generated ideal")
@@ -363,10 +357,8 @@ def decompose_perfection_ideal(A: PerfectionIdeal, check_depth: int = 3) -> list
     deco = decompose_monomial(anchor)
     out = [_primary_sequence(comp, k) for comp in deco.components]
     for n in range(check_depth + 1):
-        acc = intersect_all(s.term(n) for s in out)
-        if acc != seq.term(n):
-            witness = _containment_witness(acc, seq.term(n))
-            raise IdentityFailure(witness, f"component intersection misses term {n}")
+        _check_identity(intersect_all(s.term(n) for s in out), seq.term(n),
+                        f"component intersection misses term {n}")
     return out
 
 
@@ -387,9 +379,9 @@ def _primary_sequence(comp: PrimaryComponent, k: int) -> FSequence:
 
 
 class Ex8Report(FrozenRecord):
-    # decompositions (Decompositions) and ass (tuples of radicals) per level m = 0..depth; verify:
-    # the VerifyResult to depth (None at 0); witnesses per m >= 1: dicts of element and checks
-    __slots__ = ("p", "l", "t", "depth", "seq", "decompositions", "ass", "ass_sizes",
+    # ass (tuples of radicals) per level m = 0..depth; verify: the VerifyResult to depth
+    # (None at 0); witnesses per m >= 1: dicts of element and checks
+    __slots__ = ("p", "l", "t", "depth", "seq", "ass", "ass_sizes",
                  "verify", "witnesses", "certificate", "no_primary_decomposition", "notes")
 
 
@@ -407,12 +399,10 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
     supports depths below p (distinct constants run out).
     """
     ring = Ring(p, ("X", "Y"))
-    l, depth = as_index(l, "l"), as_index(depth, "depth")
+    l, depth = as_index(l, "l"), as_index(depth, "depth", 0)
     t_list = tuple(as_index(t, "multiplicity") for t in t_list)
     if not 2 <= l <= p:
         raise InputError(f"l must satisfy 2 <= l <= p, got {l}")
-    if depth < 0:
-        raise InputError("depth must be >= 0")
     if depth >= p:
         raise DistinctLambdaExhausted(
             f"depth {depth} needs {depth} distinct constants but F_{p} has only {p - 1} nonzero ones")
@@ -449,8 +439,7 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
             if not q_term(j, m).contains_ideal(Ideal(ring, [X])):
                 raise IdentityFailure(q_term(j, m), f"component {j} fails to absorb (X) at level {m}")
         deco = Decomposition(tuple(comps), minimal=_is_minimal(comps))
-        if deco.intersection() != seq.term(m):
-            raise IdentityFailure(seq.term(m), f"level {m} decomposition mismatch")
+        _check_identity(deco.intersection(), seq.term(m), f"level {m} decomposition mismatch")
         if not deco.minimal:
             raise IdentityFailure(seq.term(m), f"level {m} decomposition is not minimal")
         decos.append(deco)
@@ -482,7 +471,7 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
                      "perfect closure has no primary decomposition")
     return Ex8Report(
         p=p, l=l, t=t_list[:depth], depth=depth, seq=seq,
-        decompositions=decos, ass=ass, ass_sizes=sizes, verify=verify,
+        ass=ass, ass_sizes=sizes, verify=verify,
         witnesses=witnesses, certificate=certificate,
         no_primary_decomposition=no_primary_decomposition, notes=notes,
     )

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import CharpError, DepthExceeded, InputError, NotContainingQuotient
+from .errors import CharpError, DepthExceeded, NotContainingQuotient
 from .ideals import Ideal, _aux_cover, _eliminate
 from .orders import FrozenRecord, as_index
 from .poly import E_MAX
@@ -41,9 +41,7 @@ from .poly import E_MAX
 
 def frob_power(I: Ideal, e: int) -> Ideal:
     """I^[p^e]: generator-wise Frobenius (quotient generators re-enter implicitly)."""
-    if as_index(e, "Frobenius power exponent") < 0:
-        raise InputError(f"Frobenius power wants e >= 0, got {e}")
-    if e == 0:
+    if as_index(e, "Frobenius power exponent", 0) == 0:
         return I
     return Ideal(I.ring, [g.frobenius(e) for g in I.generators])
 
@@ -62,8 +60,7 @@ def frob_root(I: Ideal, e: int = 1) -> Ideal:
     quotient ring every step is an elimination, and the ideal must contain
     the quotient generators (NotContainingQuotient otherwise).
     """
-    if as_index(e, "Frobenius root exponent") < 0:  # an int, so the countdown below ends at 0
-        raise InputError(f"Frobenius root wants e >= 0, got {e}")
+    e = as_index(e, "Frobenius root exponent", 0)  # an int, so the countdown below ends at 0
     while e:
         monomial = I.is_monomial()
         k, roots = (0, None) if monomial or I.ring.is_quotient() else _p_roots(I.generators, e)
@@ -127,10 +124,7 @@ def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2) -> FClosureResult:
     (certified=False).  Raises DepthExceeded with the partial chain when the
     chain is still moving at max_e.
     """
-    max_e, confirm = as_index(max_e, "max_e"), as_index(confirm, "confirm")
-    if max_e < 1 or confirm < 1:
-        raise InputError(f"f_closure wants max_e >= 1 and confirm >= 1, "
-                         f"got {max_e} and {confirm}")
+    max_e, confirm = as_index(max_e, "max_e", 1), as_index(confirm, "confirm", 1)
     steps = [b]
     current = b
     equal_run = 0

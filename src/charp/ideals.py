@@ -57,9 +57,7 @@ class GroebnerBudget(FrozenRecord):
 
     def __init__(self, max_pairs: int = 200_000, max_poly_terms: int = 100_000,
                  max_degree: int = 4096):
-        fields = [as_index(v, "budget field") for v in (max_pairs, max_poly_terms, max_degree)]
-        if min(fields) <= 0:
-            raise InputError("budget fields must be positive")
+        fields = [as_index(v, "budget field", 1) for v in (max_pairs, max_poly_terms, max_degree)]
         super().__init__(*fields)
 
 
@@ -489,9 +487,7 @@ class Ideal:
 
     def power(self, h: int) -> "Ideal":
         """Ordinary h-th power (products of h generators); h >= 1."""
-        h = as_index(h, "ideal power h")
-        if h < 1:
-            raise InputError("ideal power wants h >= 1")
+        h = as_index(h, "ideal power h", 1)
         return Ideal(self.ring, _power_products(self.generators, h))
 
 

@@ -23,12 +23,16 @@ import operator
 from .errors import InputError
 
 
-def as_index(value, what: str) -> int:
-    """``value`` read through ``operator.index``; InputError if it is no integer."""
+def as_index(value, what: str, low=None) -> int:
+    """``value`` read through ``operator.index``; InputError if it is no
+    integer, or if it lies below ``low`` when a floor is given."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise InputError(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise InputError(f"{what} must be >= {low}, got {value}")
+    return value
 
 
 class FrozenRecord:

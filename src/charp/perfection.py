@@ -30,9 +30,7 @@ class PerfectionElement:
     __slots__ = ("depth", "body")
 
     def __init__(self, depth: int, body: Polynomial):
-        depth = as_index(depth, "element depth")
-        if depth < 0:
-            raise InputError("element depth must be >= 0")
+        depth = as_index(depth, "element depth", 0)
         if body.ring.is_quotient():
             raise InputError("perfect-closure element arithmetic needs a polynomial ring")
         # a constant, zero included, is its own p^k-th root for every k
@@ -45,9 +43,7 @@ class PerfectionElement:
 
     def lift(self, depth: int) -> Polynomial:
         """The body seen at a (deeper) depth: body^(p^(depth - self.depth))."""
-        if as_index(depth, "lift depth") < self.depth:
-            raise InputError("cannot lift to a shallower depth")
-        return self.body.frobenius(depth - self.depth)
+        return self.body.frobenius(as_index(depth, "lift depth", self.depth) - self.depth)
 
     def _lifted(self, other, op):
         other = self._coerced(other)
@@ -72,10 +68,11 @@ class PerfectionElement:
     def __sub__(self, other):
         return self._lifted(other, operator.sub)
 
+    def __rsub__(self, other):
+        return self._lifted(other, lambda mine, theirs: theirs - mine)
+
     def power(self, m: int) -> "PerfectionElement":
-        if as_index(m, "element power") < 0:
-            raise InputError("negative power")
-        return PerfectionElement(self.depth, self.body.power(m))
+        return PerfectionElement(self.depth, self.body.power(as_index(m, "element power", 0)))
 
     def _coerced(self, other):
         if isinstance(other, PerfectionElement):
@@ -126,9 +123,7 @@ class FSequence:
         self._lock = threading.Lock()
 
     def term(self, n: int) -> Ideal:
-        n = as_index(n, "sequence index")
-        if n < 0:
-            raise InputError("sequence index must be >= 0")
+        n = as_index(n, "sequence index", 0)
         with self._lock:
             got = self._memo.get(n)
         if got is not None:
@@ -163,9 +158,7 @@ class FSequence:
         """The sequence of the ideal generated by the depth-k roots of gens:
         term(k+n) is the F-closure of gens^[p^n], and terms below k are the
         unique downward extension by iterated Frobenius roots."""
-        k = as_index(k, "depth k")
-        if k < 0:
-            raise InputError("depth k must be >= 0")
+        k = as_index(k, "depth k", 0)
         seq = cls(gens.ring, None)
         seq.meta = {"k": k}
         seq_ref = weakref.ref(seq)  # seq holds fn: a strong reference would be a cycle
@@ -214,9 +207,7 @@ class FSequence:
         chain must descend, and term(n)^[p] must land in term(n+1).  Returns
         the first failing index with the mismatch as a witness.
         """
-        depth = as_index(depth, "verification depth")
-        if depth < 1:
-            raise InputError("verification depth must be >= 1")
+        depth = as_index(depth, "verification depth", 1)
         for n in range(depth):
             t0 = self.term(n)
             t1 = self.term(n + 1)

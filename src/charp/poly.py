@@ -362,8 +362,7 @@ class Polynomial:
 
     def power(self, m: int) -> "Polynomial":
         """g**m by binary exponentiation; m >= 0."""
-        if as_index(m, "polynomial power") < 0:
-            raise InputError("negative polynomial power")
+        m = as_index(m, "polynomial power", 0)
         result = self.ring.one()
         base = self
         while m:
@@ -378,9 +377,7 @@ class Polynomial:
 
     def frobenius(self, e: int) -> "Polynomial":
         """g**(p**e) by scaling every exponent; coefficients are fixed by Fermat."""
-        if as_index(e, "Frobenius exponent") < 0:
-            raise InputError("negative Frobenius exponent")
-        if e == 0 or self.is_zero():
+        if as_index(e, "Frobenius exponent", 0) == 0 or self.is_zero():
             return self
         scale = self.ring.p ** (e if e < E_MAX else E_MAX)
         self._check_fields(EXP_LIMIT // scale, f"Frobenius scaling by p^{e}")
@@ -394,8 +391,7 @@ class Polynomial:
         and no field of y exceeds (2^63 - 1) // p^e, so no field carries into
         the next; divisibility of x alone is wrong (X*Y^2 over F_3 packs to a
         multiple of 3)."""
-        if as_index(e, "root exponent") < 0:
-            raise InputError("negative root exponent")
+        e = as_index(e, "root exponent", 0)
         q, guard = self.ring.p ** (e if e < E_MAX else E_MAX), K.guard_bits(self.ring.nvars)
         bound = (K.DEGREE >> 1) // q
         top = K.spread(bound, self.ring.nvars) | bound | guard

@@ -208,6 +208,9 @@ SPEC_INPUT_ERRORS = {
                   "unknown keys ['kind']", "bad.ini [ideal a]"),
     "fseq-key": (RING_X + "[fseq s]\nkind = constant-prime\nideal = a\ngens = X\n", GB,
                  "unknown keys ['gens']", "bad.ini [fseq s]"),
+    "fseq-key-of-another-kind": (RING_X + "[fseq s]\nkind = frobenius-powers\nideal = a\nk = 7\n"
+                                 "terms = nonsense\nshint = X+1\n", GB,
+                                 "unknown keys ['k', 'shint', 'terms']", "bad.ini [fseq s]"),
     "fseq-names-unknown-fseq": (RING_X + "[fseq s]\nkind = intersection\nof = t\n", GB,
                                 "unknown fseq 't'", "bad.ini"),
     "command-names-unknown-fseq": (RING_X + "[fseq s]\nkind = constant-prime\nideal = a\n",

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from charp import (CertificateFailure, Ideal, IdentityFailure, InputError,
+from charp import (CertificateFailure, GroebnerBudget, Ideal, IdentityFailure, InputError,
                    NonMonomial, Ring)
 from charp import decomposition
 from charp.decomposition import (_redundant_index, _split_irreducible, _support, apply_shift,
@@ -17,7 +17,7 @@ from charp.decomposition import (_redundant_index, _split_irreducible, _support,
                                  find_linear_growth_h, is_primary_monomial,
                                  lg2_decompose, localize_contract)
 from charp.errors import DistinctLambdaExhausted
-from charp.frobenius import f_closure, frob_power
+from charp.frobenius import f_closure, frob_power, frob_root
 from charp.ideals import intersect_all
 from charp.perfection import FSequence, PerfectionElement, PerfectionIdeal
 
@@ -435,31 +435,41 @@ _P = Ideal(Ring(2, ["X", "Y"]), ["X", "Y"])
 _P_SEQ = FSequence.constant_prime(_P)
 
 
+# each count argument: a call that reads it, and its floor (None where the
+# bound is not a plain floor)
 _COUNT_CALLS = {
-    "ideal power h": lambda x: _P.power(x),
-    "max_e": lambda x: f_closure(_P, x, confirm=1),
-    "confirm": lambda x: f_closure(_P, 3, confirm=x),
-    "verification depth": lambda x: _P_SEQ.verify(x),
-    "growth exponent h": lambda x: certify_growth(_P_SEQ, lambda n: decompose_monomial(_P), x, 1),
-    "certificate depth": lambda x: certify_growth(_P_SEQ, lambda n: decompose_monomial(_P), 1,
-                                                  depth=x),
-    "lg2_decompose h": lambda x: lg2_decompose(_P, [_P], x, 0),
-    "lg2_decompose n": lambda x: lg2_decompose(_P, [_P], 1, x),
-    "element depth": lambda x: PerfectionElement(x, _P.generators[0]),
-    "element power": lambda x: PerfectionElement(0, _P.generators[0]).power(x),
-    "lift depth": lambda x: PerfectionElement(0, _P.generators[0]).lift(x),
-    "depth k": lambda x: FSequence.finitely_generated(_P, x).term(0),
-    "sequence index": lambda x: _P_SEQ.term(x),
-    "check depth": lambda x: decompose_perfection_ideal(
-        PerfectionIdeal.finitely_generated(_P), x),
-    "l": lambda x: ex8_build(3, x, [1], 1),
-    "multiplicity": lambda x: ex8_build(3, 2, [x], 1),
-    "depth": lambda x: ex8_build(3, 2, [1], x),
+    "ideal power h": (lambda x: _P.power(x), 1),
+    "max_e": (lambda x: f_closure(_P, x, confirm=1), 1),
+    "confirm": (lambda x: f_closure(_P, 3, confirm=x), 1),
+    "verification depth": (lambda x: _P_SEQ.verify(x), 1),
+    "growth exponent h": (lambda x: certify_growth(_P_SEQ, lambda n: decompose_monomial(_P), x, 1),
+                          1),
+    "certificate depth": (lambda x: certify_growth(_P_SEQ, lambda n: decompose_monomial(_P), 1,
+                                                   depth=x), 0),
+    "lg2_decompose h": (lambda x: lg2_decompose(_P, [_P], x, 0), 1),
+    "lg2_decompose n": (lambda x: lg2_decompose(_P, [_P], 1, x), 0),
+    "element depth": (lambda x: PerfectionElement(x, _P.generators[0]), 0),
+    "element power": (lambda x: PerfectionElement(0, _P.generators[0]).power(x), 0),
+    "lift depth": (lambda x: PerfectionElement(1, _P.generators[0]).lift(x), 1),
+    "depth k": (lambda x: FSequence.finitely_generated(_P, x).term(0), 0),
+    "sequence index": (lambda x: _P_SEQ.term(x), 0),
+    "check depth": (lambda x: decompose_perfection_ideal(
+        PerfectionIdeal.finitely_generated(_P), x), 0),
+    "l": (lambda x: ex8_build(3, x, [1], 1), None),
+    "multiplicity": (lambda x: ex8_build(3, 2, [x], 1), None),
+    "depth": (lambda x: ex8_build(3, 2, [1], x), 0),
+    "Frobenius power exponent": (lambda x: frob_power(_P, x), 0),
+    "Frobenius root exponent": (lambda x: frob_root(_P, x), 0),
+    "Frobenius exponent": (lambda x: _P.generators[0].frobenius(x), 0),
+    "root exponent": (lambda x: _P.generators[0].try_p_root(x), 0),
+    "polynomial power": (lambda x: _P.generators[0].power(x), 0),
+    "budget field": (lambda x: GroebnerBudget(max_degree=x), 1),
 }
 
 
-def _outcome(call, x):
-    """The message of the InputError call(x) raises, or None."""
+def _outcome(count, x):
+    """The message of the InputError that count's call raises on x, or None."""
+    call, _floor = count
     try:
         call(x)
     except InputError as e:
@@ -474,6 +484,16 @@ def test_count_arguments_are_integers(name):
     for bad in (1.5, "2"):
         assert _outcome(_COUNT_CALLS[name], bad) == f"{name} must be an integer, got {bad!r}"
     assert _outcome(_COUNT_CALLS[name], True) == _outcome(_COUNT_CALLS[name], 1)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, floor) in _COUNT_CALLS.items()
+                                         if floor is not None))
+def test_count_arguments_keep_their_floor(name):
+    """A count below its floor raises InputError naming the argument, the
+    floor and the value; at the floor it raises no such error."""
+    floor = _COUNT_CALLS[name][1]
+    assert _outcome(_COUNT_CALLS[name], floor - 1) == f"{name} must be >= {floor}, got {floor - 1}"
+    assert _outcome(_COUNT_CALLS[name], floor) is None
 
 
 # -- perfect-closure decomposition ---------------------------------------------------

@@ -48,6 +48,22 @@ def test_every_definition_has_a_caller():
     assert unused == []
 
 
+def test_every_imported_name_is_used():
+    """Each name a module takes with ``from ... import`` is read in it;
+    ``__init__`` re-exports its names, and ``annotations`` is a future flag."""
+    unused = []
+    for path in PACKAGE:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                   for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   for alias in node.names
+                   if alias.name != "annotations" and (alias.asname or alias.name) not in read]
+    assert unused == []
+
+
 def test_every_export_resolves():
     import charp
     assert [name for name in charp.__all__ if not hasattr(charp, name)] == []

@@ -56,6 +56,18 @@ def test_elem_add_mul_examples(R2):
     assert a * 1 == a
 
 
+def test_elem_reflected_subtraction_and_negation():
+    """An integer or a polynomial left of '-' lifts as it does on the right, and
+    equal elements hash alike."""
+    R = Ring(3, ["X"])
+    X = R.var("X")
+    e = PerfectionElement(1, X)
+    assert 3 - e == -(e - 3) == PerfectionElement(1, -X)
+    assert 1 - X == R.parse("2*X + 1")
+    assert (1 - X) - e == -(e - (1 - X)) == PerfectionElement(1, R.parse("2*X^3 + 2*X + 1"))
+    assert hash(3 - e) == hash(-(e - 3)) and len({3 - e, -(e - 3), e}) == 2
+
+
 def test_elem_ring_axioms(rng):
     R = Ring(3, ["X", "Y"])
     elems = [PerfectionElement(rng.randint(0, 2), rand_poly(R, rng, 4, 3, allow_zero=True))
