@@ -25,8 +25,11 @@ its first fixed point.
 
 The F-closure of b is the union over n of the n-fold roots of b^[p^n]; the
 chain of those ideals ascends, and we stop after a configurable number of
-consecutive repeats.  No effective global stabilisation bound is known to
-us, so results carry certified=False.
+consecutive repeats.  In a polynomial ring the Frobenius is flat, so every
+term is b again: it is built by flatness from b's generators as the round
+trip would leave them, after the overflow test b^[p^n] would run.  Quotient
+rings compute the round trip root^n(b^[p^n]).  No effective global
+stabilisation bound is known to us, so results carry certified=False.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Optional
 from .errors import CharpError, DepthExceeded, NotContainingQuotient
 from .ideals import Ideal, _aux_cover, _eliminate
 from .orders import FrozenRecord, as_index
-from .poly import E_MAX
+from .poly import E_MAX, frobenius_scale
 
 
 def frob_power(I: Ideal, e: int) -> Ideal:
@@ -120,16 +123,29 @@ def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2) -> FClosureResult:
     """Union over n of the n-fold Frobenius root of b^[p^n].
 
     Iterates I_n = root^n(b^[p^n]), an ascending chain, and stops once
-    `confirm` consecutive equalities are seen.  The stop is heuristic
-    (certified=False).  Raises DepthExceeded with the partial chain when the
-    chain is still moving at max_e.
+    `confirm` consecutive equalities are seen.  In a polynomial ring I_n = b
+    by flatness (Kunz), so each I_n is a new ideal on the generators the
+    round trip leaves: b's own, or for a monomial b its minimal generators,
+    monic and ascending.  It raises ExponentOverflow where b^[p^n] would
+    overflow.  A quotient ring computes the round trip.  The stop is
+    heuristic (certified=False).  Raises DepthExceeded with the partial chain
+    when the chain is still moving at max_e.
     """
     max_e, confirm = as_index(max_e, "max_e", 1), as_index(confirm, "confirm", 1)
+    ring, flat = b.ring, not b.ring.is_quotient()
+    if flat:  # the generators root^n(b^[p^n]) has, and the packed ints b^[p^n] scales
+        gens = ([ring.monomial(r) for r in b.minimal_monomial_exps()] if b.is_monomial()
+                else b.generators)
+        packed = [x for g in b.generators for x in g.packed]
     steps = [b]
     current = b
     equal_run = 0
     for n in range(1, max_e + 1):
-        nxt = frob_root(frob_power(b, n), n)
+        if flat:
+            frobenius_scale(ring, packed, n)  # overflows where b^[p^n] would
+            nxt = Ideal(ring, gens)
+        else:
+            nxt = frob_root(frob_power(b, n), n)
         if not nxt.contains_ideal(current):
             raise CharpError("F-closure chain failed to ascend")
         steps.append(nxt)

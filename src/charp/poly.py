@@ -54,6 +54,25 @@ def _check_exps(rows) -> None:
         raise ExponentOverflow(f"exponent exceeds {EXP_LIMIT}")
 
 
+def _check_fields(packed, nvars: int, bound: int, what: str) -> None:
+    """Raise ExponentOverflow when an exponent field of the packed ints exceeds
+    bound.  Every field is below 2^63 (a product of polynomials within
+    EXP_LIMIT has fields up to 2^57), so top - x keeps each guard bit iff no
+    field of x exceeds bound."""
+    guard = K.guard_bits(nvars)
+    top = K.spread(bound, nvars) | K.DEGREE >> 1 | guard  # any degree field
+    if any((top - x) & guard != guard for x in packed):
+        raise ExponentOverflow(f"{what} exceeds {EXP_LIMIT}")
+
+
+def frobenius_scale(ring: Ring, packed, e: int) -> int:
+    """The factor p^e of a Frobenius power on packed ints, capped at p^E_MAX;
+    ExponentOverflow when scaling the packed ints by it leaves EXP_LIMIT."""
+    scale = ring.p ** (e if e < E_MAX else E_MAX)
+    _check_fields(packed, ring.nvars, EXP_LIMIT // scale, f"Frobenius scaling by p^{e}")
+    return scale
+
+
 @functools.lru_cache(maxsize=None)
 def _units(order: MonomialOrder, nvars: int) -> tuple:
     """``K.units`` of the order's key matrix as tuples, once per order and nvars
@@ -277,15 +296,6 @@ class Polynomial:
             terms.append((head + vec[drop:] + tail, c))
         return ring.from_terms(terms)
 
-    def _check_fields(self, bound: int, what: str) -> None:
-        """Raise ExponentOverflow when an exponent exceeds bound.  Every field
-        is below 2^63 (a product of polynomials within EXP_LIMIT has fields up
-        to 2^57), so top - x keeps each guard bit iff no field of x exceeds bound."""
-        guard = K.guard_bits(self.ring.nvars)
-        top = K.spread(bound, self.ring.nvars) | K.DEGREE >> 1 | guard  # any degree field
-        if any((top - x) & guard != guard for x in self.packed):
-            raise ExponentOverflow(f"{what} exceeds {EXP_LIMIT}")
-
     # -- inspection ----------------------------------------------------------
 
     @property
@@ -355,7 +365,7 @@ class Polynomial:
             return NotImplemented
         out = Polynomial(self.ring, *K.mul(self.keys, self.packed, self.coeffs, other.keys,
                                            other.packed, other.coeffs, self.ring.p))
-        out._check_fields(EXP_LIMIT, "exponent")
+        _check_fields(out.packed, self.ring.nvars, EXP_LIMIT, "exponent")
         return out
 
     __rmul__ = __mul__
@@ -379,8 +389,7 @@ class Polynomial:
         """g**(p**e) by scaling every exponent; coefficients are fixed by Fermat."""
         if as_index(e, "Frobenius exponent", 0) == 0 or self.is_zero():
             return self
-        scale = self.ring.p ** (e if e < E_MAX else E_MAX)
-        self._check_fields(EXP_LIMIT // scale, f"Frobenius scaling by p^{e}")
+        scale = frobenius_scale(self.ring, self.packed, e)
         return Polynomial(self.ring, [k * scale for k in self.keys],
                           [x * scale for x in self.packed], self.coeffs)
 

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import charp.cli
-from charp import Ideal, InputError, ideals
+from charp import ExponentOverflow, Ideal, InputError, ideals
 from charp.cli import build_parser, main, parse_spec
 from charp.frobenius import f_closure
 from charp.ideals import GroebnerBudget
@@ -331,6 +331,24 @@ def test_failure_reports_are_pinned(line, code, result, witnesses, json_sha, tex
     assert (got_code, err) == (code, "")
     assert out.count("\n") == 1
     assert hashlib.sha256(out.encode()).hexdigest() == text_sha
+
+
+def test_f_closure_exponent_overflow_exits_3(monkeypatch, capsys):
+    """(X^2, X*Y)^[2^56] has X^(2^57) > EXP_LIMIT: the chain stops at n = 56
+    with ExponentOverflow, from the command line and from the library."""
+    monkeypatch.chdir(ROOT)
+    argv = "frob closure specs/demo.ini --ideal a --max-e 60 --confirm 57".split()
+    message = "Frobenius scaling by p^56 exceeds 72057594037927936"
+    code, data = run_json(capsys, *argv)
+    assert (code, data["exit_status"]) == (3, 3)
+    assert data["result"] == {"error": message, "error_kind": "ExponentOverflow"}
+    assert data["budget"]["pairs_used"] == 56
+    assert _run_captured(argv) == (3, f"budget exceeded: {message}\n", "")
+    a = parse_spec("specs/demo.ini").ideals["a"]
+    with pytest.raises(ExponentOverflow) as exc:
+        f_closure(a, 60, 57)
+    assert str(exc.value) == message
+    assert len(f_closure(a, 55, 55).steps) == 56
 
 
 def test_budget_terms_exits_3(tmp_path, capsys):

@@ -5,11 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charp import DepthExceeded, Ideal, InputError, Ring, ideals
+from charp import DepthExceeded, ExponentOverflow, Ideal, InputError, Ring, frobenius, ideals
 from charp.frobenius import (_frob_root_elimination, _frob_root_monomial, _p_roots,
                              f_closure, frob_power, frob_root, is_f_closed)
-from charp.ideals import _aux_cover, _eliminate
+from charp.ideals import GroebnerBudget, _aux_cover, _eliminate, using_budget
 from charp.orders import GREVLEX, LEX, elim
+from charp.poly import E_MAX, Polynomial
 
 from conftest import (all_polys_up_to_degree, chained_root, cusp_ring, deadline, in_radical,
                       monomial_gen_exps, oracle_ceiling_root, rand_ideal,
@@ -355,6 +356,101 @@ def test_f_closure_identity_in_regular_rings(R2, rng):
         assert res.closure == I
         assert res.stabilized_at == 0
         assert res.certified is False
+
+
+def _chain_ideals(ring):
+    """Monomial, mixed, zero and unit ideals.  Monomials alone take exponents
+    up to 2^40, so Frobenius powers overflow EXP_LIMIT at any depth; longer
+    generators take small exponents times one factor up to 2^40, which
+    leaves their basis as cheap to compute as with the small ones."""
+    coeffs = st.integers(1, ring.p - 1)
+
+    def polys(exps, size, terms=(1, 1), scale=1):
+        vec = st.tuples(*[exps] * ring.nvars).map(lambda v: tuple(e * scale for e in v))
+        poly = st.lists(st.tuples(vec, coeffs), min_size=terms[0], max_size=terms[1])
+        return st.lists(poly.map(ring.from_terms), min_size=size[0], max_size=size[1])
+
+    small = st.integers(0, 3)
+    monomial = polys(st.one_of(small, st.integers(0, 2**40)), (1, 4))
+    mixed = st.sampled_from((1, 2**20, 2**40)).flatmap(
+        lambda N: st.tuples(polys(small, (0, 2), scale=N), polys(small, (1, 2), (2, 3), N))
+        .map(lambda parts: parts[0] + parts[1]))
+    return st.one_of(
+        monomial, mixed, st.sampled_from(([], [ring.zero()])),
+        st.tuples(coeffs, st.one_of(monomial, mixed))
+        .map(lambda parts: [ring.constant(parts[0])] + parts[1]),
+    ).map(lambda gens: Ideal(ring, gens))
+
+
+def _outcome(term):
+    """The generators' term lists of the ideal term() builds, or the
+    ExponentOverflow message it raises."""
+    try:
+        return [(g.keys, g.packed, g.coeffs) for g in term().generators]
+    except ExponentOverflow as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_f_closure_chain_terms_match_the_round_trip(data):
+    """In a polynomial ring each chain term of f_closure has the generators
+    of root^n(b^[p^n]), and the chain raises its ExponentOverflow at the
+    first n where b^[p^n] overflows, past p^E_MAX too."""
+    nvars = data.draw(st.integers(1, 4), label="nvars")
+    p = data.draw(st.sampled_from((2, 3, 5, 7)), label="p")
+    order = data.draw(st.sampled_from((GREVLEX, LEX, elim(1))), label="order")
+    R = Ring(p, ["X", "Y", "Z", "W"][:nvars], order)
+    b = data.draw(_chain_ideals(R), label="b")
+    n = data.draw(st.one_of(st.integers(1, 60), st.integers(E_MAX - 1, 60)), label="n")
+    want = []
+    for k in range(1, n + 1):
+        want.append(_outcome(lambda: frob_root(frob_power(b, k), k)))
+        if isinstance(want[-1], str):
+            break
+    with using_budget(GroebnerBudget(max_degree=2**62)):  # the monomials' degrees
+        got = _outcome(lambda: f_closure(b, max_e=n, confirm=n).closure)
+        if isinstance(want[-1], str):
+            assert got == want.pop()
+            n = len(want)
+        if n:
+            steps = f_closure(b, max_e=n, confirm=n).steps
+            assert [_outcome(lambda: I) for I in steps[1:]] == want
+
+
+def test_f_closure_overflows_at_the_first_overflowing_frobenius_power():
+    """X over F_2 scales past EXP_LIMIT first at p^E_MAX, where the scale is
+    capped, and the lex tail Y^4 of X + Y^4 at p^55, before its lead; a
+    constant scales by the capped p^E_MAX without overflow."""
+    R = Ring(2, ["X", "Y"], LEX)
+    X, tail, one = Ideal(R, ["X"]), Ideal(R, ["X + Y^4"]), Ideal(R, ["1"])
+    for b, n in ((X, E_MAX), (tail, 55)):
+        assert len(f_closure(b, n - 1, n - 1).steps) == n
+        message = f"Frobenius scaling by p^{n} exceeds {2**56}"
+        for term in (lambda: frob_power(b, n), lambda: f_closure(b, 60, 60)):
+            with pytest.raises(ExponentOverflow) as exc:
+                term()
+            assert str(exc.value) == message
+    unit = frob_root(frob_power(one, 60), 60).generators
+    assert [I.generators for I in f_closure(one, 60, 60).steps[1:]] == [unit] * 60
+
+
+def test_f_closure_in_a_polynomial_ring_takes_no_frobenius_power_or_root(R2, monkeypatch):
+    """A polynomial ring builds each chain term from b by flatness; the cusp
+    still takes the Frobenius power and its root."""
+    calls = []
+    for owner, name in ((frobenius, "frob_power"), (frobenius, "frob_root"),
+                        (Polynomial, "frobenius"), (Polynomial, "try_p_root")):
+        def spy(*args, real=getattr(owner, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    for gens in (["X^2", "X*Y"], ["X^2+Y", "X*Y^3"], ["X^3", "X+Y^2"], [], ["1"]):
+        assert f_closure(Ideal(R2, gens)).closure == Ideal(R2, gens)
+    assert calls == []
+    f_closure(Ideal(cusp_ring(), ["U"]))
+    assert {"frob_power", "frob_root", "frobenius"} <= set(calls)
 
 
 def test_f_closure_cusp_counterexample():

@@ -72,8 +72,10 @@ PAIRS_PER_PASS = {"gb_dense": 10663, "frobenius_closure": 7747, "cli_specs": 394
 # basis elements are members without division, Frobenius powers and roots are
 # tested on packed ints, an empty S-polynomial or a lone basis lead is not
 # divided, an elimination stops decoding a basis element at its first
-# auxiliary term, and an ideal drops repeated generators on their ints
-CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2904, "__hash__": 0}
+# auxiliary term, an ideal drops repeated generators on their ints, and an
+# F-closure in a polynomial ring takes no Frobenius power or root
+CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2639, "__hash__": 0, "frobenius": 1614,
+                  "try_p_root": 1507}
 # ceilings on the decodings, redundancy searches, Polynomial products,
 # outside calls of the merge kernel, divisions, Polynomial hashes and argparse
 # parses in one cli_specs pass: products check overflow on packed ints,
@@ -82,10 +84,11 @@ CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2904, "__hash__": 0}
 # term is packed as it is, monomial localisation zeroes exponents instead of
 # substituting 1, a shift translates packed ints term by term, a basis of
 # one-term generators forms no S-polynomial, an ideal drops repeated
-# generators on their ints, and a leaf's argv is parsed by the leaf parser alone
-CLI_CALLS_PER_PASS = {"unpack": 24115, "_redundant_index": 305, "__mul__": 112,
+# generators on their ints, a leaf's argv is parsed by the leaf parser alone,
+# and an F-closure in a polynomial ring takes no Frobenius power
+CLI_CALLS_PER_PASS = {"unpack": 20548, "_redundant_index": 305, "__mul__": 112,
                       "combine": 232, "normal_form": 336, "s_normal_form": 294,
-                      "__hash__": 0, "parse_known_args": 1511}
+                      "__hash__": 0, "parse_known_args": 1511, "frobenius": 6424}
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS_PER_PASS))
@@ -128,21 +131,23 @@ def _count_calls(monkeypatch, workload, instances, targets):
 
 def test_frobenius_closure_pass_divides_and_decodes_no_more(monkeypatch):
     """One frobenius_closure pass at the reference seed calls the division
-    kernel, decodes exponent tuples and hashes Polynomials at most as often as
-    CALLS_PER_PASS."""
+    kernel, decodes exponent tuples, hashes Polynomials and takes Frobenius
+    powers and p-th roots of them at most as often as CALLS_PER_PASS."""
     monkeypatch.chdir(ROOT)
     workload = workloads.WORKLOADS["frobenius_closure"]()
     calls = _count_calls(monkeypatch, workload, workload.generate(bench.DEFAULT_SEED),
                          ((charp._kernels, "normal_form"), (charp.poly.Ring, "unpack"),
-                          (charp.poly.Polynomial, "__hash__")))
+                          (charp.poly.Polynomial, "__hash__"),
+                          (charp.poly.Polynomial, "frobenius"),
+                          (charp.poly.Polynomial, "try_p_root")))
     assert all(calls[name] <= bound for name, bound in CALLS_PER_PASS.items()), calls
 
 
 def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
     """One cli_specs pass at the reference seed decodes exponent tuples, looks
     for redundant components, multiplies Polynomials, merges raw terms,
-    divides, hashes Polynomials and runs argparse at most as often as
-    CLI_CALLS_PER_PASS."""
+    divides, hashes Polynomials, runs argparse and takes Frobenius powers of
+    Polynomials at most as often as CLI_CALLS_PER_PASS."""
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(workloads, "WORK_DIR", str(tmp_path))
     workload = workloads.WORKLOADS["cli_specs"]()
@@ -154,5 +159,6 @@ def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
                           (charp.poly.Polynomial, "__mul__"), (charp._kernels, "combine"),
                           (charp._kernels, "normal_form"), (charp._kernels, "s_normal_form"),
                           (charp.poly.Polynomial, "__hash__"),
-                          (argparse.ArgumentParser, "parse_known_args")))
+                          (argparse.ArgumentParser, "parse_known_args"),
+                          (charp.poly.Polynomial, "frobenius")))
     assert all(calls[name] <= bound for name, bound in CLI_CALLS_PER_PASS.items()), calls
