@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 from .errors import (CertificateFailure, DistinctLambdaExhausted,
                      IdentityFailure, InputError, NonMonomial)
 from .frobenius import f_closure, frob_power, frob_root
-from .ideals import Ideal, _minimal, _mono_divides, _power_products, intersect_all
+from .ideals import Ideal, _minimal, _monomial_ideal, _power_products, intersect_all
 from .orders import FrozenRecord, as_index
 from .perfection import FSequence, PerfectionIdeal
 from .poly import Polynomial, Ring
@@ -119,6 +119,8 @@ def decompose_monomial(I: Ideal, shift: Optional[dict] = None) -> Decomposition:
     """
     shift = dict(shift) if shift else {}
     work = apply_shift(I, shift)
+    if I.ring.is_quotient():  # no ideal of a quotient ring counts as monomial
+        raise NonMonomial(f"decomposition needs a polynomial ring, not {I.ring!r}")
     if not work.is_monomial():
         raise NonMonomial(f"{I!r} is not monomial" + (" after the given shift" if shift else ""))
     mins = work.minimal_monomial_exps()
@@ -127,21 +129,18 @@ def decompose_monomial(I: Ideal, shift: Optional[dict] = None) -> Decomposition:
     if not all(any(r) for r in mins):
         raise InputError("cannot decompose an improper ideal")
     ring = I.ring
-    leaves = list(dict.fromkeys(tuple(sorted(irr)) for irr in _split_irreducible(mins)))
-    by_radical: dict = {}  # the distinct leaves, by radical
-    kept = set()
+    leaves = [_monomial_ideal(ring, rows, minimal=True)  # the distinct leaves
+              for rows in dict.fromkeys(tuple(sorted(irr)) for irr in _split_irreducible(mins))]
+    by_radical, kept = {}, set()  # the leaves by radical; the radicals kept
     for a in leaves:
-        supp = tuple(sorted(_support(r)[0] for r in a))
+        supp = tuple(sorted(_support(r)[0] for r in a.minimal_monomial_exps()))
         by_radical.setdefault(supp, []).append(a)
-        # leaf a contains leaf b iff a row of a divides each row of b
-        if not any(b != a and all(any(_mono_divides(r, s) for r in a) for s in b)
-                   for b in leaves):
+        if not any(b is not a and a.contains_ideal(b) for b in leaves):
             kept.add(supp)
     out = []
     shift_t = tuple(sorted(shift.items())) if shift else None
     for supp in sorted(kept):
-        comp = intersect_all(Ideal(ring, [ring.monomial(r) for r in rows])
-                             for rows in by_radical[supp])
+        comp = intersect_all(by_radical[supp])
         radical = Ideal(ring, [ring.var(ring.vars[i]) for i in supp])
         out.append(PrimaryComponent(unapply_shift(comp, shift), unapply_shift(radical, shift),
                                     is_primary_monomial(comp), shift_t))
@@ -166,13 +165,6 @@ def _redundant_index(ideals: list) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _monomial_prime_vars(p: Ideal) -> tuple:
-    mins = p.minimal_monomial_exps()
-    if any(sum(r) != 1 for r in mins):
-        raise NonMonomial(f"{p!r} is not generated by a subset of the variables")
-    return tuple(r.index(1) for r in mins)
-
-
 def localize_contract(I: Ideal, prime: Ideal, s_hint: Optional[Polynomial] = None) -> Ideal:
     """Contraction of I localised at a prime.
 
@@ -189,10 +181,13 @@ def localize_contract(I: Ideal, prime: Ideal, s_hint: Optional[Polynomial] = Non
     if s_hint is not None and prime.contains(s_hint):
         raise InputError(f"localisation hint {s_hint} lies in the prime")
     if I.is_monomial() and prime.is_monomial():
-        inside = set(_monomial_prime_vars(prime))
-        gens = [ring.monomial([e if i in inside else 0 for i, e in enumerate(g.exps[0])],
-                              g.coeffs[0]) for g in I.generators]
-        return Ideal(ring, gens)
+        mins = prime.minimal_monomial_exps()
+        if any(sum(r) != 1 for r in mins):
+            raise NonMonomial(f"{prime!r} is not generated by a subset of the variables")
+        inside = {r.index(1) for r in mins}
+        return Ideal(ring, [ring._term([e if i in inside else 0
+                                        for i, e in enumerate(ring.unpack(g.packed[0]))],
+                                       g.coeffs[0]) for g in I.generators])
     if s_hint is None:
         raise NonMonomial("general localisation needs a multiplier hint")
     result = I.saturate(s_hint)
@@ -222,9 +217,8 @@ def find_linear_growth_h(deco: Decomposition) -> int:
     """Least h with radical^h inside the matching component, over all components."""
     best = 1
     for comp in deco.components:
-        gens = comp.radical.generators
         h = 1
-        while not all(comp.ideal.contains(g) for g in _power_products(gens, h)):
+        while not comp.ideal._contains_all(_power_products(comp.radical.generators, h)):
             h += 1
             if h > _H_CAP:
                 raise InputError("no linear-growth exponent below the search cap")
@@ -257,8 +251,7 @@ def certify_growth(seq: FSequence, decomposer: Callable[[int], Decomposition],
         target = seq.term(n)
         _check_identity(deco.intersection(), target, f"decomposition at n={n} misses the term")
         for i, comp in enumerate(deco.components):
-            ok = all(comp.ideal.contains(g.frobenius(n))
-                     for g in _power_products(comp.radical.generators, h))
+            ok = comp.ideal._contains_all(_power_products(comp.radical.generators, h), n)
             checks.append(GrowthCheck(n, i, ok))
             if not ok:
                 raise CertificateFailure(n, i, f"(radical^{h})^[p^{n}] escapes the component")

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import CharpError, DepthExceeded, NotContainingQuotient
-from .ideals import Ideal, _aux_cover, _eliminate
+from .ideals import Ideal, _aux_cover, _eliminate, _monomial_ideal
 from .orders import FrozenRecord, as_index
 from .poly import E_MAX, frobenius_scale
 
@@ -106,8 +106,8 @@ def _p_roots(gens, e: int) -> tuple:
 def _frob_root_monomial(I: Ideal) -> Ideal:
     """Ceiling shortcut: the root of (X^a) is generated by X^ceil(a/p)."""
     p = I.ring.p
-    gens = [I.ring.monomial([-(-e // p) for e in r]) for r in I.minimal_monomial_exps()]
-    return Ideal(I.ring, gens)
+    return _monomial_ideal(I.ring, [tuple(-(-e // p) for e in r)
+                                    for r in I.minimal_monomial_exps()])
 
 
 class FClosureResult(FrozenRecord):
@@ -133,17 +133,14 @@ def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2) -> FClosureResult:
     """
     max_e, confirm = as_index(max_e, "max_e", 1), as_index(confirm, "confirm", 1)
     ring, flat = b.ring, not b.ring.is_quotient()
-    if flat:  # the generators root^n(b^[p^n]) has, and the packed ints b^[p^n] scales
-        gens = ([ring.monomial(r) for r in b.minimal_monomial_exps()] if b.is_monomial()
-                else b.generators)
+    if flat:  # the packed ints b^[p^n] scales; each term has root^n(b^[p^n])'s generators
         packed = [x for g in b.generators for x in g.packed]
-    steps = [b]
-    current = b
-    equal_run = 0
+    steps, current, equal_run = [b], b, 0
     for n in range(1, max_e + 1):
         if flat:
             frobenius_scale(ring, packed, n)  # overflows where b^[p^n] would
-            nxt = Ideal(ring, gens)
+            nxt = (_monomial_ideal(ring, b.minimal_monomial_exps(), minimal=True)
+                   if b.is_monomial() else Ideal(ring, b.generators))
         else:
             nxt = frob_root(frob_power(b, n), n)
         if not nxt.contains_ideal(current):

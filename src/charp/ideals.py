@@ -6,12 +6,12 @@ stands for its full preimage: J's generators take part in every basis
 computation implicitly, which keeps Frobenius roots and membership uniform
 across plain and quotient rings.
 
-Monomial ideals get dedicated fast paths (membership by divisibility,
-intersection by lcm, quotient by exponent subtraction, and a basis engine
-route that forms no S-polynomial but counts the pairs Buchberger's would).
-The input picks the route; the test suite cross-checks each fast path against
-the Buchberger route, calling ``normal_form``, ``_intersection``, ``_colon``
-and ``_Buchberger._pair_loop`` directly.
+Monomial ideals take fast paths on packed ints and exponent rows (membership
+by packed divisibility, intersection by lcm, quotient by exponent subtraction,
+and a basis route that forms no S-polynomial but counts the pairs Buchberger's
+would), which build their results' Polynomials once.  The input picks the
+route; the tests check each against the Buchberger route, calling
+``normal_form``, ``_intersection``, ``_colon`` and ``_pair_loop`` directly.
 
 One auxiliary ring serves intersection, colon, saturation and the p-power
 root: the cover of the ring with k variables T_i in front, under elim(k)
@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 from . import _kernels as K
 from .errors import CharpError, ExponentOverflow, GroebnerBudgetExceeded, InputError
 from .orders import FrozenRecord, as_index, elim
-from .poly import EXP_LIMIT, Polynomial, Ring
+from .poly import EXP_LIMIT, Polynomial, Ring, frobenius_scale
 
 pair_count = 0  # pairs of every basis computed or recalled; it only grows, callers read differences
 _BASES_KEPT = 256  # reduced bases each Ring remembers
@@ -129,12 +129,10 @@ def _mono_divides(a: tuple, b: tuple) -> bool:
     return all(map(le, a, b))
 
 
-def _minimal(rows: Sequence, divides=_mono_divides) -> list:
-    """Indices of the exponent tuples (or packed exponents, with their
-    divisibility test) no other one divides, in input order; of equal ones
-    the first stays."""
+def _minimal(rows: Sequence) -> list:
+    """Indices of the tuples no other one divides, in input order; of equal ones the first stays."""
     return [i for i, r in enumerate(rows)
-            if not any(divides(s, r) and (j < i or s != r)
+            if not any(_mono_divides(s, r) and (j < i or s != r)
                        for j, s in enumerate(rows) if j != i)]
 
 
@@ -291,14 +289,8 @@ def groebner_basis(gens: Sequence[Polynomial], ring: Ring) -> tuple:
 
 
 def _fresh_names(taken, count):
-    out = []
-    n = 0
-    while len(out) < count:
-        name = f"t_{n}"
-        if name not in taken:
-            out.append(name)
-        n += 1
-    return out
+    return list(itertools.islice((x for x in map("t_{}".format, itertools.count())
+                                  if x not in taken), count))
 
 
 def _eliminate(gens: Sequence[Polynomial], ext: Ring, k: int, target: Ring) -> "Ideal":
@@ -399,41 +391,48 @@ class Ideal:
         return self._monomial
 
     def minimal_monomial_exps(self) -> tuple:
-        """The minimal monomial generators as exponent tuples, ascending.
-
-        Computed once per ideal from the packed ints, with the guard-bit
-        divisibility test, so only the minimal ones are decoded; their packed
-        ints are kept beside them.  Every monomial route reads them in this
-        order, so equal monomial ideals give equal generator lists.
-        """
+        """The minimal monomial generators as exponent tuples, ascending, their
+        packed ints kept beside them: one pass over the distinct packed ints,
+        ascending (a divisor's is no larger), decodes those no kept one divides."""
         if self._min_exps is None:
             if not self.is_monomial():
                 raise InputError("not a monomial ideal")
-            packed, guard = [g.packed[0] for g in self.generators], K.guard_bits(self.ring.nvars)
-            kept = sorted((self.ring.unpack(packed[i]), packed[i]) for i in
-                          _minimal(packed, lambda a, b: (b | guard) - a & guard == guard))
-            self._min_exps, self._min_packed = tuple(zip(*kept)) or ((), ())
+            guard, kept = K.guard_bits(self.ring.nvars), []
+            for x in sorted({g.packed[0] for g in self.generators}):
+                if not any((x | guard) - m & guard == guard for m in kept):
+                    kept.append(x)
+            rows = sorted(zip(map(self.ring.unpack, kept), kept))
+            self._min_exps, self._min_packed = tuple(zip(*rows)) or ((), ())
         return self._min_exps
 
     def contains(self, g) -> bool:
-        """Membership by divisibility for a monomial ideal, otherwise by the
-        normal form modulo the reduced basis.  The basis is read first (a recalled
-        one charges its pairs); its elements and the effective generators are
-        members without division."""
+        """Membership by divisibility for a monomial ideal, otherwise by the normal
+        form modulo the reduced basis, read first (a recalled one charges its
+        pairs); its elements and the effective generators need no division."""
         g = self.ring.coerce(g)
-        if g.is_zero():
-            return True
         if self.is_monomial():
-            self.minimal_monomial_exps()
-            mins, guard = self._min_packed, K.guard_bits(self.ring.nvars)
-            return all(any((x | guard) - m & guard == guard for m in mins) for x in g.packed)
-        if g in self.groebner() or g in self.effective_generators():
+            return self._contains_all([g])
+        if g.is_zero() or g in self.groebner() or g in self.effective_generators():
             return True
         return _nf_packed(g, _pack(self.groebner())).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:
         """self contains other, i.e. other is a subset of self."""
-        return all(self.contains(g) for g in other.effective_generators())
+        return self._contains_all(other.effective_generators())
+
+    def _contains_all(self, gens, e: int = 0) -> bool:
+        """``all(self.contains(g.frobenius(e)) for g in gens)``, with the same ExponentOverflow
+        at the same g; a monomial self tests g's packed ints times p^e, building no power."""
+        if not self.is_monomial():
+            return all(self.contains(g.frobenius(e) if e else g) for g in gens)
+        self.minimal_monomial_exps()
+        ring, mins, guard = self.ring, self._min_packed, K.guard_bits(self.ring.nvars)
+        for g in gens:
+            q = frobenius_scale(g.ring, g.packed, e) if e and g.coeffs else 1
+            if not all(any((x * q | guard) - m & guard == guard for m in mins)
+                       for x in (g if g.ring is ring else ring.coerce(g)).packed):
+                return False
+        return True
 
     # -- ideal operations --------------------------------------------------------
 
@@ -443,10 +442,9 @@ class Ideal:
         if other.ring != self.ring:
             raise InputError("intersection across rings")
         if self.is_monomial() and other.is_monomial():
-            a = self.minimal_monomial_exps()
             b = other.minimal_monomial_exps()
-            gens = [self.ring.monomial(tuple(map(max, r, s))) for r in a for s in b]
-            return Ideal(self.ring, gens)
+            return _monomial_ideal(self.ring, [tuple(map(max, r, s))
+                                               for r in self.minimal_monomial_exps() for s in b])
         if self.is_unit():
             return other
         if other.is_unit():
@@ -462,9 +460,8 @@ class Ideal:
             raise InputError("quotient by the zero polynomial")
         if self.is_monomial() and g.is_monomial():
             vec = g.exps[0]
-            gens = [self.ring.monomial([max(e - v, 0) for e, v in zip(r, vec)])
-                    for r in self.minimal_monomial_exps()]
-            return Ideal(self.ring, gens)
+            return _monomial_ideal(self.ring, [tuple(max(e - v, 0) for e, v in zip(r, vec))
+                                               for r in self.minimal_monomial_exps()])
         return _colon(self, g)
 
     def saturate(self, g) -> "Ideal":
@@ -483,12 +480,21 @@ class Ideal:
     def monomial_radical(self) -> "Ideal":
         """Radical of a monomial ideal: squarefree supports of the generators."""
         squarefree = [tuple(min(e, 1) for e in r) for r in self.minimal_monomial_exps()]
-        return Ideal(self.ring, [self.ring.monomial(r) for r in _sorted_minimal(squarefree)])
+        return _monomial_ideal(self.ring, _sorted_minimal(squarefree), minimal=True)
 
     def power(self, h: int) -> "Ideal":
         """Ordinary h-th power (products of h generators); h >= 1."""
         h = as_index(h, "ideal power h", 1)
         return Ideal(self.ring, _power_products(self.generators, h))
+
+
+def _monomial_ideal(ring: Ring, rows, minimal: bool = False) -> Ideal:
+    """The ideal on the monic monomials of valid exponent rows, in order, the
+    first of equal rows kept; minimal rows are distinct, minimal and ascending."""
+    I = Ideal(ring, [ring._term(r) for r in dict.fromkeys(rows)])
+    if minimal:
+        I._min_exps, I._min_packed = tuple(rows), tuple(g.packed[0] for g in I.generators)
+    return I
 
 
 def _colon(I: Ideal, g: Polynomial) -> Ideal:

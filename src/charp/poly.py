@@ -212,7 +212,11 @@ class Ring:
         if c == 0:
             return self.zero()
         _check_exps([vec])
-        return Polynomial(self, [self.key_of(vec)], [self.pack(vec)], [c])
+        return self._term(vec, c)
+
+    def _term(self, row, c: int = 1) -> "Polynomial":
+        """``monomial`` without checks, for a row and coefficient valid by construction."""
+        return Polynomial(self, [self.key_of(row)], [self.pack(row)], [c])
 
     def from_terms(self, terms: Iterable[tuple]) -> "Polynomial":
         """Build from (exponent-vector, coefficient) pairs; merges duplicates."""

@@ -13,6 +13,10 @@ library's own route functions, called directly.
 Radical membership, radical sequences, associated primes and component-wise
 Frobenius powers of a decomposition live here too: no command needs them,
 and the tests use them to check the objects the library builds.
+
+The ``poly_*`` functions are the Polynomial routes that the monomial routes
+replaced: they build every monomial through the validating ``Ring.monomial``
+and test membership one coerced generator (or Frobenius power) at a time.
 """
 
 import contextlib
@@ -22,11 +26,11 @@ import signal
 
 import pytest
 
-from charp import CharpError, Ideal, NonMonomial, Ring
+from charp import CharpError, Ideal, InputError, NonMonomial, Ring
 from charp.decomposition import (Decomposition, PrimaryComponent, _primary_in_frame,
-                                 decompose_monomial)
+                                 _split_irreducible, _support, decompose_monomial)
 from charp.frobenius import frob_power
-from charp.ideals import _aux_cover, _intersection, normal_form
+from charp.ideals import _aux_cover, _intersection, _mono_divides, _sorted_minimal, normal_form
 from charp.perfection import FSequence
 
 
@@ -216,6 +220,87 @@ def power_products(gens, h):
         for g in combo[1:]:
             out = out * g
         yield out
+
+
+# -- the Polynomial routes of the monomial fast paths -------------------------
+
+
+def poly_minimal_monomial_exps(I):
+    """The distinct minimal generators of a monomial ideal, ascending, from
+    every generator's decoded exponent tuple by the quadratic ``_minimal``."""
+    if not I.is_monomial():
+        raise InputError("not a monomial ideal")
+    return _sorted_minimal([g.exps[0] for g in I.generators])
+
+
+def poly_intersect(I, J):
+    """Monomial I cap J: the lcm of each pair of minimal generators, I's outer."""
+    b = poly_minimal_monomial_exps(J)
+    return Ideal(I.ring, [I.ring.monomial(tuple(map(max, r, s)))
+                          for r in poly_minimal_monomial_exps(I) for s in b])
+
+
+def poly_quotient(I, g):
+    """Monomial (I : g) by exponent subtraction from the minimal generators."""
+    vec = g.exps[0]
+    return Ideal(I.ring, [I.ring.monomial([max(e - v, 0) for e, v in zip(r, vec)])
+                          for r in poly_minimal_monomial_exps(I)])
+
+
+def poly_monomial_radical(I):
+    squarefree = [tuple(min(e, 1) for e in r) for r in poly_minimal_monomial_exps(I)]
+    return Ideal(I.ring, [I.ring.monomial(r) for r in _sorted_minimal(squarefree)])
+
+
+def poly_frob_root_monomial(I):
+    p = I.ring.p
+    return Ideal(I.ring, [I.ring.monomial([-(-e // p) for e in r])
+                          for r in poly_minimal_monomial_exps(I)])
+
+
+def poly_closure_term(b):
+    """A chain term of the F-closure of a monomial b in a polynomial ring."""
+    return Ideal(b.ring, [b.ring.monomial(r) for r in poly_minimal_monomial_exps(b)])
+
+
+def poly_localize_monomial(I, prime):
+    """I contracted at a monomial prime: the other variables' exponents zeroed."""
+    ring, inside = I.ring, {r.index(1) for r in poly_minimal_monomial_exps(prime)}
+    return Ideal(ring, [ring.monomial([e if i in inside else 0 for i, e in enumerate(g.exps[0])],
+                                      g.coeffs[0]) for g in I.generators])
+
+
+def poly_contains_ideal(I, J):
+    return all(I.contains(g) for g in J.effective_generators())
+
+
+def poly_contains_all(I, gens, e=0):
+    """Whether I holds the p^e-th power of each of gens, built and coerced."""
+    return all(I.contains(g.frobenius(e)) for g in gens)
+
+
+def poly_decomposition_components(I):
+    """(component, support of its radical) of decompose_monomial(I), ascending
+    by support: leaves as exponent rows, leaf containment by tuple
+    divisibility, and each kept radical's leaves intersected in turn."""
+    ring = I.ring
+    leaves = list(dict.fromkeys(tuple(sorted(irr)) for irr in
+                                _split_irreducible(poly_minimal_monomial_exps(I))))
+    by_radical, kept = {}, set()
+    for a in leaves:
+        supp = tuple(sorted(_support(r)[0] for r in a))
+        by_radical.setdefault(supp, []).append(a)
+        if not any(b != a and all(any(_mono_divides(r, s) for r in a) for s in b)
+                   for b in leaves):
+            kept.add(supp)
+    out = []
+    for supp in sorted(kept):
+        ideals = [Ideal(ring, [ring.monomial(r) for r in rows]) for rows in by_radical[supp]]
+        comp = ideals[0]
+        for J in ideals[1:]:
+            comp = poly_intersect(comp, J)
+        out.append((comp, supp))
+    return out
 
 
 def chained_root(I, e, step):

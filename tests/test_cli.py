@@ -242,6 +242,18 @@ def test_spec_input_errors_are_pinned(name, tmp_path, monkeypatch, capsys):
     assert data["result"] == {"error": error, "error_kind": "InputError"}
 
 
+def test_decompose_in_a_quotient_ring_names_the_ring(monkeypatch, capsys):
+    """(U) of the cusp is generated by a monomial; decomposition refuses the
+    quotient ring, and says so, with exit code 2."""
+    monkeypatch.chdir(ROOT)
+    error = "decomposition needs a polynomial ring, not F_2[U, V] / (U^3 + V^2)"
+    code, data = run_json(capsys, "decompose", "specs/cusp.ini", "--ideal", "u")
+    assert (code, data["exit_status"]) == (2, 2)
+    assert data["result"] == {"error": error, "error_kind": "NonMonomial"}
+    assert main(["decompose", "specs/cusp.ini", "--ideal", "u"]) == 2
+    assert capsys.readouterr().out == f"input error: {error}\n"
+
+
 # -- exit code matrix --------------------------------------------------------------
 
 

@@ -72,9 +72,10 @@ PAIRS_PER_PASS = {"gb_dense": 10663, "frobenius_closure": 7747, "cli_specs": 394
 # basis elements are members without division, Frobenius powers and roots are
 # tested on packed ints, an empty S-polynomial or a lone basis lead is not
 # divided, an elimination stops decoding a basis element at its first
-# auxiliary term, an ideal drops repeated generators on their ints, and an
-# F-closure in a polynomial ring takes no Frobenius power or root
-CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2639, "__hash__": 0, "frobenius": 1614,
+# auxiliary term, an ideal drops repeated generators on their ints, an
+# F-closure in a polynomial ring takes no Frobenius power or root, and a
+# monomial route's result that is minimal by construction keeps its rows
+CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2459, "__hash__": 0, "frobenius": 1614,
                   "try_p_root": 1507}
 # ceilings on the decodings, redundancy searches, Polynomial products,
 # outside calls of the merge kernel, divisions, Polynomial hashes and argparse
@@ -85,10 +86,13 @@ CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2639, "__hash__": 0, "frobenius
 # substituting 1, a shift translates packed ints term by term, a basis of
 # one-term generators forms no S-polynomial, an ideal drops repeated
 # generators on their ints, a leaf's argv is parsed by the leaf parser alone,
-# and an F-closure in a polynomial ring takes no Frobenius power
-CLI_CALLS_PER_PASS = {"unpack": 20548, "_redundant_index": 305, "__mul__": 112,
+# an F-closure in a polynomial ring takes no Frobenius power, monomial routes
+# build their results from exponent rows without the validating
+# Ring.monomial, and growth certificates test packed ints scaled by p^n
+CLI_CALLS_PER_PASS = {"unpack": 15472, "_redundant_index": 305, "__mul__": 112,
                       "combine": 232, "normal_form": 336, "s_normal_form": 294,
-                      "__hash__": 0, "parse_known_args": 1511, "frobenius": 6424}
+                      "__hash__": 0, "parse_known_args": 1511, "frobenius": 4160,
+                      "monomial": 48}
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS_PER_PASS))
@@ -146,8 +150,9 @@ def test_frobenius_closure_pass_divides_and_decodes_no_more(monkeypatch):
 def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
     """One cli_specs pass at the reference seed decodes exponent tuples, looks
     for redundant components, multiplies Polynomials, merges raw terms,
-    divides, hashes Polynomials, runs argparse and takes Frobenius powers of
-    Polynomials at most as often as CLI_CALLS_PER_PASS."""
+    divides, hashes Polynomials, runs argparse, takes Frobenius powers of
+    Polynomials and builds checked monomials at most as often as
+    CLI_CALLS_PER_PASS."""
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(workloads, "WORK_DIR", str(tmp_path))
     workload = workloads.WORKLOADS["cli_specs"]()
@@ -160,5 +165,5 @@ def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
                           (charp._kernels, "normal_form"), (charp._kernels, "s_normal_form"),
                           (charp.poly.Polynomial, "__hash__"),
                           (argparse.ArgumentParser, "parse_known_args"),
-                          (charp.poly.Polynomial, "frobenius")))
+                          (charp.poly.Polynomial, "frobenius"), (charp.poly.Ring, "monomial")))
     assert all(calls[name] <= bound for name, bound in CLI_CALLS_PER_PASS.items()), calls
