@@ -43,15 +43,18 @@ class FrozenRecord:
 
     def __init_subclass__(cls):
         cls._fields = property(operator.attrgetter(*cls.__slots__))  # the field tuple
+        cls._setters = {name: vars(cls)[name].__set__ for name in cls.__slots__}
 
     def __init__(self, *values, **fields):
         """The fields by position or keyword; a missing, repeated or unknown one raises TypeError."""
-        given = len(values) + len(fields)
-        fields.update(zip(self.__slots__, values))
-        if given != len(self.__slots__) or fields.keys() != set(self.__slots__):
-            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(self.__slots__)}")
-        for name in self.__slots__:
-            object.__setattr__(self, name, fields[name])
+        if fields or len(values) != len(self._setters):
+            given = len(values) + len(fields)
+            fields.update(zip(self.__slots__, values))
+            if given != len(self._setters) or fields.keys() != self._setters.keys():
+                raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(self.__slots__)}")
+            values = map(fields.get, self.__slots__)
+        for set_field, value in zip(self._setters.values(), values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

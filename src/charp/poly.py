@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from collections import OrderedDict
 from itertools import accumulate
 from operator import index, mul
@@ -242,15 +243,19 @@ class Ring:
     def parse(self, text: str) -> "Polynomial":
         if not isinstance(text, str):
             raise InputError(f"polynomial text must be a string, got {text!r}")
-        tokens = _tokenize(text)
-        if not tokens:
+        tokens = _TOKEN.findall(text) + [""]
+        if len(tokens) == 1:
             raise InputError("empty polynomial", "col 1")
-        tokens.append((None, None, len(text) + 1))
-        result, pos = _parse_sum(self, tokens, 0)
-        kind, value, col = tokens[pos]
-        if kind is not None:
-            raise InputError(f"unexpected token {value!r}", f"col {col}")
-        return result
+        try:
+            result, pos = _parse_sum(self, tokens, 0)
+            if not tokens[pos]:
+                return result
+            raise _ParseError(f"unexpected token {tokens[pos]!r}", pos)
+        except (_ParseError, ExponentOverflow, RecursionError) as e:
+            error = e
+        cols = [col for *_, col in _tokenize(text)] + [len(text) + 1]  # a bad character first
+        raise InputError(error.args[0], f"col {cols[error.args[1]]}") if isinstance(
+            error, _ParseError) else error
 
     def coerce(self, x) -> "Polynomial":
         if isinstance(x, Polynomial):
@@ -482,81 +487,88 @@ class Polynomial:
 # parenthesised sum.  Coefficients are reduced mod p.
 # ---------------------------------------------------------------------------
 
-# every character but whitespace starts a token, so a scan skips only the
-# whitespace after the last one
-_TOKENS = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()])"
-                     r"|(?P<bad>\S))")
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()]|\S")  # \S: a bad character
+_DIGITS = sys.int_info.str_digits_check_threshold  # int() reads this many digits under any limit
+_ParseError = type("_ParseError", (Exception,), {})  # a message and the index of its token
 
 
 def _tokenize(text: str):
-    out = []
-    for m in _TOKENS.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise InputError(f"unexpected character {m[kind]!r}", f"col {m.start(kind) + 1}")
-        out.append((kind, m[kind], m.start(kind) + 1))
+    out = []  # (kind, value, col); InputError at the first bad character
+    for m in _TOKEN.finditer(text):
+        kind = "int" if m[0].isdecimal() else "var" if _VAR_RE.match(m[0]) else "op"
+        if kind == "op" and m[0] not in "-+*^()":
+            raise InputError(f"unexpected character {m[0]!r}", f"col {m.start() + 1}")
+        out.append((kind, m[0], m.start() + 1))
     return out
+
+
+def _long_int(digits: str) -> int:
+    """The value of a decimal token too long for int(), read in chunks that it takes."""
+    value = 0
+    for i in range(0, len(digits), _DIGITS):
+        value = value * 10 ** len(digits[i:i + _DIGITS]) + int(digits[i:i + _DIGITS])
+    return value
 
 
 def _parse_sum(ring: Ring, tokens: list, pos: int):
     """Parse the sum starting at tokens[pos]; return it and the position after it.
 
-    ``tokens`` is the ``_tokenize`` list followed by the end sentinel
-    ``(None, None, len(text) + 1)``, so a lookahead never runs off the end.
+    ``tokens`` is the token strings followed by the end sentinel "", so a
+    lookahead never runs off the end; a grammar error raises _ParseError.
 
-    A term without parentheses is one exponent row and one coefficient; only a
-    parenthesised factor multiplies polynomials.  Exponents are checked as each
-    factor arrives, exactly where a left-to-right product would overflow, so
-    the rows are packed as they are, and only a sum of several terms is merged.
+    A term without parentheses is one key, packed exponents and coefficient,
+    accumulated as its factors arrive; only a parenthesised factor multiplies
+    polynomials.  Exponents are checked as each factor arrives, exactly where a
+    left-to-right product would overflow (``top`` packs the largest exponents
+    of the product so far), and only a sum of several terms is merged.
     """
-    n, p = ring.nvars, ring.p
+    var_index, key_units, exp_units, p = ring._var_index, ring._key_units, ring._exp_units, ring.p
     terms = []  # (key, packed exponents, coefficient)
-    sign = -1 if tokens[pos][1] == "-" else 1
-    pos += tokens[pos][1] in ("+", "-")
+    sign = -1 if tokens[pos] == "-" else 1
+    pos += tokens[pos] in ("+", "-")
     while True:
-        row, c, poly, top = [0] * n, sign, None, [0] * n  # top: largest exponents in poly
+        key, packed, top, c, poly = 0, 0, 0, sign, None
         while True:
-            kind, value, col = tokens[pos]
+            value = tokens[pos]
             pos += 1
-            if kind == "int":
-                c = c * int(value) % p
-            elif kind == "var":
-                i = ring._var_index.get(value)
-                if i is None:
-                    raise InputError(f"unknown variable {value!r}", f"col {col}")
+            i = var_index.get(value)
+            if i is not None:
                 exp = 1
-                if tokens[pos][1] == "^":
-                    kind, value, col = tokens[pos + 1]
-                    if kind != "int":
-                        raise InputError("expected integer exponent after '^'", f"col {col}")
+                if tokens[pos] == "^":
+                    value = tokens[pos + 1]
+                    if not value.isdecimal():
+                        raise _ParseError("expected integer exponent after '^'", pos + 1)
                     pos += 2
-                    exp = int(value)
-                    if exp > EXP_LIMIT:
-                        raise ExponentOverflow(f"exponent {exp} exceeds {EXP_LIMIT}")
-                row[i] += exp
-                if c and row[i] + top[i] > EXP_LIMIT:
+                    exp = int(value) if len(value) <= _DIGITS else _long_int(value)
+                    if exp > EXP_LIMIT:  # a long token is named by its length: str() refuses it
+                        shown = exp if len(value) <= _DIGITS else f"of {len(value)} digits"
+                        raise ExponentOverflow(f"exponent {shown} exceeds {EXP_LIMIT}")
+                key, packed = key + exp * key_units[i], packed + exp * exp_units[i]
+                if c and K.exponent(packed + top, i) > EXP_LIMIT:
                     raise ExponentOverflow(f"exponent exceeds {EXP_LIMIT}")
+            elif value.isdecimal():
+                c = c * (int(value) if len(value) <= _DIGITS else _long_int(value)) % p
             elif value == "(":
                 inner, pos = _parse_sum(ring, tokens, pos)
-                kind, value, col = tokens[pos]
-                if value != ")":
-                    raise InputError("expected ')'", f"col {col}")
+                if tokens[pos] != ")":
+                    raise _ParseError("expected ')'", pos)
                 pos += 1
-                head = ring.monomial(row, c)
+                head = Polynomial(ring, [key], [packed], [c % p]) if c else ring.zero()
                 poly = (head if poly is None else poly * head) * inner
-                row, c = [0] * n, int(not poly.is_zero())
-                top = [max(column) for column in zip(*poly.exps)]
+                key, packed, c = 0, 0, int(not poly.is_zero())
+                top = ring.pack(map(max, zip(*poly.exps)))
             else:
-                raise InputError("expected a coefficient, variable or '('", f"col {col}")
-            if tokens[pos][1] != "*":
+                raise _ParseError(f"unknown variable {value!r}" if _VAR_RE.match(value)
+                                  else "expected a coefficient, variable or '('", pos - 1)
+            if tokens[pos] != "*":
                 break
             pos += 1
-        if poly is not None:
-            poly = poly * ring.monomial(row, c)
+        if c and poly is not None:
+            poly = poly * Polynomial(ring, [key], [packed], [c])
             terms += zip(poly.keys, poly.packed, poly.coeffs)
         elif c:
-            terms.append((ring.key_of(row), ring.pack(row), c % p))
-        value = tokens[pos][1]
+            terms.append((key, packed, c % p))
+        value = tokens[pos]
         if value not in ("+", "-"):
             lists = [list(column) for column in zip(*terms)] or [[], [], []]
             return Polynomial(ring, *(K.combine(*lists, p) if len(terms) > 1 else lists)), pos

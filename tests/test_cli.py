@@ -363,6 +363,20 @@ def test_f_closure_exponent_overflow_exits_3(monkeypatch, capsys):
     assert len(f_closure(a, 55, 55).steps) == 56
 
 
+@pytest.mark.parametrize("gens, code, result", [
+    ("X^" + "9" * 5000, 3, {"error": "exponent of 5000 digits exceeds 72057594037927936",
+                            "error_kind": "ExponentOverflow"}),
+    ("9" * 5000 + "*X + Y", 0, {"ideal": "a", "groebner": ["Y"]}),
+], ids=["exponent", "coefficient"])
+def test_integers_past_the_digit_limit(gens, code, result, tmp_path, capsys):
+    """A 5,000-digit exponent exits 3 like any exponent above 2^56, and a
+    5,000-digit coefficient is reduced mod p (10^5000 - 1 is 0 mod 3)."""
+    spec = tmp_path / "long.ini"
+    spec.write_text(f"[ring]\np = 3\nvars = X, Y\n\n[ideal a]\ngens = {gens}\n")
+    got_code, data = run_json(capsys, "gb", str(spec), "--ideal", "a")
+    assert (got_code, data["exit_status"], data["result"]) == (code, code, result)
+
+
 def test_budget_terms_exits_3(tmp_path, capsys):
     spec = tmp_path / "dense.ini"
     spec.write_text("[ring]\np = 3\nvars = X, Y, Z\n\n[ideal d]\n"

@@ -656,6 +656,145 @@ def test_parse_checks_exponents_where_the_product_overflows():
     assert R.parse(f"(X - X)*X^{EXP_LIMIT}*X + Y") == R.var("Y")
 
 
+# The parser before tokens became plain strings, the oracle for Ring.parse:
+# tokens carry their kind and column, and each term builds an exponent row.
+_ORACLE_TOKENS = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[A-Za-z_][A-Za-z0-9_]*)"
+                            r"|(?P<op>[-+*^()])|(?P<bad>\S))")
+
+
+def _oracle_tokenize(text):
+    out = []
+    for m in _ORACLE_TOKENS.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise InputError(f"unexpected character {m[kind]!r}", f"col {m.start(kind) + 1}")
+        out.append((kind, m[kind], m.start(kind) + 1))
+    return out
+
+
+def _oracle_parse_sum(ring, tokens, pos):
+    n, p = ring.nvars, ring.p
+    terms = []
+    sign = -1 if tokens[pos][1] == "-" else 1
+    pos += tokens[pos][1] in ("+", "-")
+    while True:
+        row, c, poly, top = [0] * n, sign, None, [0] * n
+        while True:
+            kind, value, col = tokens[pos]
+            pos += 1
+            if kind == "int":
+                c = c * int(value) % p
+            elif kind == "var":
+                i = ring._var_index.get(value)
+                if i is None:
+                    raise InputError(f"unknown variable {value!r}", f"col {col}")
+                exp = 1
+                if tokens[pos][1] == "^":
+                    kind, value, col = tokens[pos + 1]
+                    if kind != "int":
+                        raise InputError("expected integer exponent after '^'", f"col {col}")
+                    pos += 2
+                    exp = int(value)
+                    if exp > EXP_LIMIT:
+                        raise ExponentOverflow(f"exponent {exp} exceeds {EXP_LIMIT}")
+                row[i] += exp
+                if c and row[i] + top[i] > EXP_LIMIT:
+                    raise ExponentOverflow(f"exponent exceeds {EXP_LIMIT}")
+            elif value == "(":
+                inner, pos = _oracle_parse_sum(ring, tokens, pos)
+                kind, value, col = tokens[pos]
+                if value != ")":
+                    raise InputError("expected ')'", f"col {col}")
+                pos += 1
+                head = ring.monomial(row, c)
+                poly = (head if poly is None else poly * head) * inner
+                row, c = [0] * n, int(not poly.is_zero())
+                top = [max(column) for column in zip(*poly.exps)]
+            else:
+                raise InputError("expected a coefficient, variable or '('", f"col {col}")
+            if tokens[pos][1] != "*":
+                break
+            pos += 1
+        if poly is not None:
+            poly = poly * ring.monomial(row, c)
+            terms += zip(poly.keys, poly.packed, poly.coeffs)
+        elif c:
+            terms.append((ring.key_of(row), ring.pack(row), c % p))
+        value = tokens[pos][1]
+        if value not in ("+", "-"):
+            lists = [list(column) for column in zip(*terms)] or [[], [], []]
+            return Polynomial(ring, *(K.combine(*lists, p) if len(terms) > 1 else lists)), pos
+        sign = -1 if value == "-" else 1
+        pos += 1
+
+
+def _oracle_parse(ring, text):
+    tokens = _oracle_tokenize(text)
+    if not tokens:
+        raise InputError("empty polynomial", "col 1")
+    tokens.append((None, None, len(text) + 1))
+    result, pos = _oracle_parse_sum(ring, tokens, 0)
+    kind, value, col = tokens[pos]
+    if kind is not None:
+        raise InputError(f"unexpected token {value!r}", f"col {col}")
+    return result
+
+
+def _outcome(parse, ring, text):
+    """The term lists parse gives, or the type, message and location it raises."""
+    try:
+        f = parse(ring, text)
+    except (InputError, ExponentOverflow) as e:
+        return type(e), str(e), getattr(e, "location", None)
+    return f.keys, f.packed, f.coeffs
+
+
+# the grammar trees with exponents at and around EXP_LIMIT, so products overflow
+_BIG_FACTORS = st.recursive(
+    st.one_of(st.tuples(st.just("int"), st.sampled_from([0, 3, 10**30])),
+              st.tuples(st.just("var"), st.sampled_from(["X", "Y"]),
+                        st.sampled_from([None, 2**55, EXP_LIMIT - 1, EXP_LIMIT, EXP_LIMIT + 1]))),
+    lambda inner: _sums(inner).map(lambda s: ("paren", s)), max_leaves=6)
+
+
+def _tree_text(tree):
+    """The tree's tokens, each after drawn whitespace."""
+    tokens = _tokens(tree)
+    return st.lists(st.sampled_from(["", " ", "\t"]), min_size=len(tokens),
+                    max_size=len(tokens)).map(lambda spaces: "".join(map(str.__add__, spaces, tokens)))
+
+
+_PARSE_TEXT = st.one_of(
+    _sums(_FACTORS).flatmap(_tree_text), _TEXT,
+    st.tuples(_TEXT, _sums(_BIG_FACTORS).flatmap(_tree_text), _TEXT).map("".join))
+
+
+@settings(max_examples=400, deadline=1000)
+@given(st.sampled_from([2, 5, 32003]), st.sampled_from([_VARS, ("X", "Y")]), _PARSE_TEXT)
+@example(7, _VARS, f"X^{EXP_LIMIT + 1} + $")  # a bad character after an overflowing exponent
+@example(7, _VARS, f"X^{EXP_LIMIT}*X $")
+@example(7, _VARS, "X^ + Y + é")  # a parse error before a bad character
+@example(7, _VARS, f"(X^{EXP_LIMIT} + Y)*(X + 1)")  # an overflow inside a parenthesised product
+@example(7, ("X", "Y"), f"(Y*X^{EXP_LIMIT})*X*Z")
+def test_parse_matches_the_column_tuple_parser(p, names, text):
+    """Ring.parse gives the polynomial the column-tuple parser gives, or raises
+    the same type, message and location."""
+    R = Ring(p, names)
+    assert _outcome(Ring.parse, R, text) == _outcome(_oracle_parse, R, text)
+
+
+@pytest.mark.parametrize("digits", [5000, 10**5])
+def test_parse_reads_integers_past_the_digit_limit(digits):
+    """A token longer than int() reads is a coefficient reduced mod p, or an
+    exponent above EXP_LIMIT unless its leading digits are zeros."""
+    R = Ring(32003, ["X", "Y"])
+    nines = "9" * digits
+    assert R.parse(f"{nines}*X - Y") == R.monomial([1, 0], pow(10, digits, 32003) - 1) - R.var("Y")
+    assert R.parse("0" * digits + "12*X^" + "0" * digits + "3") == R.monomial([3, 0], 12)
+    with pytest.raises(ExponentOverflow, match=f"exponent of {digits} digits exceeds"):
+        R.parse(f"X^{nines} + Y")
+
+
 def test_printing_is_deterministic_and_descending():
     R = Ring(7, ["X", "Y"])
     f = R.parse("1 + Y^4 + X^2*Y")
