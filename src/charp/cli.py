@@ -47,10 +47,8 @@ from . import ideals as ideals_mod
 from .decomposition import (Decomposition, GrowthCertificate, certify_growth,
                             decompose_monomial, decompose_perfection_ideal, ex8_build,
                             find_linear_growth_h, lg2_decompose, localize_contract)
-from .errors import (CertificateFailure, CharpError, DepthExceeded,
-                     DistinctLambdaExhausted, ExponentOverflow,
-                     GroebnerBudgetExceeded, IdentityFailure, InputError,
-                     NonMonomial, NotContainingQuotient)
+from .errors import (CertificateFailure, CharpError, DepthExceeded, ExponentOverflow,
+                     GroebnerBudgetExceeded, IdentityFailure, InputError)
 from .frobenius import f_closure, frob_power, frob_root
 from .ideals import DEFAULT_BUDGET, GroebnerBudget, Ideal, using_budget
 from .orders import parse_order
@@ -265,8 +263,8 @@ def _int_key(sec, key: str, default, kind: str, where: str) -> int:
 def _parse_in(ring: Ring, text: str, where: str) -> Polynomial:
     try:
         return ring.parse(text)
-    except InputError as e:
-        raise InputError(f"{e}", where) from None
+    except InputError as e:  # one location: where, then the column
+        raise InputError(e.message, f"{where}, {e.location}" if e.location else where) from None
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
 # (error types, exit code, text prefix) for a failed command; the first
 # entry whose types match the error wins
 _FAILURES = (
-    ((InputError, NonMonomial, NotContainingQuotient, DistinctLambdaExhausted),
-     EXIT_INPUT, "input error"),
+    (InputError, EXIT_INPUT, "input error"),
     ((GroebnerBudgetExceeded, ExponentOverflow), EXIT_BUDGET, "budget exceeded"),
     (DepthExceeded, EXIT_BUDGET, "depth exceeded"),
     (CertificateFailure, EXIT_FAILED, "certification failed"),

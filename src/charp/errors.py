@@ -8,14 +8,13 @@ class CharpError(Exception):
 class InputError(CharpError):
     """Malformed user input (spec files, polynomial strings, bad parameters).
 
-    Carries an optional location string ("file", "section [x] key y, col 12").
+    Carries its bare message and an optional location string ("file",
+    "section [x] key y, col 12"); the text shows the location after the message.
     """
 
     def __init__(self, message, location=None):
-        self.location = location
-        if location:
-            message = f"{message} (at {location})"
-        super().__init__(message)
+        self.message, self.location = message, location
+        super().__init__(f"{message} (at {location})" if location else message)
 
 
 class ExponentOverflow(CharpError):
@@ -31,7 +30,7 @@ class GroebnerBudgetExceeded(CharpError):
         super().__init__(f"budget exceeded: {which} > {limit}")
 
 
-class NotContainingQuotient(CharpError):
+class NotContainingQuotient(InputError):
     """An ideal in a quotient ring does not contain the quotient generators."""
 
 
@@ -46,7 +45,7 @@ class DepthExceeded(CharpError):
         super().__init__(message)
 
 
-class NonMonomial(CharpError):
+class NonMonomial(InputError):
     """An operation restricted to (shifted-)monomial ideals saw something else."""
 
 
@@ -73,5 +72,5 @@ class IdentityFailure(CharpError):
         super().__init__(msg + f" (witness: {witness})")
 
 
-class DistinctLambdaExhausted(CharpError):
+class DistinctLambdaExhausted(InputError):
     """The prime field is too small to supply enough distinct shift constants."""

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import CharpError, DepthExceeded, NotContainingQuotient
+from .errors import CharpError, DepthExceeded, InputError, NotContainingQuotient
 from .ideals import Ideal, _aux_cover, _eliminate, _monomial_ideal
 from .orders import FrozenRecord, as_index
 from .poly import E_MAX, frobenius_scale
@@ -129,7 +129,8 @@ def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2) -> FClosureResult:
     monic and ascending.  It raises ExponentOverflow where b^[p^n] would
     overflow.  A quotient ring computes the round trip.  The stop is
     heuristic (certified=False).  Raises DepthExceeded with the partial chain
-    when the chain is still moving at max_e.
+    when the chain is still moving at max_e, and InputError when it stands
+    still there but confirm > max_e left no room to confirm it.
     """
     max_e, confirm = as_index(max_e, "max_e", 1), as_index(confirm, "confirm", 1)
     ring, flat = b.ring, not b.ring.is_quotient()
@@ -154,6 +155,8 @@ def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2) -> FClosureResult:
         else:
             equal_run = 0
             current = nxt
+    if equal_run and confirm > max_e:  # the chain stands still: only confirm kept it going
+        raise InputError(f"confirm {confirm} exceeds max_e {max_e}, so no chain can be confirmed")
     raise DepthExceeded(
         f"F-closure chain still moving after {max_e} steps", partial=steps)
 

@@ -324,22 +324,18 @@ def _intersection(a: Sequence[Polynomial], b: Sequence[Polynomial], aux, target:
 class Ideal:
     """Immutable ideal with a cached reduced Groebner basis."""
 
-    __slots__ = ("ring", "generators", "_gb_cache", "_monomial", "_min_exps", "_min_packed")
+    __slots__ = ("ring", "generators", "_key", "_gb_cache", "_monomial", "_min_exps", "_min_packed")
 
     def __init__(self, ring: Ring, gens: Sequence):
         self.ring, self._gb_cache = ring, None
         self._min_exps = self._min_packed = None  # minimal monomial generators
-        gens = [g if type(g) is Polynomial and g.ring is ring else ring.coerce(g) for g in gens]
-        terms = {}  # one-term generators on their ints, the first of equal ones kept
+        kept = {}  # the first of equal generators, keyed as Polynomial.__eq__ compares
         for g in gens:
-            if len(g.coeffs) > 1:  # keyed as Polynomial.__eq__ compares within one ring
-                self.generators = tuple({(tuple(h.packed), tuple(h.coeffs)): h
-                                         for h in gens if h.coeffs}.values())
-                self._monomial = False
-                return
+            g = g if type(g) is Polynomial and g.ring is ring else ring.coerce(g)
             if g.coeffs:
-                terms.setdefault((g.packed[0], g.coeffs[0]), g)
-        self.generators, self._monomial = tuple(terms.values()), not ring.is_quotient()
+                kept.setdefault((tuple(g.packed), tuple(g.coeffs)), g)
+        self._key, self.generators = tuple(kept), tuple(kept.values())  # _key keys the bases
+        self._monomial = not ring.is_quotient() and all(len(c) == 1 for _, c in self._key)
 
     # -- basics ---------------------------------------------------------------
 
@@ -354,8 +350,7 @@ class Ideal:
         if self._gb_cache is None:
             # entries hold term lists: Polynomials would refer back to the ring
             # and leave it, with its bases, to the cycle collector
-            ring = self.ring
-            key = tuple((tuple(g.packed), tuple(g.coeffs)) for g in self.generators), _budget.get()
+            ring, key = self.ring, (self._key, _budget.get())
             hit = ring._bases.get(key)
             if hit is None:
                 self._gb_cache, pairs = groebner_basis(self.effective_generators(), ring)
@@ -491,7 +486,7 @@ class Ideal:
 def _monomial_ideal(ring: Ring, rows, minimal: bool = False) -> Ideal:
     """The ideal on the monic monomials of valid exponent rows, in order, the
     first of equal rows kept; minimal rows are distinct, minimal and ascending."""
-    I = Ideal(ring, [ring._term(r) for r in dict.fromkeys(rows)])
+    I = Ideal(ring, [ring._term(r) for r in rows])
     if minimal:
         I._min_exps, I._min_packed = tuple(rows), tuple(g.packed[0] for g in I.generators)
     return I

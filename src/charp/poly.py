@@ -84,7 +84,7 @@ def _units(order: MonomialOrder, nvars: int) -> tuple:
 class Ring:
     """F_p[vars] with a fixed monomial order, optionally modulo quotient generators."""
 
-    __slots__ = ("p", "vars", "order", "_quotient", "reduced_assertion",
+    __slots__ = ("p", "vars", "order", "_quotient", "_key", "reduced_assertion",
                  "_key_units", "_exp_units", "_var_index", "_bases", "__weakref__")
 
     def __init__(self, p: int, vars: Sequence[str], order: MonomialOrder = GREVLEX,
@@ -121,6 +121,8 @@ class Ring:
         # and leave it, with its bases, to the cycle collector
         self._quotient = tuple((g.keys, g.packed, g.coeffs)
                                for g in (q._rebind(self) for q in quotient) if not g.is_zero())
+        self._key = (p, vars, order,  # what equality and the hash read
+                     tuple((tuple(packed), tuple(coeffs)) for _, packed, coeffs in self._quotient))
 
     # -- basic properties ---------------------------------------------------
 
@@ -147,15 +149,10 @@ class Ring:
             return True
         if not isinstance(other, Ring):
             return NotImplemented
-        return (self.p == other.p and self.vars == other.vars
-                and self.order == other.order
-                and self._quotient_data() == other._quotient_data())
+        return self._key == other._key
 
     def __hash__(self):
-        return hash((self.p, self.vars, self.order, self._quotient_data()))
-
-    def _quotient_data(self) -> tuple:
-        return tuple((tuple(packed), tuple(coeffs)) for _, packed, coeffs in self._quotient)
+        return hash(self._key)
 
     def __repr__(self):
         base = f"F_{self.p}[{', '.join(self.vars)}]"
@@ -251,8 +248,10 @@ class Ring:
             if not tokens[pos]:
                 return result
             raise _ParseError(f"unexpected token {tokens[pos]!r}", pos)
-        except (_ParseError, ExponentOverflow, RecursionError) as e:
+        except (_ParseError, ExponentOverflow) as e:
             error = e
+        except RecursionError:
+            error = InputError("parentheses nested too deeply")
         cols = [col for *_, col in _tokenize(text)] + [len(text) + 1]  # a bad character first
         raise InputError(error.args[0], f"col {cols[error.args[1]]}") if isinstance(
             error, _ParseError) else error

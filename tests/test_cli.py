@@ -15,7 +15,8 @@ import sys
 import pytest
 
 import charp.cli
-from charp import ExponentOverflow, Ideal, InputError, ideals
+from charp import (DistinctLambdaExhausted, ExponentOverflow, Ideal, InputError, NonMonomial,
+                   NotContainingQuotient, ideals)
 from charp.cli import build_parser, main, parse_spec
 from charp.frobenius import f_closure
 from charp.ideals import GroebnerBudget
@@ -283,13 +284,79 @@ def test_exit_codes(demo, cusp, table, tmp_path, capsys):
     ["gb", "specs/demo.ini", "--ideal", "a", "--budget-terms", "0"],
     ["gb", "specs/demo.ini", "--ideal", "a", "--budget-degree", "0"],
     ["ex8", "--p", "7", "--l", "2", "--t", "a", "--depth", "1"],
+    ["frob", "closure", "specs/demo.ini", "--ideal", "a", "--max-e", "3", "--confirm", "5"],
+    ["frob", "closure", "specs/demo.ini", "--ideal", "a", "--max-e", "1", "--confirm", "2"],
 ], ids=["power-e", "lg2-n", "closure-max-e", "closure-confirm", "decompose-depth",
-        "budget-pairs", "budget-terms", "budget-degree", "ex8-t"])
+        "budget-pairs", "budget-terms", "budget-degree", "ex8-t",
+        "closure-confirm-above-max-e", "closure-confirm-just-above-max-e"])
 def test_bad_numbers_are_input_errors(argv, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     code, data = run_json(capsys, *argv)
     assert code == 2
     assert data["result"]["error_kind"] == "InputError"
+
+
+def test_confirm_above_max_e_is_an_input_error(tmp_path, monkeypatch, capsys):
+    """(X^2, X*Y) is F-closed, so its chain stands still; with confirm above
+    max_e no run of repeats could confirm it, from the flags or from the keys
+    of a canonical fseq, and the command says so with exit 2."""
+    error = {"error": "confirm 5 exceeds max_e 3, so no chain can be confirmed",
+             "error_kind": "InputError"}
+    monkeypatch.chdir(ROOT)
+    code, data = run_json(capsys, "frob", "closure", "specs/demo.ini", "--ideal", "a",
+                          "--max-e", "3", "--confirm", "5")
+    assert (code, data["exit_status"], data["result"]) == (2, 2, error)
+    assert _run_captured("frob closure specs/demo.ini --ideal a --max-e 3 --confirm 5".split()) \
+        == (2, f"input error: {error['error']}\n", "")
+    spec = tmp_path / "canonical.ini"
+    spec.write_text("[ring]\np = 2\nvars = X, Y\n\n[ideal a]\ngens = X^2, X*Y\n\n"
+                    "[fseq c]\nkind = canonical\nideal = a\nmax_e = 3\nconfirm = 5\n")
+    code, data = run_json(capsys, "fseq", "verify", str(spec), "--fseq", "c", "--depth", "1")
+    assert (code, data["exit_status"], data["result"]) == (2, 2, error)
+
+
+# -- one location per error, nesting, and the classes of input errors ---------------
+
+
+@pytest.mark.parametrize("spec, argv, error", [
+    ("[ring]\np = 2\nvars = X, Y\n\n[ideal a]\ngens = X+ )\n", ["gb", "bad.ini", "--ideal", "a"],
+     "expected a coefficient, variable or '(' (at bad.ini [ideal a], col 4)"),
+    ("[ring]\np = 2\nvars = U, V\nquotient = V^2 + W\n", ["gb", "bad.ini", "--ideal", "a"],
+     "unknown variable 'W' (at bad.ini [ring] quotient, col 7)"),
+    (DEMO, ["perfection", "member", "bad.ini", "--fseq", "fg", "--elem", "U", "--root", "1"],
+     "unknown variable 'U' (at --elem, col 1)"),
+    ("[ring]\np = 2\nvars = X\n\n[ideal a]\ngens = " + "(" * 3000 + "X" + ")" * 3000 + "\n",
+     ["gb", "bad.ini", "--ideal", "a"], "parentheses nested too deeply (at bad.ini [ideal a])"),
+    ("[ring]\np = 2\nvars = X\n\n[ideal a]\ngens = " + "(" * 3000 + "X" + ")" * 3000 + "$\n",
+     ["gb", "bad.ini", "--ideal", "a"], "unexpected character '$' (at bad.ini [ideal a], col 6002)"),
+], ids=["spec-ideal", "spec-quotient", "elem", "nesting", "nesting-bad-character"])
+def test_a_parse_error_names_one_location(spec, argv, error, tmp_path, monkeypatch, capsys):
+    """A parse error gives the place of the text, then the column in it, in
+    one parenthesis; text nested past the parser's reach is an input error."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.ini").write_text(spec)
+    code, data = run_json(capsys, *argv)
+    assert (code, data["exit_status"]) == (2, 2)
+    assert data["result"] == {"error": error, "error_kind": "InputError"}
+    assert _run_captured(argv) == (2, f"input error: {error}\n", "")
+
+
+@pytest.mark.parametrize("error", [NonMonomial, NotContainingQuotient, DistinctLambdaExhausted])
+def test_input_error_classes_exit_2(error, monkeypatch, capsys):
+    """The errors of an input outside an operation's reach are InputErrors:
+    each exits 2 with its own kind and message."""
+    assert issubclass(error, InputError)
+    monkeypatch.chdir(ROOT)
+
+    def raises(args, report):
+        raise error("outside the reach")
+
+    monkeypatch.setattr(charp.cli, "_dispatch", raises)
+    code, data = run_json(capsys, "gb", "specs/demo.ini", "--ideal", "a")
+    assert (code, data["exit_status"]) == (2, 2)
+    assert data["result"] == {"error": "outside the reach", "error_kind": error.__name__}
+    assert _run_captured(["gb", "specs/demo.ini", "--ideal", "a"]) == (
+        2, "input error: outside the reach\n", "")
 
 
 @pytest.mark.parametrize("t", ["0,1,1", "1,-1,1"])

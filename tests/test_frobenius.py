@@ -496,6 +496,17 @@ def test_f_closure_idempotent_under_stopping_rule():
     assert second.stabilized_at == 0
 
 
+def test_f_closure_refuses_confirm_above_max_e():
+    """A chain standing still at max_e with confirm > max_e could never have
+    been confirmed: the bound is at fault, not the ideal."""
+    R = Ring(2, ["X", "Y"])
+    with pytest.raises(InputError, match="confirm 5 exceeds max_e 3"):
+        f_closure(Ideal(R, ["X^2", "X*Y"]), max_e=3, confirm=5)
+    assert f_closure(Ideal(R, ["X^2", "X*Y"]), max_e=3, confirm=3).stabilized_at == 0
+    with pytest.raises(InputError, match="confirm 2 exceeds max_e 1"):
+        f_closure(Ideal(cusp_ring(), ["U", "V"]), max_e=1, confirm=2)
+
+
 def test_f_closure_depth_exceeded_payload():
     R = cusp_ring()
     with pytest.raises(DepthExceeded) as exc:

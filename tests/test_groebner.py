@@ -6,6 +6,7 @@ import gc
 import itertools
 import json
 import pathlib
+from datetime import timedelta
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charp import (CharpError, ExponentOverflow, GroebnerBudget, GroebnerBudgetExceeded, Ideal,
-                   InputError, Ring, ideals, using_budget)
+                   InputError, Polynomial, Ring, ideals, using_budget)
 from charp.frobenius import frob_power, frob_root
 from charp.ideals import (_colon, _minimal, _mono_divides, _power_products, _sorted_minimal,
                           normal_form)
@@ -758,6 +759,58 @@ def test_ideal_generators_match_the_dict_oracle(data):
     assert I.generators == ideal_generators(R, gens)
     assert all(g.ring is R for g in I.generators)
     assert I.is_monomial() == (not quotient and all(g.is_monomial() for g in I.generators))
+
+
+def _two_path_generators(ring, gens):
+    """Ideal's generators and is_monomial as two paths kept them: one-term
+    generators keyed on their packed int and coefficient, until a generator
+    of several terms sent the whole list to a dict on the term tuples."""
+    gens = [g if type(g) is Polynomial and g.ring is ring else ring.coerce(g) for g in gens]
+    terms = {}
+    for g in gens:
+        if len(g.coeffs) > 1:
+            return tuple({(tuple(h.packed), tuple(h.coeffs)): h
+                          for h in gens if h.coeffs}.values()), False
+        if g.coeffs:
+            terms.setdefault((g.packed[0], g.coeffs[0]), g)
+    return tuple(terms.values()), not ring.is_quotient()
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(st.data())
+def test_one_key_matches_the_two_path_generators(data):
+    """One loop keyed on the term tuples keeps the generators and gives the
+    is_monomial of the two paths it replaced, over zeros, repeats, equal
+    terms with other coefficients, polynomials of an equal but distinct ring
+    and quotient rings; its key is the one the ring's bases are stored under."""
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    plain = Ring(p, ["X", "Y"])
+    quotient = data.draw(st.sampled_from([(), ("X*Y",), ("Y^2 + X^3",)]), label="quotient")
+    R, twin = (Ring(p, ["X", "Y"], quotient=[plain.parse(q) for q in quotient])
+               for _ in range(2))
+    term = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, p))
+    fresh = st.one_of(
+        term.map(lambda t: R.monomial(t[:2], t[2])),
+        term.map(lambda t: twin.monomial(t[:2], t[2])),
+        st.just(R.zero()),
+        st.lists(term, min_size=2, max_size=3).map(
+            lambda ts: R.from_terms(((a, b), c) for a, b, c in ts)))
+    gens = []
+    for kind, g, k, c in data.draw(st.lists(st.tuples(
+            st.sampled_from(["fresh", "repeat", "rescaled"]), fresh, st.integers(0, 7),
+            st.integers(1, p - 1)), max_size=8), label="gens"):
+        if kind == "fresh" or not gens:
+            gens.append(g)
+        elif kind == "repeat":
+            gens.append(gens[k % len(gens)])
+        else:
+            gens.append(gens[k % len(gens)] * c)
+    I = Ideal(R, gens)
+    kept, monomial = _two_path_generators(R, gens)
+    assert I.generators == kept
+    assert all(g.ring is R for g in I.generators)
+    assert I.is_monomial() == monomial
+    assert I._key == tuple((tuple(g.packed), tuple(g.coeffs)) for g in kept)
 
 
 def test_route_follows_the_input(rng):

@@ -1,12 +1,15 @@
 """Perfect-closure elements, f-sequences, and the sequence/ideal dictionary."""
 
 import itertools
+from datetime import timedelta
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from charp import CharpError, Ideal, InputError, NonMonomial, Ring
-from charp.frobenius import frob_root
-from charp.perfection import FSequence, PerfectionElement, PerfectionIdeal
+from charp import CharpError, Ideal, InputError, NonMonomial, Ring, perfection
+from charp.frobenius import frob_power, frob_root
+from charp.perfection import FSequence, PerfectionElement, PerfectionIdeal, VerifyResult
 
 from conftest import ass_monomial, deadline, radical_sequence, rand_monomial_ideal, rand_poly
 
@@ -281,3 +284,87 @@ def test_perfection_sequence_over_reduced_quotient():
             low = A.member(PerfectionElement(n, body))
             high = A.member(PerfectionElement(n + 1, body.frobenius(1)))
             assert low == high
+
+
+# -- the root law is the whole check -------------------------------------------------
+
+
+def _three_check_verify(seq, depth):
+    """FSequence.verify as it checked the root law, the descent and
+    term^[p] in the next term one after the other; the root law implies the
+    other two, so verify now checks it alone."""
+    for n in range(depth):
+        t0 = seq.term(n)
+        t1 = seq.term(n + 1)
+        root = frob_root(t1)
+        if root != t0:
+            return VerifyResult(False, n, "frobenius root mismatch", expected=t0, got=root)
+        if not t0.contains_ideal(t1):
+            return VerifyResult(False, n, "sequence not descending", expected=t0, got=t1)
+        if not t1.contains_ideal(frob_power(t0, 1)):
+            return VerifyResult(False, n, "term^[p] escapes the next term",
+                                expected=t1, got=frob_power(t0, 1))
+    return VerifyResult(True)
+
+
+def _small_ideals(ring, kind):
+    """Ideals of ring on one or two generators: monomials, or sums of up to
+    two terms of degree at most 3 in the first two variables."""
+    term = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, ring.p - 1)).filter(
+        lambda t: 0 < t[0] + t[1] <= 3)
+    monomial = term.map(lambda t: ring.monomial(t[:2], t[2]))
+    poly = st.lists(term, min_size=1, max_size=2).map(
+        lambda ts: ring.from_terms(((a, b), c) for a, b, c in ts))
+    gen = monomial if kind == "monomial" else poly
+    return st.lists(gen, min_size=1, max_size=2).filter(
+        lambda gs: not all(g.is_zero() for g in gs)).map(lambda gs: Ideal(ring, gs))
+
+
+@st.composite
+def _sequences(draw):
+    p = draw(st.sampled_from([2, 3]), label="p")
+    plain = Ring(p, ["X", "Y"])
+    shape = draw(st.sampled_from(["table-monomial", "table-poly", "table-cusp",
+                                  "frobenius-powers", "canonical", "intersection"]), label="shape")
+    if shape == "table-cusp":
+        ring = Ring(p, ["X", "Y"], quotient=[plain.parse("Y^2 + X^3")])
+    else:
+        ring = plain
+    ideals = _small_ideals(ring, "monomial" if shape == "table-monomial" else "poly")
+    if shape.startswith("table"):
+        terms = draw(st.lists(ideals, min_size=2, max_size=3), label="terms")
+        if draw(st.booleans(), label="a lawful start"):  # the law holds at n = 0
+            terms[0] = frob_root(terms[1])
+        return FSequence.from_table(terms), len(terms) - 1
+    if shape == "intersection":
+        parts = [FSequence.frobenius_powers(draw(ideals, label="powers")),
+                 FSequence.constant_prime(Ideal(ring, draw(st.sampled_from(
+                     [["X"], ["Y"], ["X", "Y"], ["X + Y"]]), label="prime")))]
+        return FSequence.intersection(parts), 2
+    make = FSequence.frobenius_powers if shape == "frobenius-powers" else FSequence.canonical
+    return make(draw(ideals, label="ideal")), 2
+
+
+@settings(max_examples=120, deadline=timedelta(seconds=20))
+@given(_sequences())
+def test_verify_agrees_with_the_three_check_verify(drawn):
+    """On table sequences of monomial, several-term and cusp-quotient ideals
+    and on frobenius-powers, canonical and intersection sequences, checking
+    the root law alone gives the result of checking all three laws."""
+    seq, depth = drawn
+    with deadline(20):
+        assert seq.verify(depth) == _three_check_verify(seq, depth)
+
+
+def test_fg_terms_up_to_k_root_one_anchor(R2):
+    """Terms at and below k are roots of one F-closure, computed once, and
+    term(k) is that closure itself."""
+    gens = Ideal(R2, ["X^3 + Y^2", "X*Y"])
+    seq = FSequence.finitely_generated(gens, 2)
+    with mock.patch("charp.perfection.f_closure", wraps=perfection.f_closure) as spy:
+        terms = [seq.term(n) for n in (1, 0, 2)]
+    assert spy.call_count == 1
+    anchor = terms[2]
+    assert anchor == perfection.f_closure(gens).closure
+    assert terms[:2] == [frob_root(anchor, 1), frob_root(anchor, 2)]
+    assert seq.term(3) == perfection.f_closure(frob_power(gens, 1)).closure

@@ -518,6 +518,29 @@ def test_parse_parentheses():
     assert info.value.location == "col 2"
 
 
+def test_parse_of_deep_nesting_is_an_input_error():
+    """Nesting past the recursion limit is an input error naming it; a bad
+    character anywhere in the text is still reported first."""
+    R = Ring(7, ["X", "Y"])
+    deep = "(" * 3000 + "X" + ")" * 3000
+    with pytest.raises(InputError) as info:
+        R.parse(deep)
+    assert (str(info.value), info.value.message, info.value.location) == (
+        "parentheses nested too deeply", "parentheses nested too deeply", None)
+    with pytest.raises(InputError) as info:
+        R.parse(deep + " + $")
+    assert (info.value.message, info.value.location) == ("unexpected character '$'", "col 6005")
+    assert R.parse("(" * 100 + "X + Y" + ")" * 100) == R.parse("X + Y")
+
+
+def test_parse_errors_keep_their_bare_message():
+    R = Ring(7, ["X", "Y"])
+    with pytest.raises(InputError) as info:
+        R.parse("X + Z")
+    assert (str(info.value), info.value.message, info.value.location) == (
+        "unknown variable 'Z' (at col 5)", "unknown variable 'Z'", "col 5")
+
+
 def test_parse_errors_carry_location():
     R = Ring(7, ["X", "Y"])
     with pytest.raises(InputError, match="col"):
