@@ -46,7 +46,8 @@ from json.encoder import encode_basestring_ascii
 from . import ideals as ideals_mod
 from .decomposition import (Decomposition, GrowthCertificate, certify_growth,
                             decompose_monomial, decompose_perfection_ideal, ex8_build,
-                            find_linear_growth_h, lg2_decompose, localize_contract)
+                            find_linear_growth_h, growth_decomposer, lg2_decompose,
+                            localize_contract)
 from .errors import (CertificateFailure, CharpError, DepthExceeded, ExponentOverflow,
                      GroebnerBudgetExceeded, IdentityFailure, InputError)
 from .frobenius import f_closure, frob_power, frob_root
@@ -455,10 +456,7 @@ def _cmd_fseq_verify(args, report: Report, spec: SpecFile) -> int:
 
 def _cmd_fseq_growth(args, report: Report, spec: SpecFile) -> int:
     seq = spec.fseq(args.fseq)
-
-    def decomposer(n):
-        return decompose_monomial(seq.term(n))
-
+    decomposer = growth_decomposer(seq)
     h = find_linear_growth_h(decomposer(0)) if args.find_h else args.h
     cert = certify_growth(seq, decomposer, h, args.depth)
     report.data["result"] = {

@@ -149,6 +149,39 @@ def decompose_monomial(I: Ideal, shift: Optional[dict] = None) -> Decomposition:
     return deco
 
 
+def growth_decomposer(seq: FSequence) -> Callable[[int], Decomposition]:
+    """n -> decompose_monomial(seq.term(n)).  Frobenius powers of a decompose a
+    once: over a polynomial ring the Frobenius is flat (Kunz), and splitting,
+    containment, lcms, row order and deduplication commute with scaling, so a
+    later call scales a's components by p^n and checks them as decompose_monomial does."""
+    if "ideal" not in seq.meta:
+        return lambda n: decompose_monomial(seq.term(n))
+    first = []  # decompose_monomial(seq.term(0))
+
+    def decomposer(n):
+        term = seq.term(n)
+        if not first:
+            first.append(decompose_monomial(seq.term(0)))
+            if n == 0:
+                return first[0]
+        comps = [PrimaryComponent(_scaled(c.ideal, seq.ring.p ** n), _scaled(c.radical, 1),
+                                  c.verified_primary) for c in first[0].components]
+        deco = Decomposition(tuple(comps), minimal=True)
+        _check_identity(deco.intersection(), term, "monomial decomposition does not intersect back")
+        return deco
+    return decomposer
+
+
+def _scaled(I: Ideal, q: int) -> Ideal:
+    """A new ideal on I's monomial generators and minimal rows times q.  It has no
+    cached basis, so reading one charges its pairs as decompose_monomial's would."""
+    J = Ideal(I.ring, [Polynomial(I.ring, [g.keys[0] * q], [g.packed[0] * q], g.coeffs)
+                       for g in I.generators])
+    J._min_exps = tuple(tuple(e * q for e in r) for r in I.minimal_monomial_exps())
+    J._min_packed = tuple(x * q for x in I._min_packed)
+    return J
+
+
 def _redundant_index(ideals: list) -> Optional[int]:
     """Index of the first of two or more ideals that contains the
     intersection of the others, or None when none does."""
@@ -356,12 +389,8 @@ def decompose_perfection_ideal(A: PerfectionIdeal, check_depth: int = 3) -> list
 
 
 def _primary_sequence(comp: PrimaryComponent, k: int) -> FSequence:
-    def fn(n):
-        if n >= k:
-            return frob_power(comp.ideal, n - k)
-        return frob_root(comp.ideal, k - n)
-
-    seq = FSequence(comp.ideal.ring, fn)
+    seq = FSequence(comp.ideal.ring, lambda n: frob_power(comp.ideal, n - k) if n >= k
+                    else frob_root(comp.ideal, k - n))
     seq.meta = {"radical": comp.radical}
     return seq
 

@@ -124,41 +124,43 @@ def f_closure(b: Ideal, max_e: int = 10, confirm: int = 2) -> FClosureResult:
 
     Iterates I_n = root^n(b^[p^n]), an ascending chain, and stops once
     `confirm` consecutive equalities are seen.  In a polynomial ring I_n = b
-    by flatness (Kunz), so each I_n is a new ideal on the generators the
-    round trip leaves: b's own, or for a monomial b its minimal generators,
-    monic and ascending.  It raises ExponentOverflow where b^[p^n] would
-    overflow.  A quotient ring computes the round trip.  The stop is
-    heuristic (certified=False).  Raises DepthExceeded with the partial chain
-    when the chain is still moving at max_e, and InputError when it stands
-    still there but confirm > max_e left no room to confirm it.
+    by flatness (Kunz), which settles the ascent and the equalities: closure b
+    at 0, no witnesses.  Each of the `confirm` terms is still built on the
+    generators the round trip leaves (for a monomial b its minimal ones),
+    raising ExponentOverflow where b^[p^n] would, and its basis read, then
+    b's.  A quotient ring computes the round trip.  The stop is heuristic
+    (certified=False).  Raises DepthExceeded with the partial chain when the
+    chain still moves or is unconfirmed at max_e, and InputError when it
+    stands still there but confirm > max_e left no room to confirm it.
     """
     max_e, confirm = as_index(max_e, "max_e", 1), as_index(confirm, "confirm", 1)
-    ring, flat = b.ring, not b.ring.is_quotient()
-    if flat:  # the packed ints b^[p^n] scales; each term has root^n(b^[p^n])'s generators
-        packed = [x for g in b.generators for x in g.packed]
-    steps, current, equal_run = [b], b, 0
-    for n in range(1, max_e + 1):
-        if flat:
-            frobenius_scale(ring, packed, n)  # overflows where b^[p^n] would
-            nxt = (_monomial_ideal(ring, b.minimal_monomial_exps(), minimal=True)
-                   if b.is_monomial() else Ideal(ring, b.generators))
-        else:
+    ring, steps, current, equal_run = b.ring, [b], b, 0
+    if not ring.is_quotient():
+        for n in range(1, min(confirm, max_e) + 1):  # overflow where b^[p^n] would
+            frobenius_scale(ring, [x for g in b.generators for x in g.packed], n)
+            steps.append(_monomial_ideal(ring, b.minimal_monomial_exps(), minimal=True)
+                         if b.is_monomial() else Ideal(ring, b.generators))
+            steps[-1].groebner(), b.groebner()  # the reads of the equality test
+        if confirm <= max_e:
+            return FClosureResult(b, 0, False, steps)
+        equal_run = max_e
+    else:
+        for n in range(1, max_e + 1):
             nxt = frob_root(frob_power(b, n), n)
-        if not nxt.contains_ideal(current):
-            raise CharpError("F-closure chain failed to ascend")
-        steps.append(nxt)
-        if nxt == current:
-            equal_run += 1
-            if equal_run >= confirm:  # the chain first repeated at step n - confirm + 1
-                return FClosureResult(current, n - confirm, False, steps,
-                                      _closure_witnesses(b, current, n - confirm))
-        else:
-            equal_run = 0
-            current = nxt
+            if not nxt.contains_ideal(current):
+                raise CharpError("F-closure chain failed to ascend")
+            steps.append(nxt)
+            if nxt == current:
+                equal_run += 1
+                if equal_run >= confirm:  # the chain first repeated at step n - confirm + 1
+                    return FClosureResult(current, n - confirm, False, steps,
+                                          _closure_witnesses(b, current, n - confirm))
+            else:
+                equal_run, current = 0, nxt
     if equal_run and confirm > max_e:  # the chain stands still: only confirm kept it going
         raise InputError(f"confirm {confirm} exceeds max_e {max_e}, so no chain can be confirmed")
-    raise DepthExceeded(
-        f"F-closure chain still moving after {max_e} steps", partial=steps)
+    state = "not confirmed within" if equal_run else "still moving after"
+    raise DepthExceeded(f"F-closure chain {state} {max_e} steps", partial=steps)
 
 
 def _closure_witnesses(b: Ideal, closure: Ideal, depth: int) -> list:

@@ -341,7 +341,7 @@ class Ideal:
 
     def effective_generators(self) -> tuple:
         """User generators plus the ring's quotient generators (preimage view)."""
-        return self.generators + self.ring.quotient
+        return self.generators + self.ring.quotient if self.ring.is_quotient() else self.generators
 
     def groebner(self) -> tuple:
         """The reduced Groebner basis under the ring's order, computed once

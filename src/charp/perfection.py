@@ -138,14 +138,14 @@ class FSequence:
     def frobenius_powers(cls, a: Ideal) -> "FSequence":
         """n -> a^[p^n]; an f-sequence whenever those powers are F-closed
         (always in polynomial rings, where the Frobenius is flat)."""
-        return cls(a.ring, lambda n: frob_power(a, n))
+        seq = cls(a.ring, lambda n: frob_power(a, n))
+        seq.meta = {"ideal": a}
+        return seq
 
     @classmethod
     def canonical(cls, b: Ideal, max_e: int = 10, confirm: int = 2) -> "FSequence":
         """n -> F-closure of b^[p^n] (the canonical sequence attached to b)."""
-        def fn(n):
-            return f_closure(frob_power(b, n), max_e, confirm).closure
-        return cls(b.ring, fn)
+        return cls(b.ring, lambda n: f_closure(frob_power(b, n), max_e, confirm).closure)
 
     @classmethod
     def constant_prime(cls, p: Ideal) -> "FSequence":
@@ -160,13 +160,8 @@ class FSequence:
         unique downward extension by iterated Frobenius roots."""
         k = as_index(k, "depth k", 0)
         anchor = functools.cache(lambda: f_closure(gens).closure)  # term(k)
-
-        def fn(n):
-            if n > k:
-                return f_closure(frob_power(gens, n - k)).closure
-            return frob_root(anchor(), k - n)
-
-        seq = cls(gens.ring, fn)
+        seq = cls(gens.ring, lambda n: f_closure(frob_power(gens, n - k)).closure if n > k
+                  else frob_root(anchor(), k - n))
         seq.meta = {"k": k}
         return seq
 
@@ -190,12 +185,7 @@ class FSequence:
         seqs = list(seqs)
         if not seqs:
             raise InputError("intersection of no sequences")
-        ring = seqs[0].ring
-
-        def fn(n):
-            return intersect_all(s.term(n) for s in seqs)
-
-        return cls(ring, fn)
+        return cls(seqs[0].ring, lambda n: intersect_all(s.term(n) for s in seqs))
 
     # -- verification -----------------------------------------------------------
 

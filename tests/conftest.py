@@ -10,6 +10,10 @@ products of powers.  The
 Buchberger routes that the fast paths are checked against are the
 library's own route functions, called directly.
 
+``chain_f_closure`` runs the F-closure chain with every test that flatness
+lets ``f_closure`` skip in a polynomial ring: ascent, equality and the
+witness search.
+
 Radical membership, radical sequences, associated primes and component-wise
 Frobenius powers of a decomposition live here too: no command needs them,
 and the tests use them to check the objects the library builds.
@@ -26,11 +30,14 @@ import signal
 
 import pytest
 
-from charp import CharpError, Ideal, InputError, NonMonomial, Ring
+from charp import CharpError, DepthExceeded, Ideal, InputError, NonMonomial, Ring
 from charp.decomposition import (Decomposition, PrimaryComponent, _primary_in_frame,
                                  _split_irreducible, _support, decompose_monomial)
-from charp.frobenius import frob_power
-from charp.ideals import _aux_cover, _intersection, _mono_divides, _sorted_minimal, normal_form
+from charp.frobenius import FClosureResult, _closure_witnesses, frob_power, frob_root
+from charp.ideals import (_aux_cover, _intersection, _mono_divides, _monomial_ideal,
+                          _sorted_minimal, normal_form)
+from charp.orders import as_index
+from charp.poly import frobenius_scale
 from charp.perfection import FSequence
 
 
@@ -301,6 +308,40 @@ def poly_decomposition_components(I):
             comp = poly_intersect(comp, J)
         out.append((comp, supp))
     return out
+
+
+def chain_f_closure(b, max_e=10, confirm=2):
+    """``f_closure`` by its chain in every ring: each term I_n is tested for
+    ascent and for equality with the last new term, and the witnesses are
+    searched.  In a polynomial ring I_n is built by flatness, as ``f_closure``
+    builds it, after the overflow test b^[p^n] would run."""
+    max_e, confirm = as_index(max_e, "max_e", 1), as_index(confirm, "confirm", 1)
+    ring, flat = b.ring, not b.ring.is_quotient()
+    if flat:
+        packed = [x for g in b.generators for x in g.packed]
+    steps, current, equal_run = [b], b, 0
+    for n in range(1, max_e + 1):
+        if flat:
+            frobenius_scale(ring, packed, n)
+            nxt = (_monomial_ideal(ring, b.minimal_monomial_exps(), minimal=True)
+                   if b.is_monomial() else Ideal(ring, b.generators))
+        else:
+            nxt = frob_root(frob_power(b, n), n)
+        if not nxt.contains_ideal(current):
+            raise CharpError("F-closure chain failed to ascend")
+        steps.append(nxt)
+        if nxt == current:
+            equal_run += 1
+            if equal_run >= confirm:
+                return FClosureResult(current, n - confirm, False, steps,
+                                      _closure_witnesses(b, current, n - confirm))
+        else:
+            equal_run = 0
+            current = nxt
+    if equal_run and confirm > max_e:
+        raise InputError(f"confirm {confirm} exceeds max_e {max_e}, so no chain can be confirmed")
+    state = "not confirmed within" if equal_run else "still moving after"
+    raise DepthExceeded(f"F-closure chain {state} {max_e} steps", partial=steps)
 
 
 def chained_root(I, e, step):

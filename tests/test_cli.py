@@ -412,6 +412,24 @@ def test_failure_reports_are_pinned(line, code, result, witnesses, json_sha, tex
     assert hashlib.sha256(out.encode()).hexdigest() == text_sha
 
 
+def test_a_chain_that_stood_still_at_max_e_is_not_confirmed(monkeypatch, capsys):
+    """The cusp chain of (U) moves at step 1 and repeats (U, V) at step 2: with
+    --max-e 2 --confirm 2 it stood still but was not confirmed, which the
+    DepthExceeded report says instead of "still moving"; one more step
+    confirms it."""
+    monkeypatch.chdir(ROOT)
+    argv = "frob closure specs/cusp.ini --ideal u --max-e 2 --confirm 2".split()
+    message = "F-closure chain not confirmed within 2 steps"
+    code, data = run_json(capsys, *argv)
+    assert (code, data["exit_status"]) == (3, 3)
+    assert data["result"] == {"error": message, "error_kind": "DepthExceeded",
+                              "partial_steps": [["U", "V^2"], ["V", "U"], ["V", "U"]]}
+    assert _run_captured(argv) == (3, f"depth exceeded: {message}\n", "")
+    argv[-3] = "3"
+    code, data = run_json(capsys, *argv)
+    assert (code, data["result"]["closure"], data["result"]["stabilized_at"]) == (0, ["V", "U"], 1)
+
+
 def test_f_closure_exponent_overflow_exits_3(monkeypatch, capsys):
     """(X^2, X*Y)^[2^56] has X^(2^57) > EXP_LIMIT: the chain stops at n = 56
     with ExponentOverflow, from the command line and from the library."""

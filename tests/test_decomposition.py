@@ -7,22 +7,23 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charp import (CertificateFailure, GroebnerBudget, Ideal, IdentityFailure, InputError,
                    NonMonomial, Ring)
-from charp import decomposition
+from charp import decomposition, ideals
 from charp.decomposition import (_redundant_index, _split_irreducible, _support, apply_shift,
                                  certify_growth, decompose_monomial,
                                  decompose_perfection_ideal, ex8_build,
-                                 find_linear_growth_h, is_primary_monomial,
+                                 find_linear_growth_h, growth_decomposer, is_primary_monomial,
                                  lg2_decompose, localize_contract)
 from charp.errors import DistinctLambdaExhausted
 from charp.frobenius import f_closure, frob_power, frob_root
 from charp.ideals import intersect_all
 from charp.perfection import FSequence, PerfectionElement, PerfectionIdeal
 
-from conftest import (ass_monomial, cusp_ring, frobenius_decompositions, membership_box,
-                      monomial_gen_exps, oracle_mono_member, rand_monomial_ideal)
+from conftest import (ass_monomial, cusp_ring, deadline, frobenius_decompositions,
+                      membership_box, monomial_gen_exps, oracle_mono_member, rand_monomial_ideal)
 
 
 @pytest.fixture
@@ -344,6 +345,60 @@ def test_certify_growth_frobenius_powers(R2):
     assert cert.h == 2 and cert.depth == 3
     assert all(c.ok for c in cert.checks)
     assert len(cert.checks) == 2 * 4
+
+
+def _decomposition_terms(deco):
+    """Components in order: generator term lists of the ideal and its radical,
+    verified_primary and shift; and minimal."""
+    def terms(I):
+        return [(g.keys, g.packed, g.coeffs) for g in I.generators]
+
+    return ([(terms(c.ideal), terms(c.radical), c.verified_primary, c.shift)
+             for c in deco.components], deco.minimal)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_growth_decomposer_derives_decompose_monomial(data):
+    """On the Frobenius powers of a monomial a, the decomposer that decomposes
+    a once and scales it builds what decompose_monomial(a^[p^n]) builds, for
+    n in 0..2, in the call orders of fseq growth with and without --find-h,
+    and each call charges the pairs the direct call charges; both routes
+    start in a fresh ring, so no basis is cached on an ideal."""
+    p = data.draw(st.sampled_from((2, 3, 5)), label="p")
+    names = ("X", "Y", "Z")[:data.draw(st.integers(2, 3), label="nvars")]
+    row = st.tuples(*[st.integers(0, 5)] * len(names)).map(lambda r: r if any(r) else r[:-1] + (1,))
+    rows = data.draw(st.lists(row, min_size=1, max_size=5), label="rows")
+    if data.draw(st.booleans(), label="primary"):  # one component, read as the intersection
+        rows += [tuple(5 * (i == j) for j in range(len(names))) for i in range(len(names))]
+    calls = data.draw(st.sampled_from(([0, 1, 2], [0, 0, 1, 2], [0, 2, 2], [2, 0, 1])),
+                      label="calls")
+
+    def run(decomposer_of):
+        ring = Ring(p, names)
+        seq = FSequence.frobenius_powers(Ideal(ring, [ring.monomial(r) for r in rows]))
+        decomposer, out = decomposer_of(seq), []
+        for n in calls:
+            before = ideals.pair_count
+            out.append((_decomposition_terms(decomposer(n)),
+                        ideals.pair_count - before))
+        return out
+
+    with deadline(20):
+        want = run(lambda seq: lambda n: decompose_monomial(seq.term(n)))
+        got = run(growth_decomposer)
+    if calls[0]:  # a first call past term 0 decomposes term 0 too: only the results agree
+        got, want = [d for d, _ in got], [d for d, _ in want]
+    assert got == want
+
+
+def test_growth_decomposer_of_other_sequences_decomposes_each_term(R2):
+    """Sequences other than Frobenius powers decompose every term as asked."""
+    seq = FSequence.constant_prime(Ideal(R2, ["X", "Y"]))
+    decomposer = growth_decomposer(seq)
+    assert decomposer(0) is not decomposer(0)
+    assert _decomposition_terms(decomposer(1)) == _decomposition_terms(
+        decompose_monomial(Ideal(R2, ["X", "Y"])))
 
 
 def test_certify_growth_constant_prime(R2):

@@ -5,14 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charp import DepthExceeded, ExponentOverflow, Ideal, InputError, Ring, frobenius, ideals
+from charp import (CharpError, DepthExceeded, ExponentOverflow, Ideal, InputError, Ring,
+                   frobenius, ideals)
 from charp.frobenius import (_frob_root_elimination, _frob_root_monomial, _p_roots,
                              f_closure, frob_power, frob_root, is_f_closed)
 from charp.ideals import GroebnerBudget, _aux_cover, _eliminate, using_budget
 from charp.orders import GREVLEX, LEX, elim
 from charp.poly import E_MAX, Polynomial
 
-from conftest import (all_polys_up_to_degree, chained_root, cusp_ring, deadline, in_radical,
+from conftest import (all_polys_up_to_degree, chain_f_closure, chained_root, cusp_ring,
+                      deadline, in_radical,
                       monomial_gen_exps, oracle_ceiling_root, rand_ideal,
                       rand_monomial_ideal)
 
@@ -416,6 +418,55 @@ def test_f_closure_chain_terms_match_the_round_trip(data):
         if n:
             steps = f_closure(b, max_e=n, confirm=n).steps
             assert [_outcome(lambda: I) for I in steps[1:]] == want
+
+
+def _terms(I):
+    return [(g.keys, g.packed, g.coeffs) for g in I.generators]
+
+
+def _closure_run(f, b, budget):
+    """What f(b, ...) returns or raises under budget, and the pairs it charges."""
+    before = ideals.pair_count
+    try:
+        with using_budget(budget):
+            res = f(b)
+        got = (_terms(res.closure), res.stabilized_at, res.certified,
+               [_terms(I) for I in res.steps],
+               [((w["element"].keys, w["element"].packed), w["exponent"]) for w in res.witnesses])
+    except CharpError as exc:
+        got = (type(exc), str(exc), [_terms(I) for I in getattr(exc, "partial", ())])
+    return got, ideals.pair_count - before
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_flat_f_closure_matches_the_chain(data):
+    """In a polynomial ring f_closure, which lets flatness settle the ascent,
+    the equalities and the witnesses, returns or raises what the chain with
+    every test does, with the same steps, and charges the same pairs: each
+    run builds b in a fresh ring, so no basis is cached on an ideal."""
+    p = data.draw(st.sampled_from((2, 3, 5)), label="p")
+    names = ("X", "Y", "Z")[:data.draw(st.integers(2, 3), label="nvars")]
+    scale = data.draw(st.sampled_from((1, 1, 2**20, 2**40)), label="scale")  # 2^40: overflow
+    vec = st.tuples(*[st.integers(0, 3).map(lambda e: e * scale)] * len(names))
+    gen = st.lists(st.tuples(vec, st.integers(1, p - 1)), min_size=1,
+                   max_size=data.draw(st.sampled_from((1, 3)), label="terms"))
+    gens = data.draw(st.lists(gen, max_size=3), label="gens")
+    max_e = data.draw(st.one_of(st.integers(1, 4), st.integers(15, 40)), label="max_e")
+    confirm = data.draw(st.one_of(st.integers(1, 4), st.integers(max_e, max_e + 2)),
+                        label="confirm")
+    budget = data.draw(st.sampled_from((GroebnerBudget(max_degree=2**62),
+                                        GroebnerBudget(max_pairs=2, max_degree=2**62),
+                                        GroebnerBudget())), label="budget")
+
+    def fresh():
+        ring = Ring(p, names)
+        return Ideal(ring, [ring.from_terms(terms) for terms in gens])
+
+    with deadline(20):
+        want = _closure_run(lambda b: chain_f_closure(b, max_e, confirm), fresh(), budget)
+        got = _closure_run(lambda b: f_closure(b, max_e, confirm), fresh(), budget)
+    assert got == want
 
 
 def test_f_closure_overflows_at_the_first_overflowing_frobenius_power():

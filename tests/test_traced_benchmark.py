@@ -21,6 +21,8 @@ import pytest
 import charp._kernels
 import charp.cli
 import charp.decomposition
+import charp.frobenius
+import charp.ideals
 import charp.poly
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -74,10 +76,11 @@ PAIRS_PER_PASS = {"gb_dense": 10663, "frobenius_closure": 7747, "cli_specs": 394
 # divided, an elimination stops decoding a basis element at its first
 # auxiliary term, an ideal drops repeated generators on their ints, an
 # F-closure in a polynomial ring takes no Frobenius power or root, and a
-# monomial route's result that is minimal by construction keeps its rows, and
-# a text that parses is never scanned for the columns of its tokens
+# monomial route's result that is minimal by construction keeps its rows, a
+# text that parses is never scanned for the columns of its tokens, and an
+# F-closure in a polynomial ring tests no membership and searches no witness
 CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2459, "__hash__": 0, "frobenius": 1614,
-                  "try_p_root": 1507, "_tokenize": 0}
+                  "try_p_root": 1507, "_tokenize": 0, "contains": 17, "_closure_witnesses": 1}
 # ceilings on the decodings, redundancy searches, Polynomial products,
 # outside calls of the merge kernel, divisions, Polynomial hashes and argparse
 # parses in one cli_specs pass: products check overflow on packed ints,
@@ -89,12 +92,13 @@ CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2459, "__hash__": 0, "frobenius
 # generators on their ints, a leaf's argv is parsed by the leaf parser alone,
 # an F-closure in a polynomial ring takes no Frobenius power, monomial routes
 # build their results from exponent rows without the validating
-# Ring.monomial, growth certificates test packed ints scaled by p^n, and a
-# text that parses is never scanned for the columns of its tokens
-CLI_CALLS_PER_PASS = {"unpack": 15472, "_redundant_index": 305, "__mul__": 112,
+# Ring.monomial, growth certificates test packed ints scaled by p^n, a text
+# that parses is never scanned for the columns of its tokens, and the growth
+# of Frobenius powers splits term 0 alone and scales its components' rows
+CLI_CALLS_PER_PASS = {"unpack": 13215, "_redundant_index": 305, "__mul__": 112,
                       "combine": 232, "normal_form": 336, "s_normal_form": 294,
                       "__hash__": 0, "parse_known_args": 1511, "frobenius": 4160,
-                      "monomial": 48, "_tokenize": 0}
+                      "monomial": 48, "_tokenize": 0, "_split_irreducible": 1445}
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS_PER_PASS))
@@ -138,15 +142,16 @@ def _count_calls(monkeypatch, workload, instances, targets):
 def test_frobenius_closure_pass_divides_and_decodes_no_more(monkeypatch):
     """One frobenius_closure pass at the reference seed calls the division
     kernel, decodes exponent tuples, hashes Polynomials, takes Frobenius
-    powers and p-th roots of them and finds token columns at most as often as
-    CALLS_PER_PASS."""
+    powers and p-th roots of them, finds token columns, tests ideal membership
+    and searches F-closure witnesses at most as often as CALLS_PER_PASS."""
     monkeypatch.chdir(ROOT)
     workload = workloads.WORKLOADS["frobenius_closure"]()
     calls = _count_calls(monkeypatch, workload, workload.generate(bench.DEFAULT_SEED),
                          ((charp._kernels, "normal_form"), (charp.poly.Ring, "unpack"),
                           (charp.poly.Polynomial, "__hash__"),
                           (charp.poly.Polynomial, "frobenius"),
-                          (charp.poly.Polynomial, "try_p_root"), (charp.poly, "_tokenize")))
+                          (charp.poly.Polynomial, "try_p_root"), (charp.poly, "_tokenize"),
+                          (charp.ideals.Ideal, "contains"), (charp.frobenius, "_closure_witnesses")))
     assert all(calls[name] <= bound for name, bound in CALLS_PER_PASS.items()), calls
 
 
@@ -154,8 +159,8 @@ def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
     """One cli_specs pass at the reference seed decodes exponent tuples, looks
     for redundant components, multiplies Polynomials, merges raw terms,
     divides, hashes Polynomials, runs argparse, takes Frobenius powers of
-    Polynomials, builds checked monomials and finds token columns at most as
-    often as CLI_CALLS_PER_PASS."""
+    Polynomials, builds checked monomials, finds token columns and splits
+    monomial ideals at most as often as CLI_CALLS_PER_PASS."""
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(workloads, "WORK_DIR", str(tmp_path))
     workload = workloads.WORKLOADS["cli_specs"]()
@@ -169,5 +174,5 @@ def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
                           (charp.poly.Polynomial, "__hash__"),
                           (argparse.ArgumentParser, "parse_known_args"),
                           (charp.poly.Polynomial, "frobenius"), (charp.poly.Ring, "monomial"),
-                          (charp.poly, "_tokenize")))
+                          (charp.poly, "_tokenize"), (charp.decomposition, "_split_irreducible")))
     assert all(calls[name] <= bound for name, bound in CLI_CALLS_PER_PASS.items()), calls
