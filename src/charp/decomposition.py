@@ -33,17 +33,25 @@ from .poly import Polynomial, Ring
 class PrimaryComponent(FrozenRecord):
     """A primary ideal with its radical prime; shift maps it to monomial frame.
 
-    ``shift`` is a var -> constant mapping: substituting var + constant for
-    var turns both ideal and radical into monomial ideals.
+    ``shift`` holds (var, constant) pairs, or is None: putting var + constant
+    for var makes both ideals monomial, so there the radical contains the ideal
+    by packed divisibility.  A radical not monomial there is checked as given.
     """
 
-    __slots__ = ("ideal", "radical", "verified_primary", "shift")
+    __slots__ = ("ideal", "radical", "shift")
 
-    def __init__(self, ideal: Ideal, radical: Ideal, verified_primary: bool,
-                 shift: Optional[tuple] = None):  # ((var, constant), ...) or None
-        if not radical.contains_ideal(ideal):
+    def __init__(self, ideal: Ideal, radical: Ideal, shift: Optional[tuple] = None):
+        view = apply_shift(radical, shift)
+        if not (view.contains_ideal(apply_shift(ideal, shift)) if view.is_monomial()
+                else radical.contains_ideal(ideal)):
             raise InputError("component does not lie inside its radical")
-        super().__init__(ideal, radical, verified_primary, shift)
+        super().__init__(ideal, radical, shift)
+
+    @property
+    def verified_primary(self) -> bool:
+        """Whether the ideal is monomial and primary in the shift frame."""
+        view = apply_shift(self.ideal, self.shift)
+        return view.is_monomial() and is_primary_monomial(view)
 
 
 class Decomposition(FrozenRecord):
@@ -53,12 +61,13 @@ class Decomposition(FrozenRecord):
         return intersect_all(c.ideal for c in self.components)
 
 
-def apply_shift(I: Ideal, shift: dict) -> Ideal:
-    """Put var + constant for var, for every (var, constant) in shift."""
+def apply_shift(I: Ideal, shift) -> Ideal:
+    """Put var + constant for var, for every (var, constant) in shift (a dict,
+    pairs, or None)."""
     if not shift:
         return I
     ring, gens = I.ring, I.generators
-    for v, c in shift.items():
+    for v, c in dict(shift).items():
         i = ring._var_index.get(v)
         if i is None:
             raise InputError(f"unknown variable {v!r}")
@@ -66,8 +75,8 @@ def apply_shift(I: Ideal, shift: dict) -> Ideal:
     return Ideal(ring, gens)
 
 
-def unapply_shift(I: Ideal, shift: dict) -> Ideal:
-    return apply_shift(I, {v: -c for v, c in shift.items()})
+def unapply_shift(I: Ideal, shift) -> Ideal:
+    return apply_shift(I, {v: -c for v, c in dict(shift or ()).items()})
 
 
 def _support(row: tuple) -> tuple:
@@ -81,13 +90,6 @@ def is_primary_monomial(I: Ideal) -> bool:
     supports = [_support(r) for r in I.minimal_monomial_exps()]
     pure = {s[0] for s in supports if len(s) == 1}
     return bool(supports) and all(v in pure for s in supports for v in s)
-
-
-def _primary_in_frame(I: Ideal, shift) -> bool:
-    """Whether I is monomial and primary once the shift (a ((var, constant),
-    ...) tuple, or None) is applied."""
-    view = apply_shift(I, dict(shift or ()))
-    return view.is_monomial() and is_primary_monomial(view)
 
 
 def _split_irreducible(rows: Sequence[tuple]) -> list:
@@ -117,7 +119,7 @@ def decompose_monomial(I: Ideal, shift: Optional[dict] = None) -> Decomposition:
     With a shift given, the ideal is decomposed in the shifted (monomial)
     frame and the components are translated back, carrying the shift.
     """
-    shift = dict(shift) if shift else {}
+    shift = tuple(sorted(dict(shift).items())) if shift else None
     work = apply_shift(I, shift)
     if I.ring.is_quotient():  # no ideal of a quotient ring counts as monomial
         raise NonMonomial(f"decomposition needs a polynomial ring, not {I.ring!r}")
@@ -138,12 +140,10 @@ def decompose_monomial(I: Ideal, shift: Optional[dict] = None) -> Decomposition:
         if not any(b is not a and a.contains_ideal(b) for b in leaves):
             kept.add(supp)
     out = []
-    shift_t = tuple(sorted(shift.items())) if shift else None
     for supp in sorted(kept):
         comp = intersect_all(by_radical[supp])
-        radical = Ideal(ring, [ring.var(ring.vars[i]) for i in supp])
-        out.append(PrimaryComponent(unapply_shift(comp, shift), unapply_shift(radical, shift),
-                                    is_primary_monomial(comp), shift_t))
+        rad = Ideal(ring, [ring.var(ring.vars[i]) for i in supp])
+        out.append(PrimaryComponent(unapply_shift(comp, shift), unapply_shift(rad, shift), shift))
     deco = Decomposition(tuple(out), minimal=True)
     _check_identity(deco.intersection(), I, "monomial decomposition does not intersect back")
     return deco
@@ -164,8 +164,8 @@ def growth_decomposer(seq: FSequence) -> Callable[[int], Decomposition]:
             first.append(decompose_monomial(seq.term(0)))
             if n == 0:
                 return first[0]
-        comps = [PrimaryComponent(_scaled(c.ideal, seq.ring.p ** n), _scaled(c.radical, 1),
-                                  c.verified_primary) for c in first[0].components]
+        comps = [PrimaryComponent(_scaled(c.ideal, seq.ring.p ** n), c.radical)
+                 for c in first[0].components]
         deco = Decomposition(tuple(comps), minimal=True)
         _check_identity(deco.intersection(), term, "monomial decomposition does not intersect back")
         return deco
@@ -327,11 +327,10 @@ def lg2_decompose(a: Ideal, primes: Sequence[Ideal], h: int, n: int,
             base = frob_power(Ideal(ring, a.generators + p_i.power(h).generators), n)
             comp_src = base if mode == "plain" else f_closure(base).closure
         comp = localize_contract(comp_src, p_i)
-        primary = _primary_in_frame(comp, None)
-        if primary and comp.monomial_radical() != p_i:
+        # before the component is built, so a unit contraction fails here (exit 1)
+        if comp.is_monomial() and is_primary_monomial(comp) and comp.monomial_radical() != p_i:
             raise IdentityFailure(comp, f"component radical is not {p_i!r}")
-        comps.append(PrimaryComponent(ideal=comp, radical=p_i,
-                                      verified_primary=primary, shift=None))
+        comps.append(PrimaryComponent(comp, p_i))
     deco = Decomposition(tuple(comps), minimal=_is_minimal(comps))
     _check_identity(deco.intersection(), target,
                     f"components do not intersect to the target at n={n}")
@@ -452,11 +451,8 @@ def ex8_build(p: int, l: int, t_list: Sequence[int], depth: int) -> Ex8Report:
     for m in range(depth + 1):
         comps = []
         for j in range(m + 1):
-            ideal = q_term(j, m)
-            shift = (("Y", j % p),) if j else None
-            comps.append(PrimaryComponent(
-                ideal=ideal, radical=Ideal(ring, [X, Y - j % p] if j else [X]),
-                verified_primary=_primary_in_frame(ideal, shift), shift=shift))
+            comps.append(PrimaryComponent(q_term(j, m), Ideal(ring, [X, Y - j % p] if j else [X]),
+                                          (("Y", j % p),) if j else None))
         for j in range(m + 1, depth + 1):  # deeper components vanish into (X) here
             if not q_term(j, m).contains_ideal(Ideal(ring, [X])):
                 raise IdentityFailure(q_term(j, m), f"component {j} fails to absorb (X) at level {m}")

@@ -74,6 +74,8 @@ def using_budget(budget: GroebnerBudget):
     A basis the ring computed under another budget is computed again, so a
     recalled basis is always one that succeeded under ``budget``.
     """
+    if not isinstance(budget, GroebnerBudget):
+        raise InputError(f"using_budget needs a GroebnerBudget, not {type(budget).__name__}")
     token = _budget.set(budget)
     try:
         yield
@@ -420,8 +422,8 @@ class Ideal:
         at the same g; a monomial self tests g's packed ints times p^e, building no power."""
         if not self.is_monomial():
             return all(self.contains(g.frobenius(e) if e else g) for g in gens)
-        self.minimal_monomial_exps()
-        ring, mins, guard = self.ring, self._min_packed, K.guard_bits(self.ring.nvars)
+        mins = self._min_packed or [g.packed[0] for g in self.generators]  # decodes no row
+        ring, guard = self.ring, K.guard_bits(self.ring.nvars)
         for g in gens:
             q = frobenius_scale(g.ring, g.packed, e) if e and g.coeffs else 1
             if not all(any((x * q | guard) - m & guard == guard for m in mins)

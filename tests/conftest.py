@@ -31,8 +31,8 @@ import signal
 import pytest
 
 from charp import CharpError, DepthExceeded, Ideal, InputError, NonMonomial, Ring
-from charp.decomposition import (Decomposition, PrimaryComponent, _primary_in_frame,
-                                 _split_irreducible, _support, decompose_monomial)
+from charp.decomposition import (Decomposition, PrimaryComponent, _split_irreducible, _support,
+                                 decompose_monomial)
 from charp.frobenius import FClosureResult, _closure_witnesses, frob_power, frob_root
 from charp.ideals import (_aux_cover, _intersection, _mono_divides, _monomial_ideal,
                           _sorted_minimal, normal_form)
@@ -395,17 +395,27 @@ def ass_monomial(I):
     return tuple(c.radical for c in sorted(decompose_monomial(I).components, key=variables))
 
 
+def primary_in_frame(I, shift):
+    """Whether I is monomial and primary once shift ((var, constant) pairs, or
+    None) is applied: the translation by substitution, then the monomial
+    criterion (each variable of a minimal generator occurs as a pure power
+    among them) on the decoded minimal rows."""
+    ring = I.ring
+    moved = {v: ring.var(v) + c for v, c in shift or ()}
+    view = Ideal(ring, [substitute(g, moved) for g in I.generators])
+    if not view.is_monomial():
+        return False
+    rows = poly_minimal_monomial_exps(view)
+    pure = {i for r in rows for i, e in enumerate(r) if e and sum(map(bool, r)) == 1}
+    return bool(rows) and all(i in pure for r in rows for i, e in enumerate(r) if e)
+
+
 def frobenius_decompositions(deco):
     """n -> the component-wise Frobenius power of a minimal decomposition
     (primary with the same radicals; the Frobenius is flat here)."""
     def decomposer(n):
         if n == 0:
             return deco
-        comps = []
-        for c in deco.components:
-            shifted = frob_power(c.ideal, n)
-            comps.append(PrimaryComponent(
-                ideal=shifted, radical=c.radical,
-                verified_primary=_primary_in_frame(shifted, c.shift), shift=c.shift))
-        return Decomposition(tuple(comps), minimal=deco.minimal)
+        return Decomposition(tuple(PrimaryComponent(frob_power(c.ideal, n), c.radical, c.shift)
+                                   for c in deco.components), minimal=deco.minimal)
     return decomposer

@@ -663,6 +663,11 @@ def test_lg2_report(demo, capsys):
     assert comps[0]["component_gens"] == ["X^2"]
     code = main(["lg2", demo, "--ideal", "a", "--primes", "xp", "--h", "2", "--n", "1"])
     assert code == 1  # dropping the embedded prime breaks the identity
+    capsys.readouterr()
+    code, data = run_json(capsys, "lg2", demo, "--ideal", "xyp", "--primes", "xp",
+                          "--h", "1", "--n", "1")
+    assert code == 1  # Y localises to 1 at (X), and the unit ideal's radical is not (X)
+    assert data["result"]["error"].startswith("decomposition identity failed: component radical")
 
 
 def test_lg2_at_a_large_h_answers_with_the_recorded_bytes(monkeypatch):
@@ -730,6 +735,18 @@ def test_ex8_report(capsys):
     code = main(["ex8", "--p", "3", "--l", "2", "--t", "1,1,1", "--depth", "3"])
     assert code == 2  # field too small for 3 distinct constants
     capsys.readouterr()
+
+
+def test_deeper_ex8_answers_with_the_recorded_bytes():
+    """Depth 4 with a multiplicity t = 2 builds more shifted components than
+    the README ex8 does; its --json bytes are the ones recorded when each
+    component's radical was checked by normal forms outside its shift frame."""
+    code, out, err = _run_captured(["ex8", "--p", "7", "--l", "2", "--t", "1,2,1,1",
+                                    "--depth", "4", "--budget-degree", "100000000000",
+                                    "--json"])
+    assert (code, err) == (0, "")
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "021a89188e387893c958e0797aef3f27cb7802dc4615e184a8f438793dee1f0e")
 
 
 def test_ex8_reports_a_failed_root_law(monkeypatch, capsys):

@@ -12,18 +12,19 @@ from hypothesis import given, settings, strategies as st
 from charp import (CertificateFailure, GroebnerBudget, Ideal, IdentityFailure, InputError,
                    NonMonomial, Ring)
 from charp import decomposition, ideals
-from charp.decomposition import (_redundant_index, _split_irreducible, _support, apply_shift,
-                                 certify_growth, decompose_monomial,
+from charp.decomposition import (PrimaryComponent, _redundant_index, _split_irreducible, _support,
+                                 apply_shift, certify_growth, decompose_monomial,
                                  decompose_perfection_ideal, ex8_build,
                                  find_linear_growth_h, growth_decomposer, is_primary_monomial,
-                                 lg2_decompose, localize_contract)
+                                 lg2_decompose, localize_contract, unapply_shift)
 from charp.errors import DistinctLambdaExhausted
 from charp.frobenius import f_closure, frob_power, frob_root
 from charp.ideals import intersect_all
 from charp.perfection import FSequence, PerfectionElement, PerfectionIdeal
 
 from conftest import (ass_monomial, cusp_ring, deadline, frobenius_decompositions,
-                      membership_box, monomial_gen_exps, oracle_mono_member, rand_monomial_ideal)
+                      membership_box, monomial_gen_exps, oracle_mono_member, primary_in_frame,
+                      rand_monomial_ideal)
 
 
 @pytest.fixture
@@ -126,8 +127,73 @@ def test_decompose_with_shift():
     rads = {tuple(sorted(str(g) for g in c.radical.groebner())) for c in deco.components}
     assert rads == {("X",), ("X", "Y + 4")}
     assert deco.intersection() == I
-    for c in deco.components:
-        assert apply_shift(c.ideal, dict(c.shift)).is_monomial()
+    for c in deco.components:  # the shift is read as the pairs it is stored as
+        assert apply_shift(c.ideal, c.shift).is_monomial()
+        assert unapply_shift(apply_shift(c.ideal, c.shift), c.shift).generators == c.ideal.generators
+    assert unapply_shift(I, None) is apply_shift(I, ()) is I
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_component_checks_its_radical_in_its_shift_frame(data):
+    """PrimaryComponent on ideals of F_p[X, Y(, Z)] that are monomial (or have
+    one binomial generator) once shifted by random constants, with a prime of
+    variables as radical, moved by the same shift or by another one: it
+    raises InputError exactly when the generic radical.contains_ideal(ideal)
+    is False, charges the pairs that check charges (both in fresh rings), and
+    verified_primary is the primary_in_frame oracle."""
+    p = data.draw(st.sampled_from((3, 5, 7)), label="p")
+    names = ("X", "Y", "Z")[:data.draw(st.integers(2, 3), label="nvars")]
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * len(names)), min_size=1,
+                              max_size=4), label="rows")
+    binomial = data.draw(st.booleans(), label="binomial")
+    support = data.draw(st.sets(st.sampled_from(names), min_size=1), label="radical")
+    constants = st.lists(st.integers(0, p - 1), min_size=len(names), max_size=len(names))
+    shift = tuple((v, c) for v, c in zip(names, data.draw(constants, label="shift")) if c) or None
+    radical_shift = data.draw(st.sampled_from((shift, None, (("X", 1),))), label="radical shift")
+
+    def build(make):
+        ring = Ring(p, names)
+        gens = [ring.monomial(r) for r in rows]
+        if binomial:
+            gens.append(gens[0] + ring.var(names[-1]))
+        ideal = unapply_shift(Ideal(ring, gens), shift)
+        radical = unapply_shift(Ideal(ring, [ring.var(v) for v in sorted(support)]), radical_shift)
+        before = ideals.pair_count
+        try:
+            return make(ideal, radical), ideals.pair_count - before
+        except InputError:
+            return None, ideals.pair_count - before
+
+    with deadline(20):
+        inside, want_pairs = build(lambda ideal, radical: radical.contains_ideal(ideal))
+        comp, got_pairs = build(lambda ideal, radical: PrimaryComponent(ideal, radical, shift))
+        assert (comp is not None, got_pairs) == (inside, want_pairs)
+        if comp is not None:
+            assert comp.verified_primary == primary_in_frame(comp.ideal, shift)
+
+
+def test_component_fields_are_ideal_radical_and_shift():
+    """verified_primary is derived, never passed; equality, hash and repr
+    cover (ideal, radical, shift); a quotient ring's component is checked as
+    given and is not primary in a monomial frame."""
+    R = Ring(7, ["X", "Y"])
+    q, P = Ideal(R, ["X^2", "Y^7 - 3"]), Ideal(R, ["X", "Y - 3"])  # (Y - 3)^7 = Y^7 - 3
+    comp = PrimaryComponent(q, P, (("Y", 3),))
+    assert comp.verified_primary and not PrimaryComponent(q, P).verified_primary
+    assert comp == PrimaryComponent(q, P, (("Y", 3),)) != PrimaryComponent(q, P)
+    assert hash(comp) == hash((q, P, (("Y", 3),)))
+    assert repr(comp) == f"PrimaryComponent(ideal={q!r}, radical={P!r}, shift=(('Y', 3),))"
+    with pytest.raises(TypeError):
+        PrimaryComponent(q, P, True, (("Y", 3),))
+    with pytest.raises(TypeError):
+        PrimaryComponent(q, P, verified_primary=True, shift=(("Y", 3),))
+    with pytest.raises(InputError):
+        PrimaryComponent(P, q, (("Y", 3),))
+    C = cusp_ring()  # V^2 = U^3 lies in (U) here; shifting U would test it against (U + 1)
+    assert not PrimaryComponent(Ideal(C, ["V^2"]), Ideal(C, ["U"]), (("U", 1),)).verified_primary
+    with pytest.raises(InputError):
+        PrimaryComponent(Ideal(C, ["V"]), Ideal(C, ["U"]), (("U", 1),))
 
 
 DECOMPOSITIONS = pathlib.Path(__file__).resolve().parent / "data" / "decompose_monomial.json"
@@ -481,6 +547,8 @@ def test_lg2_identity_failure_has_witness(R2):
     with pytest.raises(IdentityFailure) as exc:
         lg2_decompose(a, [Ideal(R2, ["X"])], 2, 1, "plain")  # missing embedded prime
     assert exc.value.witness is not None
+    with pytest.raises(IdentityFailure, match="component radical is not"):
+        lg2_decompose(Ideal(R2, ["X", "Y"]), [Ideal(R2, ["X"])], 1, 1)  # localises to (1)
 
 
 # -- count arguments ------------------------------------------------------------------

@@ -408,6 +408,18 @@ def test_budget_terms_raises():
         assert Ideal(R, gens).groebner() == Ideal(R, gens[::-1]).groebner()
 
 
+@pytest.mark.parametrize("budget", [None, {"max_pairs": 2}, 2, (200_000, 100_000, 4096)])
+def test_using_budget_rejects_anything_but_a_budget(budget):
+    """A scope opens only on a GroebnerBudget: anything else is an InputError on
+    entry, not an engine error at the first basis, and the default stays active."""
+    R = Ring(3, ["X", "Y"])
+    with pytest.raises(InputError, match="GroebnerBudget"):
+        with using_budget(budget):
+            Ideal(R, ["X+Y", "X*Y"]).groebner()
+    assert ideals._budget.get() is ideals.DEFAULT_BUDGET
+    assert Ideal(R, ["X+Y", "X*Y"]).groebner() == Ideal(R, ["X+Y", "Y^2"]).groebner()
+
+
 def test_budget_scope_covers_ideal_equality():
     R = Ring(3, ["X", "Y", "Z"])
     gens = ["X^2+Y*Z", "Y^2-X*Z", "Z^2+2*X*Y-1"]

@@ -94,9 +94,11 @@ CALLS_PER_PASS = {"normal_form": 1443, "unpack": 2459, "__hash__": 0, "frobenius
 # build their results from exponent rows without the validating
 # Ring.monomial, growth certificates test packed ints scaled by p^n, a text
 # that parses is never scanned for the columns of its tokens, and the growth
-# of Frobenius powers splits term 0 alone and scales its components' rows
-CLI_CALLS_PER_PASS = {"unpack": 13215, "_redundant_index": 305, "__mul__": 112,
-                      "combine": 232, "normal_form": 336, "s_normal_form": 294,
+# of Frobenius powers splits term 0 alone and scales its components' rows, and
+# a component's radical, or a monomial ideal used only to test membership,
+# decodes no row
+CLI_CALLS_PER_PASS = {"unpack": 11936, "_redundant_index": 305, "__mul__": 112,
+                      "combine": 232, "normal_form": 314, "s_normal_form": 294,
                       "__hash__": 0, "parse_known_args": 1511, "frobenius": 4160,
                       "monomial": 48, "_tokenize": 0, "_split_irreducible": 1445}
 
@@ -176,3 +178,19 @@ def test_cli_specs_pass_decodes_and_searches_no_more(monkeypatch, tmp_path):
                           (charp.poly.Polynomial, "frobenius"), (charp.poly.Ring, "monomial"),
                           (charp.poly, "_tokenize"), (charp.decomposition, "_split_irreducible")))
     assert all(calls[name] <= bound for name, bound in CLI_CALLS_PER_PASS.items()), calls
+
+
+# ceiling on the division-kernel calls of ex8_build(7, 2, (1,) * 4, 4) under a
+# raised degree budget: each shifted component's radical is checked to contain
+# it in the component's monomial frame, by packed divisibility, not by division
+EX8_NORMAL_FORMS = 547
+
+
+def test_ex8_build_divides_no_more(monkeypatch):
+    calls = []
+    real = charp._kernels.normal_form
+    monkeypatch.setattr(charp._kernels, "normal_form",
+                        lambda *args: calls.append(None) or real(*args))
+    with charp.ideals.using_budget(charp.ideals.GroebnerBudget(max_degree=10 ** 11)):
+        charp.decomposition.ex8_build(7, 2, (1,) * 4, 4)
+    assert len(calls) <= EX8_NORMAL_FORMS
